@@ -1,37 +1,32 @@
 """Regenerate the paper results recorded in EXPERIMENTS.md.
 
-Figure 4 is produced by the sibling script run_fig4_standard.py (the
-paper-scale Fig4Config() takes ~1 h of single-core wall time).
+Every table runs its experiment config's defaults (``Table2Config()``,
+``Fig9Config()``, ...), so ``python -m repro.experiments <name>``
+regenerates the same committed table. Figure 4 is produced by the
+sibling script run_fig4_standard.py (the paper-scale Fig4Config() takes
+~1 h of single-core wall time).
 
 Usage::
 
-    python results/run_all.py                            # partitioned-v2
-    python results/run_all.py --flow-solver global-v1 --outdir results/v1
+    python results/run_all.py [--outdir DIR]
 """
 import argparse, os, time
 from repro.experiments import (
-    Fig4Config, Fig6Config, Fig8Config, Fig9Config, Table2Config,
-    run_fig4, run_fig6, run_fig8, run_fig9, run_openloop, run_table1,
-    run_table2,
+    run_fig6, run_fig8, run_fig9, run_openloop, run_table1, run_table2,
 )
-from repro.sim import DEFAULT_SOLVER, SOLVER_NAMES
 
 parser = argparse.ArgumentParser()
-parser.add_argument("--flow-solver", choices=list(SOLVER_NAMES),
-                    default=DEFAULT_SOLVER)
 parser.add_argument("--outdir", default=os.path.dirname(os.path.abspath(__file__)))
 args = parser.parse_args()
-solver = args.flow_solver
 os.makedirs(args.outdir, exist_ok=True)
 
 JOBS = [
-    ("table1", lambda: run_table1(flow_solver=solver)),
-    ("table2", lambda: run_table2(Table2Config(runs=1, flow_solver=solver))),
-    ("fig6", lambda: run_fig6(Fig6Config(flow_solver=solver))),
-    ("fig8", lambda: run_fig8(Fig8Config(runs=5, flow_solver=solver))),
-    ("fig9", lambda: run_fig9(Fig9Config(
-        consecutive_heft_runs=20, experiment_repeats=40, flow_solver=solver))),
-    ("openloop", lambda: run_openloop(jobs=None, flow_solver=solver)),
+    ("table1", run_table1),
+    ("table2", run_table2),
+    ("fig6", run_fig6),
+    ("fig8", run_fig8),
+    ("fig9", run_fig9),
+    ("openloop", lambda: run_openloop(jobs=None)),
 ]
 for name, job in JOBS:
     started = time.time()

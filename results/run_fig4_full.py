@@ -1,16 +1,13 @@
 """Fig. 4 at the paper-scale configuration (Fig4Config defaults)."""
 import argparse, os, time
 from repro.experiments.fig4 import Fig4Config, run_fig4
-from repro.sim import DEFAULT_SOLVER, SOLVER_NAMES
 
 parser = argparse.ArgumentParser()
-parser.add_argument("--flow-solver", choices=list(SOLVER_NAMES),
-                    default=DEFAULT_SOLVER)
 parser.add_argument("--outdir", default=os.path.dirname(os.path.abspath(__file__)))
 args = parser.parse_args()
 
 started = time.time()
-table = run_fig4(Fig4Config(runs=1, flow_solver=args.flow_solver))
+table = run_fig4(Fig4Config(runs=1))
 print(table.format())
 with open(os.path.join(args.outdir, "fig4_full.txt"), "w") as fh:
     fh.write(table.format() + f"\n(wall time {time.time()-started:.0f}s)\n")

@@ -7,11 +7,8 @@ compute-to-network balance and therefore the crossover shape.
 """
 import argparse, os, time
 from repro.experiments.fig4 import Fig4Config, run_fig4
-from repro.sim import DEFAULT_SOLVER, SOLVER_NAMES
 
 parser = argparse.ArgumentParser()
-parser.add_argument("--flow-solver", choices=list(SOLVER_NAMES),
-                    default=DEFAULT_SOLVER)
 parser.add_argument("--outdir", default=os.path.dirname(os.path.abspath(__file__)))
 args = parser.parse_args()
 
@@ -23,7 +20,6 @@ config = Fig4Config(
     mb_per_file=512.0,
     backbone_mb_s=30.0,
     runs=1,
-    flow_solver=args.flow_solver,
 )
 started = time.time()
 table = run_fig4(config)

@@ -2,21 +2,19 @@
 """Epsilon-diff for recorded experiment tables.
 
 Compares two results trees (or two single files) cell by cell and
-reports the maximum relative drift per table. This is the measurement
-tool of the two-version flow-solver contract: ``global-v1`` and
-``partitioned-v2`` agree on every flow *rate* to within
-``PARITY_EPSILON``, but a one-ULP shift in a task completion time can
+reports the maximum relative drift per table. Use it to check that a
+change regenerates the committed ``results/`` tables (0 drift), or to
+measure a declared drift: a one-ULP shift in a task completion time can
 flip a HEFT tie-break, so table-level drift is *measured*, never
-assumed. The numbers this script prints are what EXPERIMENTS.md records
-as the re-baselining evidence, and CI's solver-parity job gates on the
-``--epsilon`` threshold.
+assumed. EXPERIMENTS.md records the drift between the tables in
+``results/v1/`` (the retired global flow solver) and ``results/``.
 
 Non-numeric content (headers, notes, rules) is ignored, as are
 ``solver_version:`` stamps and ``(wall time Ns)`` footers — those are
 *expected* to differ between runs.
 
 Usage:
-    python scripts/diff_tables.py results/ /tmp/results-v1/
+    python scripts/diff_tables.py results/v1 results
     python scripts/diff_tables.py a/table2.txt b/table2.txt --epsilon 0.02
 """
 

@@ -40,7 +40,7 @@ from repro.core import HiWay, HiWayConfig, SCHEDULER_NAMES
 from repro.core.provenance import TraceFileStore
 from repro.errors import ReproError
 from repro.langs import parse_workflow
-from repro.sim import DEFAULT_SOLVER, Environment, SOLVER_NAMES
+from repro.sim import Environment
 
 __all__ = ["main", "build_parser"]
 
@@ -155,11 +155,6 @@ def _add_workflow_arguments(
                         default="fifo",
                         help="cross-application RM allocation policy "
                         "(default: fifo)")
-    parser.add_argument("--flow-solver", choices=list(SOLVER_NAMES),
-                        default=DEFAULT_SOLVER,
-                        help="flow rate-solver version: partitioned-v2 "
-                        "(default) or global-v1 to byte-reproduce "
-                        "historical result tables")
     parser.add_argument("--tenant", default=None, metavar="NAME",
                         help="YARN queue the workflow submits under "
                         "(default: its own app id)")
@@ -229,10 +224,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                             default="fair",
                             help="cross-application RM allocation policy "
                             "(default: fair)")
-    deployment.add_argument("--flow-solver", choices=list(SOLVER_NAMES),
-                            default=DEFAULT_SOLVER,
-                            help="flow rate-solver version "
-                            "(default: partitioned-v2)")
     deployment.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                             default="data-aware")
     deployment.add_argument("--max-concurrent-apps", type=int, default=8,
@@ -323,7 +314,6 @@ def serve_command(args) -> int:
         containers_per_node=args.containers_per_node,
         backbone_mb_s=args.backbone_mb_s,
         rm_policy=args.rm_policy,
-        flow_solver=args.flow_solver,
         max_concurrent_apps=args.max_concurrent_apps or None,
         admission_overflow=args.admission_overflow,
         admission_drain=args.admission_drain,
@@ -527,7 +517,7 @@ def _execute_workflow(
         master_count=args.masters,
         backbone_mb_s=args.backbone_mb_s,
     )
-    cluster = Cluster(env, spec, flow_solver=args.flow_solver)
+    cluster = Cluster(env, spec)
     hiway = HiWay(
         cluster,
         provenance_store=TraceFileStore(),
@@ -540,7 +530,6 @@ def _execute_workflow(
             trace_hdfs_events=trace_hdfs_events,
             decision_audit=decision_audit,
             rm_policy=args.rm_policy,
-            flow_solver=args.flow_solver,
         ),
     )
     for tenant, max_containers, max_vcores in args.tenant_quotas:
@@ -606,7 +595,7 @@ def _execute_on_engine(args, before_run=None):
         worker_count=args.workers,
         master_count=args.masters,
         backbone_mb_s=args.backbone_mb_s,
-    ), flow_solver=args.flow_solver)
+    ))
     registry = MetricsRegistry()
     registry.attach(cluster.bus)
     if before_run is not None:

@@ -32,7 +32,6 @@ class Cluster:
         env: Environment,
         spec: ClusterSpec,
         record_series: bool = False,
-        flow_solver: str | None = None,
     ):
         self.env = env
         self.spec = spec
@@ -40,7 +39,7 @@ class Cluster:
         #: (YARN RM/NM, HDFS, failure injector, Hi-WAY AMs) publishes
         #: its events here. Idle until a subscriber attaches.
         self.bus = EventBus(env)
-        self.network = FlowNetwork(env, solver=flow_solver)
+        self.network = FlowNetwork(env)
         self.backbone: Resource = self.network.add_resource(
             "backbone", spec.backbone_mb_s, kind="backbone"
         )

@@ -48,11 +48,6 @@ class HiWay:
         self.env = cluster.env
         self.hdfs = hdfs if hdfs is not None else HdfsClient(cluster)
         self.config = config or HiWayConfig()
-        # Apply the configured solver to the cluster's flow network.
-        # Idempotent when it already matches; raises if flows have
-        # started under a different solver (the versions' rounding
-        # histories are not interchangeable mid-run).
-        cluster.network.set_solver(self.config.flow_solver)
         if rm is None:
             admission = None
             if self.config.max_concurrent_apps is not None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.flows import DEFAULT_SOLVER, SOLVER_NAMES
 from repro.yarn.allocation import POLICY_NAMES
 
 __all__ = ["HiWayConfig"]
@@ -71,12 +70,6 @@ class HiWayConfig:
     #: queue) or "tenant-fair" (least-admitted tenant first, preventing
     #: a re-submitting tenant from starving queued ones).
     admission_drain: str = "fifo"
-    #: Rate-solver version of the installation's flow network:
-    #: "partitioned-v2" (per-component fills, epsilon-governed — the
-    #: default) or "global-v1" (the frozen solver that byte-reproduces
-    #: historical result tables). See the two-version contract in
-    #: ``repro.sim.flows``.
-    flow_solver: str = DEFAULT_SOLVER
 
     def __post_init__(self) -> None:
         if self.container_vcores < 1:
@@ -101,9 +94,4 @@ class HiWayConfig:
             raise ValueError(
                 f"unknown admission_drain {self.admission_drain!r}; "
                 f"choose 'fifo' or 'tenant-fair'"
-            )
-        if self.flow_solver not in SOLVER_NAMES:
-            raise ValueError(
-                f"unknown flow_solver {self.flow_solver!r}; "
-                f"choose one of {SOLVER_NAMES}"
             )

@@ -49,42 +49,22 @@ __all__ = [
     "CONCURRENT_EXPERIMENTS",
 ]
 
-#: experiment id -> callable(quick: bool, jobs: int | None,
-#: flow_solver: str | None) -> ExperimentTable
+#: experiment id -> callable(quick: bool, jobs: int | None) -> ExperimentTable,
+#: called with keyword arguments.
 #: ``jobs`` is the process-pool width (1 = serial, None = all cores);
 #: parallel runs produce byte-identical tables (see repro.perf.grid).
-#: ``flow_solver`` overrides the rate-solver version (None = config
-#: default, i.e. partitioned-v2).
 EXPERIMENTS = {
-    "table1": lambda quick=False, jobs=1, flow_solver=None:
-        run_table1(jobs=jobs, **(
-            {} if flow_solver is None else {"flow_solver": flow_solver}
-        )),
-    "fig4": lambda quick=False, jobs=1, flow_solver=None:
-        run_fig4(quick=quick, jobs=jobs, flow_solver=flow_solver),
-    "table2": lambda quick=False, jobs=1, flow_solver=None:
-        run_table2(quick=quick, jobs=jobs, flow_solver=flow_solver),
-    "fig5": lambda quick=False, jobs=1, flow_solver=None:  # same series
-        run_table2(quick=quick, jobs=jobs, flow_solver=flow_solver),
-    "fig6": lambda quick=False, jobs=1, flow_solver=None:
-        run_fig6(quick=quick, jobs=jobs, flow_solver=flow_solver),
-    "fig8": lambda quick=False, jobs=1, flow_solver=None:
-        run_fig8(quick=quick, jobs=jobs, flow_solver=flow_solver),
-    "fig9": lambda quick=False, jobs=1, flow_solver=None:
-        run_fig9(quick=quick, jobs=jobs, flow_solver=flow_solver),
-    "openloop": lambda quick=False, jobs=1, flow_solver=None:
-        run_openloop(quick=quick, jobs=jobs, flow_solver=flow_solver),
+    "table1": lambda quick=False, jobs=1: run_table1(jobs=jobs),
+    "fig4": run_fig4,
+    "table2": run_table2,
+    "fig5": run_table2,  # same series
+    "fig6": run_fig6,
+    "fig8": run_fig8,
+    "fig9": run_fig9,
+    "openloop": run_openloop,
 }
 
 #: Experiments with a ``--concurrent`` (multi-workflow, one shared RM)
 #: variant; same call signature as :data:`EXPERIMENTS` plus optional
 #: ``workflow_counts`` / ``policies`` overrides from the CLI.
-CONCURRENT_EXPERIMENTS = {
-    "fig4": lambda quick=False, jobs=1, workflow_counts=None, policies=None,
-            flow_solver=None:
-        run_fig4_concurrent(
-            quick=quick, jobs=jobs,
-            workflow_counts=workflow_counts, policies=policies,
-            flow_solver=flow_solver,
-        ),
-}
+CONCURRENT_EXPERIMENTS = {"fig4": run_fig4_concurrent}

@@ -16,7 +16,6 @@ import sys
 import time
 
 from repro.experiments import CONCURRENT_EXPERIMENTS, EXPERIMENTS
-from repro.sim import SOLVER_NAMES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,15 +67,6 @@ def main(argv: list[str] | None = None) -> int:
             "(default: compare all three)"
         ),
     )
-    parser.add_argument(
-        "--flow-solver",
-        choices=list(SOLVER_NAMES),
-        default=None,
-        help=(
-            "flow rate-solver version (default: partitioned-v2; "
-            "global-v1 byte-reproduces the historical tables)"
-        ),
-    )
     args = parser.parse_args(argv)
     jobs = None if args.parallel else args.jobs
     concurrent = args.concurrent is not None
@@ -89,8 +79,6 @@ def main(argv: list[str] | None = None) -> int:
             f"(have: {', '.join(sorted(CONCURRENT_EXPERIMENTS))})"
         )
     kwargs = {}
-    if args.flow_solver is not None:
-        kwargs["flow_solver"] = args.flow_solver
     if concurrent:
         if args.concurrent:  # bare --concurrent keeps the config default
             kwargs["workflow_counts"] = tuple(args.concurrent)

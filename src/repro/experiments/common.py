@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.sim.flows import SOLVER_VERSION
 from repro.stats import jain_index, mean, median, minutes, percentile, std
 
 __all__ = [
@@ -35,10 +36,6 @@ class ExperimentTable:
     columns: list[str]
     rows: list[list] = field(default_factory=list)
     notes: str = ""
-    #: Flow-solver version the numbers were produced under (the
-    #: two-version contract of ``repro.sim.flows``); stamped into both
-    #: renderings so every recorded table is attributable.
-    solver_version: str = ""
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -54,7 +51,11 @@ class ExperimentTable:
         return [row[index] for row in self.rows]
 
     def format(self) -> str:
-        """Fixed-width text rendering (what the benchmarks print)."""
+        """Fixed-width text rendering (what the benchmarks print).
+
+        Both renderings end with the flow solver version stamp, so every
+        recorded table is attributable.
+        """
         cells = [self.columns] + [[_fmt(v) for v in row] for row in self.rows]
         widths = [
             max(len(row[i]) for row in cells) for i in range(len(self.columns))
@@ -67,8 +68,7 @@ class ExperimentTable:
             lines.append("  ".join(v.rjust(widths[i]) for i, v in enumerate(row)))
         if self.notes:
             lines.append(f"note: {self.notes}")
-        if self.solver_version:
-            lines.append(f"solver_version: {self.solver_version}")
+        lines.append(f"solver_version: {SOLVER_VERSION}")
         return "\n".join(lines)
 
     def to_markdown(self) -> str:
@@ -79,6 +79,5 @@ class ExperimentTable:
         ]
         for row in self.rows:
             lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
-        if self.solver_version:
-            lines.append(f"\n_solver_version: {self.solver_version}_")
+        lines.append(f"\n_solver_version: {SOLVER_VERSION}_")
         return "\n".join(lines)

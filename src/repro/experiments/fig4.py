@@ -32,7 +32,7 @@ from repro.obs.events import (
 from repro.hdfs import HdfsClient
 from repro.langs import CuneiformSource
 from repro.perf import run_grid
-from repro.sim import DEFAULT_SOLVER, Environment
+from repro.sim import Environment
 from repro.tools import default_registry
 from repro.workloads import SNV_TOOLS, sample_read_files, snv_cuneiform, snv_graph
 from repro.yarn import ContainerResource, ResourceManager
@@ -56,9 +56,6 @@ class Fig4Config:
     mb_per_file: float = 1024.0
     backbone_mb_s: float = 100.0
     runs: int = 3
-    #: Flow-solver version (carried in the config so process-pool
-    #: workers inherit the selection with the pickled config).
-    flow_solver: str = DEFAULT_SOLVER
 
     @classmethod
     def quick(cls) -> "Fig4Config":
@@ -91,7 +88,7 @@ def _cluster_spec(config: Fig4Config) -> ClusterSpec:
 
 def _run_hiway(config: Fig4Config, containers: int, seed: int) -> float:
     env = Environment()
-    cluster = Cluster(env, _cluster_spec(config), flow_solver=config.flow_solver)
+    cluster = Cluster(env, _cluster_spec(config))
     hdfs = HdfsClient(cluster, seed=seed)
     rm = ResourceManager(
         env, cluster, max_containers_per_node=containers // config.node_count
@@ -100,11 +97,7 @@ def _run_hiway(config: Fig4Config, containers: int, seed: int) -> float:
         cluster,
         hdfs=hdfs,
         rm=rm,
-        config=HiWayConfig(
-            container_vcores=1,
-            container_memory_mb=1024.0,
-            flow_solver=config.flow_solver,
-        ),
+        config=HiWayConfig(container_vcores=1, container_memory_mb=1024.0),
     )
     hiway.install_everywhere(*SNV_TOOLS)
     inputs = sample_read_files(
@@ -122,7 +115,7 @@ def _run_hiway(config: Fig4Config, containers: int, seed: int) -> float:
 
 def _run_tez(config: Fig4Config, containers: int, seed: int) -> float:
     env = Environment()
-    cluster = Cluster(env, _cluster_spec(config), flow_solver=config.flow_solver)
+    cluster = Cluster(env, _cluster_spec(config))
     hdfs = HdfsClient(cluster, seed=seed)
     rm = ResourceManager(
         env, cluster, max_containers_per_node=containers // config.node_count
@@ -157,7 +150,6 @@ def run_fig4(
     config: Fig4Config | None = None,
     quick: bool = False,
     jobs: int | None = 1,
-    flow_solver: str | None = None,
 ) -> ExperimentTable:
     """Regenerate the Figure 4 series (mean runtime vs containers).
 
@@ -167,8 +159,6 @@ def run_fig4(
     """
     if config is None:
         config = Fig4Config.quick() if quick else Fig4Config()
-    if flow_solver is not None:
-        config = replace(config, flow_solver=flow_solver)
     table = ExperimentTable(
         experiment_id="fig4",
         title="SNV calling runtime, Hi-WAY (data-aware) vs Tez",
@@ -183,7 +173,6 @@ def run_fig4(
             f"{config.files_per_sample} x {config.mb_per_file:.0f} MB, "
             f"{config.backbone_mb_s:.0f} MB/s switch, {config.runs} run(s)"
         ),
-        solver_version=config.flow_solver,
     )
     params = [
         (system, config, containers, seed)
@@ -239,9 +228,6 @@ class Fig4ConcurrentConfig:
     #: entire backlog under fifo, while fair/drf hand it the next free
     #: container (it holds nothing yet).
     submit_interval_s: float = 30.0
-    #: Flow-solver version (carried in the config so process-pool
-    #: workers inherit the selection with the pickled config).
-    flow_solver: str = DEFAULT_SOLVER
 
     @classmethod
     def quick(cls) -> "Fig4ConcurrentConfig":
@@ -291,7 +277,6 @@ def _run_hiway_concurrent(
             master_count=1,
             backbone_mb_s=config.backbone_mb_s,
         ),
-        flow_solver=config.flow_solver,
     )
     hdfs = HdfsClient(cluster, seed=seed)
     rm = ResourceManager(
@@ -304,11 +289,7 @@ def _run_hiway_concurrent(
         cluster,
         hdfs=hdfs,
         rm=rm,
-        config=HiWayConfig(
-            container_vcores=1,
-            container_memory_mb=1024.0,
-            flow_solver=config.flow_solver,
-        ),
+        config=HiWayConfig(container_vcores=1, container_memory_mb=1024.0),
     )
     hiway.install_everywhere(*SNV_TOOLS)
     waits: list[float] = []
@@ -401,7 +382,6 @@ def run_fig4_concurrent(
     jobs: int | None = 1,
     workflow_counts: tuple[int, ...] | None = None,
     policies: tuple[str, ...] | None = None,
-    flow_solver: str | None = None,
 ) -> ExperimentTable:
     """Fairness and throughput of N concurrent workflows per RM policy.
 
@@ -416,8 +396,6 @@ def run_fig4_concurrent(
     """
     if config is None:
         config = Fig4ConcurrentConfig.quick() if quick else Fig4ConcurrentConfig()
-    if flow_solver is not None:
-        config = replace(config, flow_solver=flow_solver)
     if workflow_counts is not None:
         config = replace(config, workflow_counts=tuple(workflow_counts))
     if policies is not None:
@@ -442,7 +420,6 @@ def run_fig4_concurrent(
             f"{config.mb_per_file:.0f} MB, {config.backbone_mb_s:.0f} MB/s "
             f"switch"
         ),
-        solver_version=config.flow_solver,
     )
     # One uncontended single-workflow run anchors the serial baseline all
     # efficiencies are measured against, then the (N x policy) grid.

@@ -15,11 +15,10 @@ between workers — exactly as real HDFS does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.experiments.common import ExperimentTable
-from repro.sim import DEFAULT_SOLVER
 from repro.experiments.table2 import Table2Config, run_weak_scaling_once
 from repro.perf import run_grid
 
@@ -35,8 +34,6 @@ class Fig6Config:
 
     worker_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
     seed: int = 0
-    #: Flow-solver version, forwarded to the weak-scaling runs.
-    flow_solver: str = DEFAULT_SOLVER
 
     @classmethod
     def quick(cls) -> "Fig6Config":
@@ -69,7 +66,7 @@ def _fig6_unit(weak_config: Table2Config, workers: int, seed: int) -> tuple:
     # Container lifecycle RPCs (allocate response, NM launch, NM
     # completion report) are tallied from the observability bus.
     hdfs_ops = hiway.hdfs.namenode.ops
-    lifecycle_rpcs = 3 * metrics.counters.get("containers_launched", 0)
+    lifecycle_rpcs = 3 * metrics.registry.value("hiway_containers_launched_total")
     heartbeat_rpcs = workers * duration  # 1 Hz per NM and per DN
     hadoop_net = (
         (hdfs_ops + lifecycle_rpcs + 2 * heartbeat_rpcs)
@@ -90,7 +87,6 @@ def run_fig6(
     config: Optional[Fig6Config] = None,
     quick: bool = False,
     jobs: Optional[int] = 1,
-    flow_solver: Optional[str] = None,
 ) -> ExperimentTable:
     """Regenerate the Figure 6 utilisation series.
 
@@ -99,8 +95,6 @@ def run_fig6(
     """
     if config is None:
         config = Fig6Config.quick() if quick else Fig6Config()
-    if flow_solver is not None:
-        config = replace(config, flow_solver=flow_solver)
     table = ExperimentTable(
         experiment_id="fig6",
         title="Resource utilisation of masters and workers vs scale",
@@ -115,9 +109,8 @@ def run_fig6(
             "fraction of disk bandwidth; masters: master-0 = RM+NameNode, "
             "master-1 = Hi-WAY AM"
         ),
-        solver_version=config.flow_solver,
     )
-    weak_config = Table2Config(runs=1, flow_solver=config.flow_solver)
+    weak_config = Table2Config()
     rows = run_grid(
         _fig6_unit,
         [(weak_config, workers, config.seed) for workers in config.worker_counts],

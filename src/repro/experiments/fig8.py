@@ -11,7 +11,7 @@ driven by TopHat2's intermediate files living on local SSD vs. EBS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines.cloudman import GalaxyCloudMan
@@ -21,7 +21,7 @@ from repro.experiments.common import ExperimentTable, mean, minutes, std
 from repro.hdfs import HdfsClient
 from repro.langs import GalaxySource, parse_galaxy
 from repro.perf import run_grid
-from repro.sim import DEFAULT_SOLVER, Environment
+from repro.sim import Environment
 from repro.tools import default_registry
 from repro.workloads import (
     RNASEQ_TOOLS,
@@ -44,9 +44,6 @@ class Fig8Config:
     #: magnetic-era volume serving the whole cluster).
     ebs_mb_s: float = 45.0
     runs: int = 5
-    #: Flow-solver version (carried in the config so process-pool
-    #: workers inherit the selection with the pickled config).
-    flow_solver: str = DEFAULT_SOLVER
 
     @classmethod
     def quick(cls) -> "Fig8Config":
@@ -64,7 +61,7 @@ def _cluster(config: Fig8Config, nodes: int) -> ClusterSpec:
 
 def _run_hiway(config: Fig8Config, nodes: int, seed: int) -> tuple[float, float]:
     env = Environment()
-    cluster = Cluster(env, _cluster(config, nodes), flow_solver=config.flow_solver)
+    cluster = Cluster(env, _cluster(config, nodes))
     hdfs = HdfsClient(cluster, seed=seed)
     rm = ResourceManager(env, cluster, max_containers_per_node=1)
     hiway = HiWay(
@@ -74,7 +71,6 @@ def _run_hiway(config: Fig8Config, nodes: int, seed: int) -> tuple[float, float]
         config=HiWayConfig(
             container_vcores=C3_2XLARGE.cores,
             container_memory_mb=C3_2XLARGE.memory_mb * 0.9,
-            flow_solver=config.flow_solver,
         ),
     )
     hiway.install_everywhere(*RNASEQ_TOOLS)
@@ -93,7 +89,7 @@ def _run_hiway(config: Fig8Config, nodes: int, seed: int) -> tuple[float, float]
 
 def _run_cloudman(config: Fig8Config, nodes: int, seed: int) -> float:
     env = Environment()
-    cluster = Cluster(env, _cluster(config, nodes), flow_solver=config.flow_solver)
+    cluster = Cluster(env, _cluster(config, nodes))
     tools = default_registry()
     for node in cluster.all_nodes():
         node.install(*RNASEQ_TOOLS)
@@ -121,7 +117,6 @@ def run_fig8(
     config: Optional[Fig8Config] = None,
     quick: bool = False,
     jobs: Optional[int] = 1,
-    flow_solver: Optional[str] = None,
 ) -> ExperimentTable:
     """Regenerate the Figure 8 series (runtime vs cluster size).
 
@@ -131,8 +126,6 @@ def run_fig8(
     """
     if config is None:
         config = Fig8Config.quick() if quick else Fig8Config()
-    if flow_solver is not None:
-        config = replace(config, flow_solver=flow_solver)
     table = ExperimentTable(
         experiment_id="fig8",
         title="TRAPLINE RNA-seq: Hi-WAY vs Galaxy CloudMan",
@@ -147,7 +140,6 @@ def run_fig8(
             f"c3.2xlarge, one task per node, 6 x {config.mb_per_replicate:.0f} MB "
             f"replicates, EBS {config.ebs_mb_s:.0f} MB/s, {config.runs} run(s)"
         ),
-        solver_version=config.flow_solver,
     )
     params = [
         (system, config, nodes, seed)

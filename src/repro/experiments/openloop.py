@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from repro.experiments.common import ExperimentTable
 from repro.perf import run_grid
-from repro.sim import DEFAULT_SOLVER
 
 __all__ = ["OpenLoopConfig", "run_openloop"]
 
@@ -48,9 +47,6 @@ class OpenLoopConfig:
     montage_degree: float = 0.5
     kmeans_partitions: int = 8
     seed: int = 42
-    #: Flow-solver version (carried in the config so process-pool
-    #: workers inherit the selection with the pickled config).
-    flow_solver: str = DEFAULT_SOLVER
 
     @classmethod
     def quick(cls) -> "OpenLoopConfig":
@@ -88,7 +84,6 @@ def _openloop_unit(
         montage_degree=config.montage_degree,
         kmeans_partitions=config.kmeans_partitions,
         seed=config.seed,
-        flow_solver=config.flow_solver,
     ))
     report = runner.run(
         make_arrivals(
@@ -114,7 +109,6 @@ def run_openloop(
     quick: bool = False,
     jobs: int | None = 1,
     policies: tuple[str, ...] | None = None,
-    flow_solver: str | None = None,
 ) -> ExperimentTable:
     """The traffic-doubling what-if grid, one service run per row.
 
@@ -124,8 +118,6 @@ def run_openloop(
     """
     if config is None:
         config = OpenLoopConfig.quick() if quick else OpenLoopConfig()
-    if flow_solver is not None:
-        config = replace(config, flow_solver=flow_solver)
     if policies is not None:
         config = replace(config, policies=tuple(policies))
     m = config.traffic_multiplier
@@ -152,7 +144,6 @@ def run_openloop(
             f"{config.max_concurrent_apps} (queue), seed {config.seed}; "
             f"p50/p95/p99 are end-to-end latency"
         ),
-        solver_version=config.flow_solver,
     )
     params = [
         (config, multiplier, workers, policy)

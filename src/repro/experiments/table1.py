@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentTable
-from repro.sim import DEFAULT_SOLVER
 
 __all__ = ["run_table1"]
 
 
-def run_table1(jobs: int | None = 1, flow_solver: str = DEFAULT_SOLVER) -> ExperimentTable:
+def run_table1(jobs: int | None = 1) -> ExperimentTable:
     """Regenerate the experiment-overview table.
 
     Static metadata by nature; the rows double as an index into the
@@ -22,7 +21,6 @@ def run_table1(jobs: int | None = 1, flow_solver: str = DEFAULT_SOLVER) -> Exper
             "workflow", "domain", "language", "scheduler",
             "infrastructure", "runs", "evaluation", "section",
         ],
-        solver_version=flow_solver,
     )
     table.add_row(
         "SNV Calling", "genomics", "Cuneiform", "data-aware",

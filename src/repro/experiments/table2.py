@@ -11,7 +11,7 @@ every provisioned VM) is applied verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
@@ -20,7 +20,7 @@ from repro.experiments.common import ExperimentTable, mean, minutes, std
 from repro.hdfs import HdfsClient
 from repro.langs import CuneiformSource
 from repro.perf import run_grid
-from repro.sim import DEFAULT_SOLVER, Environment
+from repro.sim import Environment
 from repro.workloads import SNV_TOOLS, sample_read_files, snv_cuneiform
 from repro.yarn import ResourceManager
 
@@ -29,20 +29,21 @@ __all__ = ["Table2Config", "run_table2", "run_weak_scaling_once"]
 
 @dataclass(frozen=True)
 class Table2Config:
-    """Parameters of the Table 2 / Figure 5 reproduction."""
+    """Parameters of the Table 2 / Figure 5 reproduction.
+
+    The defaults are the configuration that recorded
+    ``results/table2.txt``.
+    """
 
     worker_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
     files_per_sample: int = 8
     mb_per_file: float = 1032.0  # 8.06 GB per sample, as in Table 2
-    runs: int = 3
-    #: Flow-solver version (carried in the config so process-pool
-    #: workers inherit the selection with the pickled config).
-    flow_solver: str = DEFAULT_SOLVER
+    runs: int = 1
 
     @classmethod
     def quick(cls) -> "Table2Config":
-        """Fewer scales and one run; the flat-runtime shape is preserved."""
-        return cls(worker_counts=(1, 2, 4, 8), runs=1)
+        """Fewer scales; the flat-runtime shape is preserved."""
+        return cls(worker_counts=(1, 2, 4, 8))
 
 
 def run_weak_scaling_once(config: Table2Config, workers: int, seed: int):
@@ -58,7 +59,7 @@ def run_weak_scaling_once(config: Table2Config, workers: int, seed: int):
         master_count=2,  # Hadoop masters + dedicated Hi-WAY AM node
         backbone_mb_s=10_000.0,  # EC2 fabric: not the bottleneck here
     )
-    cluster = Cluster(env, spec, flow_solver=config.flow_solver)
+    cluster = Cluster(env, spec)
     hdfs = HdfsClient(cluster, seed=seed)
     # One container per worker node, multithreading within it (Sec. 4.1).
     rm = ResourceManager(env, cluster, max_containers_per_node=1)
@@ -70,7 +71,6 @@ def run_weak_scaling_once(config: Table2Config, workers: int, seed: int):
             container_vcores=M3_LARGE.cores,
             container_memory_mb=M3_LARGE.memory_mb * 0.9,
             am_node="master-1",
-            flow_solver=config.flow_solver,
         ),
     )
     hiway.install_everywhere(*SNV_TOOLS)
@@ -105,7 +105,6 @@ def run_table2(
     config: Optional[Table2Config] = None,
     quick: bool = False,
     jobs: Optional[int] = 1,
-    flow_solver: Optional[str] = None,
 ) -> ExperimentTable:
     """Regenerate Table 2 (and with it Figure 5's series).
 
@@ -115,8 +114,6 @@ def run_table2(
     """
     if config is None:
         config = Table2Config.quick() if quick else Table2Config()
-    if flow_solver is not None:
-        config = replace(config, flow_solver=flow_solver)
     table = ExperimentTable(
         experiment_id="table2",
         title="Weak scaling of SNV calling (S3 inputs, CRAM)",
@@ -129,7 +126,6 @@ def run_table2(
             "one 8.06 GB sample per worker from S3; FCFS; one container "
             f"per node; {config.runs} run(s); $0.146/h per m3.large VM"
         ),
-        solver_version=config.flow_solver,
     )
     params = [
         (config, workers, seed)

@@ -1,6 +1,6 @@
 """Micro/macro benchmark suite behind ``python -m repro bench``.
 
-Runs kernel, flow-solver, HDFS-locality, scheduler and end-to-end
+Runs kernel, flow solver, HDFS-locality, scheduler and end-to-end
 benchmarks and writes the results as ``BENCH_<n>.json`` (schema below),
 giving the repository a persistent performance trajectory: every change
 lands next to the numbers it produced, and CI compares a fresh run
@@ -47,22 +47,6 @@ __all__ = [
 ]
 
 SCHEMA = "hiway-bench/1"
-
-#: Flow-solver override for benchmark runs (None = the library default,
-#: partitioned-v2). Set by ``run_benchmarks(flow_solver=...)`` / the
-#: ``--flow-solver`` CLI flag and read by every benchmark that builds a
-#: flow network, so one process can measure either solver version (the
-#: interleaved A/B harness in scripts/ab_flows.py sets it directly).
-BENCH_SOLVER: str | None = None
-
-
-def _solver_version() -> str:
-    """The solver version benchmarks are running under (for the stamp)."""
-    if BENCH_SOLVER is not None:
-        return BENCH_SOLVER
-    from repro.sim import DEFAULT_SOLVER
-
-    return DEFAULT_SOLVER
 
 
 def _peak_rss_kb() -> int:
@@ -134,7 +118,7 @@ def _bench_flow_rebalance(quick: bool) -> tuple[int, float]:
 
     n = 600 if quick else 4_000
     env = Environment()
-    net = FlowNetwork(env, solver=BENCH_SOLVER)
+    net = FlowNetwork(env)
     cpus = [net.add_resource(f"cpu:{i}", 8.0, kind="cpu") for i in range(16)]
     disks = [net.add_resource(f"disk:{i}", 100.0, kind="disk") for i in range(16)]
     for i in range(16):
@@ -167,7 +151,7 @@ def _bench_flow_churn(quick: bool) -> tuple[int, float]:
 
     n = 400 if quick else 2_500
     env = Environment()
-    net = FlowNetwork(env, solver=BENCH_SOLVER)
+    net = FlowNetwork(env)
     nodes = [net.add_resource(f"node:{i}", 8.0, kind="cpu") for i in range(24)]
     for node in nodes:
         # Cap sum 9.0 > 8.0: every node stays contended throughout, so
@@ -206,7 +190,7 @@ def _bench_flow_components(quick: bool) -> tuple[int, float]:
     rounds = 20 if quick else 120
     racks = 32
     env = Environment()
-    net = FlowNetwork(env, solver=BENCH_SOLVER)
+    net = FlowNetwork(env)
     links = [
         net.add_resource(f"uplink:{i}", 100.0, kind="net") for i in range(racks)
     ]
@@ -353,7 +337,7 @@ def _bench_end_to_end_snv(quick: bool) -> tuple[int, float]:
     from repro.experiments.table2 import Table2Config, run_weak_scaling_once
 
     workers = 2 if quick else 4
-    config = Table2Config(runs=1, flow_solver=_solver_version())
+    config = Table2Config()
     started = time.perf_counter()
     _, hiway = run_weak_scaling_once(config, workers, seed=0)
     wall = time.perf_counter() - started
@@ -376,7 +360,6 @@ def _bench_service_openloop(quick: bool) -> tuple[int, float]:
     horizon = 1800.0 if quick else 3600.0
     runner = ServiceRunner(ServiceConfig(
         workers=4, max_concurrent_apps=4, sample_period_s=120.0, seed=0,
-        flow_solver=_solver_version(),
     ))
     started = time.perf_counter()
     report = runner.run(
@@ -405,7 +388,6 @@ def _bench_obs_journal(quick: bool) -> tuple[int, float]:
     horizon = 1800.0 if quick else 3600.0
     runner = ServiceRunner(ServiceConfig(
         workers=4, max_concurrent_apps=4, sample_period_s=120.0, seed=0,
-        flow_solver=_solver_version(),
     ))
     journal = EventJournal(io.StringIO())
     started = time.perf_counter()
@@ -425,10 +407,7 @@ def _bench_end_to_end_fig9(quick: bool) -> tuple[int, float]:
     from repro.experiments.fig9 import Fig9Config, _one_experiment
 
     runs = 1 if quick else 3
-    config = Fig9Config(
-        consecutive_heft_runs=runs, experiment_repeats=1,
-        flow_solver=_solver_version(),
-    )
+    config = Fig9Config(consecutive_heft_runs=runs, experiment_repeats=1)
     started = time.perf_counter()
     _one_experiment(config, seed=0)
     wall = time.perf_counter() - started
@@ -459,7 +438,6 @@ BENCHMARKS: dict[str, Callable[[bool], tuple[int, float]]] = {
 
 def run_benchmarks(
     quick: bool = False, echo=None, benchmarks=None, repeats: int = 3,
-    flow_solver: str | None = None,
 ) -> dict:
     """Run the suite; returns the ``hiway-bench/1`` document.
 
@@ -467,15 +445,11 @@ def run_benchmarks(
     (default: the full :data:`BENCHMARKS` registry). Each benchmark is
     run ``repeats`` times and the fastest pass is reported — timing
     noise is one-sided (preemption only ever slows a run down), so
-    best-of-N is the stable estimator of the code's actual speed.
-    ``flow_solver`` selects the rate-solver version for every benchmark
-    that builds a flow network (None = the library default); the
-    resulting document is stamped with ``solver_version`` either way.
+    best-of-N is the stable estimator of the code's actual speed. The
+    document is stamped with the flow solver's ``solver_version``.
     """
-    global BENCH_SOLVER
-    previous_solver = BENCH_SOLVER
-    if flow_solver is not None:
-        BENCH_SOLVER = flow_solver
+    from repro.sim import SOLVER_VERSION
+
     results = []
     for name, bench in (BENCHMARKS if benchmarks is None else benchmarks).items():
         ops, wall = bench(quick)
@@ -500,11 +474,10 @@ def run_benchmarks(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": quick,
-        "solver_version": _solver_version(),
+        "solver_version": SOLVER_VERSION,
         "peak_rss_kb": _peak_rss_kb(),
         "benchmarks": results,
     }
-    BENCH_SOLVER = previous_solver
     return document
 
 
@@ -593,11 +566,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="best-of-N passes per benchmark (default: 3); "
                         "raise this when gating with a tight --tolerance — "
                         "best-of-N variance shrinks with N")
-    parser.add_argument("--flow-solver", default=None,
-                        choices=["global-v1", "partitioned-v2"],
-                        help="flow rate-solver version for the run "
-                        "(default: partitioned-v2); the document is "
-                        "stamped with solver_version either way")
 
 
 def run_bench_command(args) -> int:
@@ -606,7 +574,6 @@ def run_bench_command(args) -> int:
           f"({'quick' if args.quick else 'full'} mode)...")
     document = run_benchmarks(
         quick=args.quick, echo=print, repeats=getattr(args, "repeats", 3),
-        flow_solver=getattr(args, "flow_solver", None),
     )
     out_path = args.out or next_bench_path(".")
     with open(out_path, "w", encoding="utf-8") as handle:

@@ -40,7 +40,7 @@ from repro.service.traffic import (
     TenantProfile,
     build_schedule,
 )
-from repro.sim import DEFAULT_SOLVER, Environment
+from repro.sim import SOLVER_VERSION, Environment
 from repro.workflow.model import TaskSource
 from repro.workloads import (
     KMEANS_TOOLS,
@@ -106,12 +106,10 @@ class ServiceConfig:
     rnaseq_mb_per_replicate: float = 64.0
     #: Seed for HDFS placement and input staging.
     seed: int = 0
-    #: Rate-solver version of the installation's flow network (the
-    #: ``solver_version`` stamp on every report this deployment emits).
-    flow_solver: str = DEFAULT_SOLVER
 
     def setup_line(self) -> str:
-        """One deterministic line describing the deployment."""
+        """One deterministic line describing the deployment, ending with
+        the flow solver version stamp."""
         cap = (
             "uncapped" if self.max_concurrent_apps is None
             else (
@@ -122,7 +120,7 @@ class ServiceConfig:
         return (
             f"{self.workers} workers x {self.containers_per_node} containers, "
             f"{self.rm_policy} rm, {cap}, {self.scheduler} scheduler, "
-            f"solver {self.flow_solver}"
+            f"solver {SOLVER_VERSION}"
         )
 
 
@@ -141,7 +139,6 @@ class ServiceRunner:
                 master_count=1,
                 backbone_mb_s=cfg.backbone_mb_s,
             ),
-            flow_solver=cfg.flow_solver,
         )
         self.hiway = HiWay(
             self.cluster,
@@ -155,7 +152,6 @@ class ServiceRunner:
                 max_concurrent_apps=cfg.max_concurrent_apps,
                 admission_overflow=cfg.admission_overflow,
                 admission_drain=cfg.admission_drain,
-                flow_solver=cfg.flow_solver,
             ),
             max_containers_per_node=cfg.containers_per_node,
         )

@@ -9,16 +9,7 @@ from repro.sim.engine import (
     ScheduledCall,
     Timeout,
 )
-from repro.sim.flows import (
-    DEFAULT_SOLVER,
-    PARITY_EPSILON,
-    SOLVER_NAMES,
-    SOLVER_V1,
-    SOLVER_V2,
-    Flow,
-    FlowNetwork,
-    Resource,
-)
+from repro.sim.flows import SOLVER_VERSION, Flow, FlowNetwork, Resource
 from repro.sim.metrics import MetricRecorder, ResourceUsage
 
 __all__ = [
@@ -34,9 +25,5 @@ __all__ = [
     "Resource",
     "MetricRecorder",
     "ResourceUsage",
-    "SOLVER_V1",
-    "SOLVER_V2",
-    "SOLVER_NAMES",
-    "DEFAULT_SOLVER",
-    "PARITY_EPSILON",
+    "SOLVER_VERSION",
 ]

@@ -16,50 +16,34 @@ are handled by the same solver:
   the affected flows, repeat.
 
 Whenever a flow starts or finishes, elapsed progress is settled and rates
-are recomputed. *How* they are recomputed is governed by a versioned
-two-solver contract:
-
-``global-v1`` — the historical solver, **frozen forever**. One global
-progressive fill over every live flow: its accumulating level and shared
-capped-flow ladder interleave float operations across independent
-contention regions, so the exact bit pattern of every rate — and through
-it every completion time — is pinned to this one operation sequence.
-Selecting ``global-v1`` reproduces any result table recorded under it
-byte for byte; for that reason its fill loop must never be partitioned,
-reordered or algebraically "simplified".
-
-``partitioned-v2`` — the default. Contention components (see below) are
-rebuilt eagerly at each rebalance and only the components whose
-membership or contention changed are re-solved, each by an independent
-progressive fill over just its own flows and contended resources.
-Untouched components keep their rates: their constraint set did not
-change, so re-solving them is pure waste — this is where the order-of-
-magnitude win on churn-heavy clusters comes from. The two solvers are
-mathematically equal; they differ only in float rounding at the ULP,
-because v2's per-component fills do not share v1's global accumulator.
-Results produced under v2 are therefore governed by a *declared epsilon*
-rather than byte identity: every emitted table and bench document carries
-a ``solver_version`` stamp, and cross-solver agreement is asserted within
-``PARITY_EPSILON`` at the flow-rate level (``scripts/diff_tables.py``
-reports drift at the table level; see DESIGN.md and EXPERIMENTS.md).
-
-Contention *structure* is tracked incrementally under both solvers:
-resources whose flows could collectively exceed capacity are *contended*,
+are recomputed by the *partitioned* solver (version ``partitioned-v2``).
+Resources whose flows could collectively exceed capacity are *contended*,
 and contended resources partition into connected components (a flow links
-every contended resource it crosses). Components are maintained for the
-dirty region only. Under v1 they feed diagnostics, tests and scheduling
-heuristics; under v2 they are load-bearing — the unit of the partitioned
-solve. A component's effective settle clock coincides with the global
-clock at each of its refill instants (every mutation settles all finite
-flows before rates change), which is exact for piecewise-constant rates;
-``built_at`` stamps the instant the component was last assembled.
+every contended resource it crosses). Components are rebuilt eagerly for
+just the dirty region at each rebalance, and only the components whose
+membership or contention changed are re-solved, each by an independent
+progressive fill over its own flows and contended resources. Untouched
+components keep their rates: their constraint set did not change, so
+re-solving them would be pure waste — this is where the order-of-magnitude
+win on churn-heavy clusters comes from. A component's effective settle
+clock coincides with the global clock at each of its refill instants
+(every mutation settles all finite flows before rates change), which is
+exact for piecewise-constant rates; ``built_at`` stamps the instant the
+component was last assembled.
+
+Every emitted table, service report and bench document carries the
+``SOLVER_VERSION`` stamp. The per-component fills are checked against a
+from-scratch global progressive fill kept in the test suite as a
+reference oracle (see DESIGN.md). Tables recorded under the retired
+global solver stay in ``results/v1/``, next to the commit that
+regenerates them.
 
 The earliest upcoming completion is tracked by the environment's external
 wake slot: re-aimed in place after every rebalance, it consumes a fresh
 event id (ordering against same-instant kernel events exactly like a
 freshly armed timeout) while leaving *zero* records in the kernel queue —
 heavy churn no longer piles up stale timers. The model is deterministic
-and exact for piecewise-constant rate sets under either solver.
+and exact for piecewise-constant rate sets.
 """
 
 from __future__ import annotations
@@ -74,33 +58,14 @@ from repro.sim.engine import Environment
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.metrics import MetricRecorder
 
-__all__ = [
-    "Resource",
-    "Flow",
-    "FlowNetwork",
-    "SOLVER_V1",
-    "SOLVER_V2",
-    "SOLVER_NAMES",
-    "DEFAULT_SOLVER",
-    "PARITY_EPSILON",
-]
+__all__ = ["Resource", "Flow", "FlowNetwork", "SOLVER_VERSION"]
 
 #: Tolerance used when deciding a flow has fully drained.
 _EPSILON = 1e-9
 
-#: The frozen byte-reproduction solver: one global progressive fill.
-SOLVER_V1 = "global-v1"
-#: The partitioned per-component solver (epsilon-governed, the default).
-SOLVER_V2 = "partitioned-v2"
-SOLVER_NAMES = (SOLVER_V1, SOLVER_V2)
-DEFAULT_SOLVER = SOLVER_V2
-
-#: Declared relative tolerance within which ``partitioned-v2`` flow
-#: rates must agree with ``global-v1`` after any mutation sequence.
-#: Note this bounds *rate* drift, not downstream table drift: a one-ULP
-#: completion shift can flip a scheduler tie-break, so table-level drift
-#: is measured (not assumed) by ``scripts/diff_tables.py``.
-PARITY_EPSILON = 1e-9
+#: Version stamp of the rate solver, carried by every emitted table,
+#: service report and bench document.
+SOLVER_VERSION = "partitioned-v2"
 
 
 class Resource:
@@ -227,14 +192,13 @@ class _Component:
 
     Components answer "which flows transitively share a bottleneck?" and
     are rebuilt for just the dirty region when membership or contention
-    changes. Under ``global-v1`` they are diagnostics only; under
-    ``partitioned-v2`` they are the unit of the solve — each fresh
-    component is re-filled independently while untouched components keep
-    their rates. ``built_at`` stamps the instant this component was
-    assembled; unrelated churn elsewhere in the network never rebuilds it
-    (the isolation a regression test asserts directly), which under v2
-    also makes it the component's effective settle clock: rates within
-    the component have been constant since then.
+    changes. They are the unit of the solve: each fresh component is
+    re-filled independently while untouched components keep their rates.
+    ``built_at`` stamps the instant this component was assembled;
+    unrelated churn elsewhere in the network never rebuilds it (the
+    isolation a regression test asserts directly), which also makes it
+    the component's effective settle clock: rates within the component
+    have been constant since then.
     """
 
     __slots__ = ("flows", "resources", "built_at")
@@ -251,19 +215,12 @@ class _Component:
 class FlowNetwork:
     """Max-min fair allocator over a set of shared resources.
 
-    ``solver`` selects the rate solver: ``"global-v1"`` (frozen,
-    byte-reproducible) or ``"partitioned-v2"`` (per-component,
-    epsilon-governed — the default). See the module docstring for the
-    two-version contract.
+    Rates are re-solved per contention component; see the module
+    docstring.
     """
 
-    def __init__(self, env: Environment, solver: Optional[str] = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.solver = DEFAULT_SOLVER
-        self._solve = self._rebalance_partitioned
-        self._solver_locked = False
-        if solver is not None:
-            self.set_solver(solver)
         self.resources: dict[str, Resource] = {}
         # Insertion-ordered (dict-as-set) for deterministic iteration.
         self._flows: dict[Flow, None] = {}
@@ -276,7 +233,6 @@ class FlowNetwork:
         #: ``remaining`` was brought up to date.
         self._last_settle = env.now
         self._recorder: Optional["MetricRecorder"] = None
-        self._usage_dirty: set[Resource] = set()
         self._dirty = False
         #: Components whose flow membership (or contention) changed since
         #: the last structural rebuild; they are dissolved and re-flooded.
@@ -307,31 +263,6 @@ class FlowNetwork:
     def set_recorder(self, recorder: "MetricRecorder") -> None:
         """Attach a metrics recorder notified on every rate change."""
         self._recorder = recorder
-
-    def set_solver(self, name: str) -> None:
-        """Select the rate solver by version name.
-
-        Idempotent: re-selecting the current solver is always allowed
-        (so configuration can be applied to an already-built cluster).
-        *Changing* the solver is only allowed before the first flow
-        starts — mid-run the two versions' rounding histories have
-        already diverged, so a switch would not be attributable to
-        either version's contract.
-        """
-        if name not in SOLVER_NAMES:
-            raise SimulationError(
-                f"unknown flow solver {name!r}; choose one of {SOLVER_NAMES}"
-            )
-        if name == self.solver:
-            return
-        if self._solver_locked:
-            raise SimulationError(
-                "flow solver cannot change after the first flow has started"
-            )
-        self.solver = name
-        self._solve = (
-            self._rebalance if name == SOLVER_V1 else self._rebalance_partitioned
-        )
 
     # -- flow lifecycle ----------------------------------------------------
 
@@ -370,7 +301,6 @@ class FlowNetwork:
         if weight <= 0:
             raise SimulationError("flow weight must be positive")
         done = None if size is None else self.env.event()
-        self._solver_locked = True
         flow = Flow(self, resolved, size, cap, done, label, weight=weight)
         self._settle()
         if size is not None and size <= _EPSILON:
@@ -490,7 +420,7 @@ class FlowNetwork:
         if not self._dirty:
             return
         self._dirty = False
-        self._solve()
+        self._rebalance_partitioned()
 
     def _rebuild_components(self) -> list[_Component]:
         """Bring the contention structure up to date for the dirty region.
@@ -498,9 +428,8 @@ class FlowNetwork:
         Pure bookkeeping — no float arithmetic, no event scheduling.
         Mutations only accumulate marks (`_retag`, `_dirty_components`,
         `_new_flows`); the dissolve/flood rebuild runs when the
-        partitioned solver rebalances or when introspection asks
-        (:meth:`components`, :meth:`component_count`). Under
-        ``global-v1`` it stays fully lazy — never on the solve hot path.
+        network rebalances or when introspection asks
+        (:meth:`components`, :meth:`component_count`).
         Classification is re-derived only for resources whose
         membership changed; a contention flip drags the affected
         resource's flows (and their components) into the dirty region,
@@ -511,7 +440,7 @@ class FlowNetwork:
         clean component is reached.
 
         Returns the freshly built components — exactly the ones whose
-        flow rates the partitioned solver must recompute.
+        flow rates the rebalance must recompute.
         """
         dirty_components = self._dirty_components
         retagged = self._retag
@@ -570,40 +499,68 @@ class FlowNetwork:
         self._new_flows = {}
         return fresh
 
-    def _rebalance(self) -> None:
-        """``global-v1``: recompute all rates via one global fill.
+    def _rebalance_partitioned(self) -> None:
+        """Re-solve only the contention components that changed.
 
-        FROZEN. This exact loop *is* the byte-reproduction contract of
-        solver version ``global-v1``: its accumulating level and shared
-        capped-flow ladder make its float-operation sequence inseparable
-        across contention components, pinning every historical table
-        recorded under v1 to this one operation ordering. It must never
-        be partitioned, reordered or algebraically "simplified" — new
-        solver behaviour goes in a new version (see the module
-        docstring). Bookkeeping is incremental, so a rebalance costs
-        roughly O(sum of flow degrees + iterations * active resources).
+        The structural rebuild runs eagerly (it is pure bookkeeping and
+        already incremental), then each freshly built component is
+        filled independently. Flows outside the fresh components keep
+        their rates: no resource they cross changed membership or
+        contention, so their max-min solution is untouched — this is the
+        whole point of partitioning.
         """
-        # Per-resource: aggregate weight of unfrozen flows and headroom
-        # left after already-frozen flows. A flow's rate at fill level
-        # ``lam`` is ``min(cap, weight * lam)`` (weighted max-min).
+        retagged = tuple(self._retag)
+        fresh = self._rebuild_components()
+        if fresh or retagged:
+            touched: dict[Resource, None] = dict.fromkeys(retagged)
+            for component in fresh:
+                self._fill_component(component)
+                for flow in component.flows:
+                    for resource in flow.resources:
+                        touched[resource] = None
+            # An uncontended resource may carry flows from several
+            # components, so its usage cannot be read off one fill's
+            # ``room``; re-sum each touched resource from its (few)
+            # flows. Resources that lost their last flow drop to zero.
+            for resource in touched:
+                usage = 0.0
+                for flow in resource.flows:
+                    usage += flow._rate
+                resource.cached_usage = usage
+            recorder = self._recorder
+            if recorder is not None:
+                recorder.observe(self.env.now, touched)
+        self._aim_wake()
+
+    def _fill_component(self, component: _Component) -> None:
+        """One progressive fill restricted to ``component``.
+
+        Raises every unfrozen flow's fill level uniformly until a
+        resource saturates or a flow's cap binds, freezes those flows and
+        repeats; a flow's rate at level ``lam`` is
+        ``min(cap, weight * lam)`` (weighted max-min). The candidate
+        resources are just the component's contended ones (every flow
+        crossing a contended resource is in that resource's component,
+        so the fill is closed) and uncontended resources are skipped
+        outright — ``_classify`` already proved they can never
+        bottleneck. A flow crossing only uncontended resources freezes at
+        its cap (it must have one: an uncapped flow makes every crossed
+        resource contended).
+        """
+        # Per contended resource: aggregate weight of unfrozen flows and
+        # headroom left after already-frozen flows.
         weight_sum: dict[Resource, float] = {}
         room: dict[Resource, float] = {}
-        cap_sum: dict[Resource, float] = {}
-        for flow in self._flows:
+        for resource in component.resources:
+            weight_sum[resource] = 0.0
+            room[resource] = resource.capacity
+        for flow in component.flows:
             flow._rate = 0.0
-            flow_cap = math.inf if flow.cap is None else flow.cap
+            weight = flow.weight
             for resource in flow.resources:
-                weight_sum[resource] = weight_sum.get(resource, 0.0) + flow.weight
-                room.setdefault(resource, resource.capacity)
-                cap_sum[resource] = cap_sum.get(resource, 0.0) + flow_cap
-        # A resource whose flows cannot collectively exceed its capacity
-        # can never become a bottleneck; dropping it from the candidate
-        # scan leaves only genuinely contended resources (big speed-up on
-        # clusters where most flows are cap-bound compute or heartbeats).
-        for resource, total_cap in cap_sum.items():
-            if total_cap <= resource.capacity + _EPSILON:
-                del weight_sum[resource]
-        unfrozen = dict(self._flows)
+                if resource in weight_sum:
+                    weight_sum[resource] += weight
+        unfrozen = dict(component.flows)
         # Capped flows ordered by the level at which their cap binds.
         capped = sorted(
             (f for f in unfrozen if f.cap is not None),
@@ -665,142 +622,6 @@ class FlowNetwork:
                 flow._rate = rate
                 unfrozen.pop(flow, None)
                 for resource in flow.resources:
-                    room[resource] -= rate
-                    if resource in weight_sum:
-                        weight_sum[resource] -= flow.weight
-        # Refresh the cached per-resource usage: every touched resource's
-        # usage is capacity minus what is left of it; resources that lost
-        # their last flow drop back to zero.
-        stale = self._usage_dirty
-        for resource in stale:
-            resource.cached_usage = 0.0
-        for resource, remaining_room in room.items():
-            resource.cached_usage = resource.capacity - remaining_room
-        self._usage_dirty = set(room)
-        recorder = self._recorder
-        if recorder is not None:
-            # Per-resource lazy integration makes the split exact: each
-            # resource's integral is settled against its own clock.
-            now = self.env.now
-            recorder.observe(now, room)
-            if stale:
-                recorder.observe(now, (r for r in stale if r not in room))
-        self._aim_wake()
-
-    def _rebalance_partitioned(self) -> None:
-        """``partitioned-v2``: re-solve only the components that changed.
-
-        The structural rebuild runs eagerly (it is pure bookkeeping and
-        already incremental), then each freshly built component is
-        filled independently. Flows outside the fresh components keep
-        their rates: no resource they cross changed membership or
-        contention, so their max-min solution is untouched — this is the
-        whole point of partitioning. Per-component fills round
-        differently at the ULP than v1's global fill (no shared
-        accumulator), which the declared-epsilon contract absorbs.
-        """
-        retagged = tuple(self._retag)
-        fresh = self._rebuild_components()
-        if fresh or retagged:
-            touched: dict[Resource, None] = dict.fromkeys(retagged)
-            for component in fresh:
-                self._fill_component(component)
-                for flow in component.flows:
-                    for resource in flow.resources:
-                        touched[resource] = None
-            # An uncontended resource may carry flows from several
-            # components, so its usage cannot be read off one fill's
-            # ``room``; re-sum each touched resource from its (few)
-            # flows. Resources that lost their last flow drop to zero.
-            for resource in touched:
-                usage = 0.0
-                for flow in resource.flows:
-                    usage += flow._rate
-                resource.cached_usage = usage
-            recorder = self._recorder
-            if recorder is not None:
-                recorder.observe(self.env.now, touched)
-        self._aim_wake()
-
-    def _fill_component(self, component: _Component) -> None:
-        """One progressive fill restricted to ``component``.
-
-        Mirrors the v1 loop shape, but the candidate resources are just
-        the component's contended ones (every flow crossing a contended
-        resource is in that resource's component, so the fill is closed)
-        and uncontended resources are skipped outright — ``_classify``
-        already proved they can never bottleneck. A flow crossing only
-        uncontended resources freezes at its cap (it must have one:
-        an uncapped flow makes every crossed resource contended).
-        """
-        weight_sum: dict[Resource, float] = {}
-        room: dict[Resource, float] = {}
-        for resource in component.resources:
-            weight_sum[resource] = 0.0
-            room[resource] = resource.capacity
-        for flow in component.flows:
-            flow._rate = 0.0
-            weight = flow.weight
-            for resource in flow.resources:
-                if resource in weight_sum:
-                    weight_sum[resource] += weight
-        unfrozen = dict(component.flows)
-        capped = sorted(
-            (f for f in unfrozen if f.cap is not None),
-            key=lambda f: f._cap_level,
-        )
-        cap_index = 0
-        level = 0.0
-        while unfrozen:
-            while cap_index < len(capped) and capped[cap_index] not in unfrozen:
-                cap_index += 1
-            delta = math.inf
-            bottlenecks: list[Resource] = []
-            for resource, active_weight in weight_sum.items():
-                if active_weight <= _EPSILON:
-                    continue
-                candidate = max(
-                    (room[resource] - level * active_weight) / active_weight, 0.0
-                )
-                if candidate < delta - _EPSILON:
-                    delta = candidate
-                    bottlenecks = [resource]
-                elif candidate <= delta + _EPSILON:
-                    bottlenecks.append(resource)
-            cap_bound = math.inf
-            if cap_index < len(capped):
-                cap_bound = capped[cap_index]._cap_level - level
-            newly_frozen: list[Flow] = []
-            if cap_bound < delta - _EPSILON:
-                level += max(cap_bound, 0.0)
-            else:
-                if not bottlenecks:
-                    raise SimulationError("unconstrained flows in rebalance")
-                level += delta
-                for resource in bottlenecks:
-                    newly_frozen.extend(
-                        f for f in resource.flows if f in unfrozen
-                    )
-            while (
-                cap_index < len(capped)
-                and capped[cap_index]._cap_level <= level + _EPSILON
-            ):
-                flow = capped[cap_index]
-                cap_index += 1
-                if flow in unfrozen:
-                    newly_frozen.append(flow)
-            if not newly_frozen:
-                # Defensive: never loop forever on degenerate float input.
-                newly_frozen = list(unfrozen)
-            for flow in newly_frozen:
-                if flow not in unfrozen:
-                    continue
-                rate = level * flow.weight
-                if flow.cap is not None:
-                    rate = min(rate, flow.cap)
-                flow._rate = rate
-                unfrozen.pop(flow, None)
-                for resource in flow.resources:
                     if resource in room:
                         room[resource] -= rate
                         weight_sum[resource] -= flow.weight
@@ -840,7 +661,7 @@ class FlowNetwork:
             self._drop(flow)
             if flow.done is not None and not flow.done.triggered:
                 flow.done.succeed(flow)
-        self._solve()
+        self._rebalance_partitioned()
 
     # -- introspection -----------------------------------------------------
 
@@ -857,9 +678,7 @@ class FlowNetwork:
         """Snapshot of the contention components (forces pending work).
 
         Flows crossing only uncontended resources form singleton
-        components; this is mainly an introspection/diagnostics hook —
-        the structural rebuild it forces is lazy and never runs on the
-        solve hot path.
+        components; this is an introspection/diagnostics hook.
         """
         self.flush()
         self._rebuild_components()

@@ -69,8 +69,7 @@ class MetricRecorder:
         self.usages: dict[str, ResourceUsage] = {}
         self.started_at = network.env.now
         #: Typed event aggregations (counters/gauges/histograms) fed by
-        #: the observability bus once :meth:`attach` is called. The
-        #: legacy :attr:`counters` view derives from it.
+        #: the observability bus once :meth:`attach` is called.
         self.registry = MetricsRegistry()
         self._subscriptions: list = []
         self._attached_buses: list = []
@@ -163,40 +162,6 @@ class MetricRecorder:
         self._subscriptions.append(
             bus.subscribe(obs_events.WorkflowFinished, on_workflow_finished)
         )
-
-    @property
-    def counters(self) -> dict[str, float]:
-        """Legacy flat tallies, derived from the :attr:`registry`.
-
-        Kept for callers written against the pre-registry recorder
-        (e.g. the Figure 6 RPC estimate); new code should read the
-        registry directly.
-        """
-        value = self.registry.value
-        successes = value("hiway_task_attempts_total", outcome="success")
-        failures = value("hiway_task_attempts_total", outcome="failure")
-        return {
-            "containers_launched": value("hiway_containers_launched_total"),
-            "task_attempts": successes + failures,
-            "task_successes": successes,
-            "task_failures": failures,
-            "node_crashes": value("hiway_node_crashes_total"),
-            "containers_lost": value("hiway_containers_lost_total"),
-            "hdfs_read_local_mb": value(
-                "hiway_hdfs_read_mb_total", locality="local"
-            ),
-            "hdfs_read_remote_mb": (
-                value("hiway_hdfs_read_mb_total", locality="remote")
-                + value("hiway_hdfs_read_mb_total", locality="external")
-            ),
-            "hdfs_write_local_mb": value(
-                "hiway_hdfs_write_mb_total", locality="local"
-            ),
-            "hdfs_write_remote_mb": (
-                value("hiway_hdfs_write_mb_total", locality="remote")
-                + value("hiway_hdfs_write_mb_total", locality="external")
-            ),
-        }
 
     def detach(self) -> None:
         """Cancel all bus subscriptions made by :meth:`attach`."""

@@ -46,7 +46,6 @@ from repro.yarn.allocation import (
     AdmissionTicket,
     AllocationPolicy,
     PendingPool,
-    POLICY_NAMES,
     make_policy,
 )
 from repro.yarn.nodemanager import NodeManager
@@ -72,32 +71,15 @@ HEARTBEAT_LOAD_PER_NM = 0.0005
 class ResourceManager:
     """Cluster-wide resource arbiter."""
 
-    #: Supported cross-application scheduling modes (legacy alias of
-    #: :data:`~repro.yarn.allocation.POLICY_NAMES`).
-    SCHEDULING_MODES = POLICY_NAMES
-
     def __init__(
         self,
         env: Environment,
         cluster: Cluster,
         max_containers_per_node: Optional[int] = None,
-        scheduling_mode: Optional[str] = None,
         policy: "Optional[str | AllocationPolicy]" = None,
         admission: Optional[AdmissionController] = None,
         tenants: Optional[dict] = None,
     ):
-        if scheduling_mode is not None:
-            if scheduling_mode not in self.SCHEDULING_MODES:
-                raise YarnError(
-                    f"unknown scheduling mode {scheduling_mode!r}; "
-                    f"choose one of {self.SCHEDULING_MODES}"
-                )
-            if policy is not None:
-                raise YarnError(
-                    "pass either scheduling_mode (legacy alias) or policy, "
-                    "not both"
-                )
-            policy = scheduling_mode
         self.policy = make_policy(policy if policy is not None else "fifo")
         #: Per-application id sequence. Deliberately *per instance*: a
         #: class-level counter would leak ids across concurrent clusters
@@ -146,11 +128,6 @@ class ResourceManager:
                     cap=HEARTBEAT_LOAD_PER_NM,
                     label=f"rm-heartbeat:{node_id}",
                 )
-
-    @property
-    def scheduling_mode(self) -> str:
-        """Legacy name of the active allocation policy."""
-        return self.policy.name
 
     # -- tenants ---------------------------------------------------------------
 

@@ -358,10 +358,3 @@ def test_sync_register_raises_beyond_admission_limit():
     rm.register_application("first")
     with pytest.raises(AdmissionError, match="submit_application"):
         rm.register_application("second")
-
-
-def test_rm_rejects_conflicting_mode_and_policy():
-    env = Environment()
-    cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=1))
-    with pytest.raises(YarnError):
-        ResourceManager(env, cluster, scheduling_mode="fair", policy="drf")

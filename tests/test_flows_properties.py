@@ -234,8 +234,8 @@ def _assert_states_match(net, names, resource_caps):
 )
 @settings(max_examples=120, deadline=None)
 def test_incremental_solver_matches_from_scratch(resource_caps, script):
-    """Arbitrary add/cancel churn: the solver (global fill plus lazy
-    structural bookkeeping) must agree with a from-scratch solve of the
+    """Arbitrary add/cancel churn: the solver (per-component fills over
+    incrementally maintained components) must agree with a from-scratch solve of the
     surviving flows after every single mutation."""
     env = Environment()
     net = FlowNetwork(env)

@@ -137,12 +137,14 @@ def test_every_layer_publishes_onto_the_bus():
 
 def test_metric_recorder_counts_bus_events():
     hiway, _result, events = _run_diamond()
-    counters = hiway.cluster.metrics.counters
+    value = hiway.cluster.metrics.registry.value
     launched = sum(1 for e in events if isinstance(e, ContainerLaunched))
     attempts = sum(1 for e in events if isinstance(e, TaskAttemptFinished))
-    assert counters["containers_launched"] == launched > 0
-    assert counters["task_attempts"] == attempts == 3
-    assert counters["task_successes"] == 3
+    successes = value("hiway_task_attempts_total", outcome="success")
+    failures = value("hiway_task_attempts_total", outcome="failure")
+    assert value("hiway_containers_launched_total") == launched > 0
+    assert successes + failures == attempts == 3
+    assert successes == 3
 
 
 def test_provenance_records_unchanged_by_bus_indirection():

@@ -138,14 +138,20 @@ def _run_diamond_with_tenant(tenant):
 
 
 def test_legacy_counters_view_matches_registry():
+    """The per-run totals the old flat counters dict reported (attempts,
+    successes, failures, launches, HDFS reads) are all read off the
+    registry now."""
     hiway, _result = _run_diamond()
-    counters = hiway.cluster.metrics.counters
-    assert counters["task_attempts"] == 3
-    assert counters["task_successes"] == 3
-    assert counters["task_failures"] == 0
-    assert counters["containers_launched"] == 3
-    read_total = (
-        counters["hdfs_read_local_mb"] + counters["hdfs_read_remote_mb"]
+    registry = hiway.cluster.metrics.registry
+    successes = registry.value("hiway_task_attempts_total", outcome="success")
+    failures = registry.value("hiway_task_attempts_total", outcome="failure")
+    assert successes + failures == 3
+    assert successes == 3
+    assert failures == 0
+    assert registry.value("hiway_containers_launched_total") == 3
+    read_total = sum(
+        registry.value("hiway_hdfs_read_mb_total", locality=locality)
+        for locality in ("local", "remote", "external")
     )
     assert read_total > 0
 

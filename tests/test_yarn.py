@@ -206,8 +206,7 @@ def _fair_vs_fifo_setup(mode):
     """Both slots busy; greedy then modest queue behind; free one slot."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=2))
-    rm = ResourceManager(env, cluster, max_containers_per_node=1,
-                         scheduling_mode=mode)
+    rm = ResourceManager(env, cluster, max_containers_per_node=1, policy=mode)
     blocker = rm.register_application("blocker")
     holders = [rm.request_container(blocker, SMALL) for _ in range(2)]
     env.run()
@@ -237,8 +236,7 @@ def test_fair_mode_interleaves_applications():
     # release by granting through a fresh setup with two releases.
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=2))
-    rm = ResourceManager(env, cluster, max_containers_per_node=1,
-                         scheduling_mode="fair")
+    rm = ResourceManager(env, cluster, max_containers_per_node=1, policy="fair")
     blocker = rm.register_application("blocker")
     holders = [rm.request_container(blocker, SMALL) for _ in range(2)]
     env.run()
@@ -264,8 +262,6 @@ def test_fifo_mode_starves_late_application():
 
 def test_unknown_scheduling_mode_rejected():
     env = Environment()
-    from repro.cluster import Cluster, ClusterSpec, M3_LARGE
-
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=1))
-    with pytest.raises(YarnError, match="scheduling mode"):
-        ResourceManager(env, cluster, scheduling_mode="lottery")
+    with pytest.raises(YarnError, match="allocation policy"):
+        ResourceManager(env, cluster, policy="lottery")
