@@ -35,12 +35,17 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.baselines.cloudman import GalaxyCloudMan
+from repro.baselines.tez import TezApplicationMaster
 from repro.cluster import C3_2XLARGE, Cluster, ClusterSpec, M3_LARGE, XEON_E5_2620
 from repro.core import HiWay, HiWayConfig, SCHEDULER_NAMES
 from repro.core.provenance import TraceFileStore
 from repro.errors import ReproError
+from repro.hdfs import HdfsClient
 from repro.langs import parse_workflow
 from repro.sim import Environment
+from repro.tools import default_registry
+from repro.yarn import ContainerResource, ResourceManager
 
 __all__ = ["main", "build_parser"]
 
@@ -486,92 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute_workflow(
-    args,
-    tracing: bool = False,
-    trace_hdfs_events: bool = True,
-    decision_audit: bool = False,
-    before_run=None,
-):
-    """Provision, stage, run. Returns ``(hiway, result)`` or an int exit code.
+def _execute_workflow(args, observe=None, provenance_store=None):
+    """Parse, provision, stage and run on ``args.engine``.
 
-    ``before_run`` (when given) receives the :class:`HiWay` installation
-    after setup but before submission — the hook used to attach extra
-    bus subscribers such as the critical-path analyzer.
+    Returns ``(cluster, result, observer)`` or an int exit code.
+    ``observe`` (when given) is called with the cluster's event bus
+    before tools are installed or inputs staged, and its return value
+    comes back as ``observer`` — the one way every subcommand attaches
+    its tracer, critical-path analyzer or decision auditor, on every
+    engine. The metrics registry is ``cluster.metrics.registry``.
+    Tez and CloudMan need a static workflow graph, so dynamic sources
+    (Cuneiform) only run on Hi-WAY.
     """
-    with open(args.workflow, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    kwargs = {}
-    if args.bindings:
-        kwargs["input_bindings"] = dict(args.bindings)
-    try:
-        source = parse_workflow(text, language=args.language, **kwargs)
-    except ReproError as error:
-        print(f"error: cannot parse workflow: {error}", file=sys.stderr)
-        return 2
-
-    env = Environment()
-    spec = ClusterSpec(
-        worker_spec=NODE_TYPES[args.node_type],
-        worker_count=args.workers,
-        master_count=args.masters,
-        backbone_mb_s=args.backbone_mb_s,
-    )
-    cluster = Cluster(env, spec)
-    hiway = HiWay(
-        cluster,
-        provenance_store=TraceFileStore(),
-        max_containers_per_node=args.containers_per_node,
-        config=HiWayConfig(
-            container_vcores=args.container_vcores,
-            container_memory_mb=args.container_memory_mb,
-            scheduler=args.scheduler,
-            tracing=tracing,
-            trace_hdfs_events=trace_hdfs_events,
-            decision_audit=decision_audit,
-            rm_policy=args.rm_policy,
-        ),
-    )
-    for tenant, max_containers, max_vcores in args.tenant_quotas:
-        hiway.rm.configure_tenant(
-            tenant, max_containers=max_containers, max_vcores=max_vcores
-        )
-    tools = args.tools or hiway.tools.names()
-    hiway.install_everywhere(*tools)
-    if args.inputs:
-        hiway.stage_inputs(dict(args.inputs))
-
-    if before_run is not None:
-        before_run(hiway)
-    result = hiway.run(source, scheduler=args.scheduler, tenant=args.tenant)
-    if not args.quiet:
-        status = "SUCCEEDED" if result.success else "FAILED"
-        print(f"workflow {result.name!r} {status} "
-              f"[{result.scheduler}, {args.workers} x {args.node_type}]")
-        print(f"  simulated runtime: {result.runtime_seconds:.1f}s "
-              f"({result.runtime_seconds / 60:.1f} min)")
-        print(f"  tasks completed:   {result.tasks_completed} "
-              f"(failures: {result.task_failures})")
-        for path, size_mb in sorted(result.output_files.items()):
-            print(f"  output: {path} ({size_mb:.1f} MB)")
-        for diagnostic in result.diagnostics:
-            print(f"  diagnostic: {diagnostic}")
-    return hiway, result
-
-
-def _execute_on_engine(args, before_run=None):
-    """Run the workflow on the Tez or CloudMan baseline engine.
-
-    Returns ``(registry, result)`` or an int exit code. Both engines
-    publish the shared event vocabulary (workflow/task/file/scheduler
-    topics) on the cluster bus, so the same observers the Hi-WAY path
-    attaches — critical-path analyzer, decision auditor, metrics
-    registry — work unchanged; ``before_run`` receives the bus.
-    Dynamic sources (Cuneiform) have no static graph and are rejected.
-    """
-    from repro.obs.registry import MetricsRegistry
-    from repro.tools import default_registry
-
+    engine = getattr(args, "engine", "hiway")
     with open(args.workflow, "r", encoding="utf-8") as handle:
         text = handle.read()
     kwargs = {}
@@ -583,8 +515,8 @@ def _execute_on_engine(args, before_run=None):
         print(f"error: cannot parse workflow: {error}", file=sys.stderr)
         return 2
     graph = getattr(source, "graph", None)
-    if graph is None:
-        print(f"error: the {args.engine} engine needs a static workflow "
+    if engine != "hiway" and graph is None:
+        print(f"error: the {engine} engine needs a static workflow "
               "graph (DAX, Galaxy or trace); dynamic Cuneiform workflows "
               "only run on hiway", file=sys.stderr)
         return 2
@@ -596,25 +528,39 @@ def _execute_on_engine(args, before_run=None):
         master_count=args.masters,
         backbone_mb_s=args.backbone_mb_s,
     ))
-    registry = MetricsRegistry()
-    registry.attach(cluster.bus)
-    if before_run is not None:
-        before_run(cluster.bus)
+    cluster.metrics.attach(cluster.bus)
+    observer = observe(cluster.bus) if observe is not None else None
     tools = default_registry()
     for node in cluster.all_nodes():
         node.install(*(args.tools or tools.names()))
-    containers_per_node = args.containers_per_node or 3
-    if args.engine == "tez":
-        from repro.baselines.tez import TezApplicationMaster
-        from repro.hdfs import HdfsClient
-        from repro.yarn import ContainerResource, ResourceManager
-
+    inputs = dict(args.inputs)
+    if engine == "hiway":
+        hiway = HiWay(
+            cluster,
+            tools=tools,
+            provenance_store=provenance_store,
+            max_containers_per_node=args.containers_per_node,
+            config=HiWayConfig(
+                container_vcores=args.container_vcores,
+                container_memory_mb=args.container_memory_mb,
+                scheduler=args.scheduler,
+                rm_policy=args.rm_policy,
+            ),
+        )
+        for tenant, max_containers, max_vcores in args.tenant_quotas:
+            hiway.rm.configure_tenant(
+                tenant, max_containers=max_containers, max_vcores=max_vcores
+            )
+        if inputs:
+            hiway.stage_inputs(inputs)
+        result = hiway.run(source, scheduler=args.scheduler, tenant=args.tenant)
+    elif engine == "tez":
         hdfs = HdfsClient(cluster, seed=0)
         rm = ResourceManager(
-            env, cluster, max_containers_per_node=containers_per_node
+            env, cluster, max_containers_per_node=args.containers_per_node or 3
         )
-        if args.inputs:
-            hdfs.stage_many(dict(args.inputs), seed=0)
+        if inputs:
+            hdfs.stage_many(inputs, seed=0)
         am = TezApplicationMaster(
             cluster, hdfs, rm, tools, graph,
             container_resource=ContainerResource(
@@ -626,39 +572,43 @@ def _execute_on_engine(args, before_run=None):
         env.run(until=process)
         result = process.value
     else:
-        from repro.baselines.cloudman import GalaxyCloudMan
-
         cloudman = GalaxyCloudMan(
-            cluster, tools, slots_per_node=containers_per_node
+            cluster, tools, slots_per_node=args.containers_per_node or 3
         )
-        if args.inputs:
-            cloudman.stage_inputs(dict(args.inputs))
+        if inputs:
+            cloudman.stage_inputs(inputs)
         result = cloudman.run(graph)
     if not args.quiet:
         status = "SUCCEEDED" if result.success else "FAILED"
+        label = result.scheduler if engine == "hiway" else engine
         print(f"workflow {result.name!r} {status} "
-              f"[{args.engine}, {args.workers} x {args.node_type}]")
+              f"[{label}, {args.workers} x {args.node_type}]")
         print(f"  simulated runtime: {result.runtime_seconds:.1f}s "
               f"({result.runtime_seconds / 60:.1f} min)")
+        if engine == "hiway":
+            print(f"  tasks completed:   {result.tasks_completed} "
+                  f"(failures: {result.task_failures})")
+            for path, size_mb in sorted(result.output_files.items()):
+                print(f"  output: {path} ({size_mb:.1f} MB)")
         for diagnostic in result.diagnostics:
             print(f"  diagnostic: {diagnostic}")
-    return registry, result
+    return cluster, result, observer
 
 
 def run_command(args) -> int:
     """Execute the ``run`` subcommand; returns the exit code."""
-    outcome = _execute_workflow(args)
+    store = TraceFileStore()
+    outcome = _execute_workflow(args, provenance_store=store)
     if isinstance(outcome, int):
         return outcome
-    hiway, result = outcome
+    _, result, _ = outcome
     if args.timeline:
         from repro.core.timeline import render_timeline
 
         print()
-        print(render_timeline(hiway.provenance.store,
-                              workflow_id=result.workflow_id))
+        print(render_timeline(store, workflow_id=result.workflow_id))
     if args.trace_out:
-        hiway.provenance.store.save(args.trace_out)
+        store.save(args.trace_out)
         if not args.quiet:
             print(f"  trace saved to {args.trace_out}")
     return 0 if result.success else 1
@@ -666,21 +616,30 @@ def run_command(args) -> int:
 
 def trace_command(args) -> int:
     """Execute the ``trace`` subcommand; returns the exit code."""
-    outcome = _execute_workflow(
-        args, tracing=True, trace_hdfs_events=not args.no_hdfs_events
-    )
+    from repro.obs.tracer import Tracer
+
+    outcome = _execute_workflow(args, observe=lambda bus: Tracer(
+        bus, include_hdfs=not args.no_hdfs_events
+    ))
     if isinstance(outcome, int):
         return outcome
-    hiway, result = outcome
-    hiway.tracer.save(args.out)
+    cluster, result, tracer = outcome
+    tracer.save(args.out)
     if not args.quiet:
+        registry = cluster.metrics.registry
+        allocate_wait = registry.get("hiway_container_allocate_wait_seconds")
         print(f"  chrome trace saved to {args.out} "
               "(open in chrome://tracing or https://ui.perfetto.dev)")
-        for key, value in sorted(hiway.tracer.metrics_summary().items()):
-            if isinstance(value, float):
-                print(f"  {key}: {value:.3f}")
-            else:
-                print(f"  {key}: {value}")
+        print(f"  spans: {len(tracer.spans)}")
+        for outcome_label in ("success", "failure"):
+            attempts = registry.value(
+                "hiway_task_attempts_total", outcome=outcome_label
+            )
+            print(f"  task attempts ({outcome_label}): {attempts:.0f}")
+        print(f"  containers launched: "
+              f"{registry.value('hiway_containers_launched_total'):.0f}")
+        print(f"  allocate wait mean: {allocate_wait.mean():.3f}s")
+        print(f"  hdfs read locality: {registry.read_locality():.3f}")
     return 0 if result.success else 1
 
 
@@ -737,23 +696,12 @@ def report_command(args) -> int:
               file=sys.stderr)
         return 2
 
-    analyzers: dict[str, CriticalPathAnalyzer] = {}
-
-    if args.engine == "hiway":
-        def attach_analyzer(hiway) -> None:
-            analyzers["cp"] = CriticalPathAnalyzer(hiway.bus)
-
-        outcome = _execute_workflow(args, before_run=attach_analyzer)
-    else:
-        def attach_analyzer(bus) -> None:
-            analyzers["cp"] = CriticalPathAnalyzer(bus)
-
-        outcome = _execute_on_engine(args, before_run=attach_analyzer)
+    outcome = _execute_workflow(args, observe=CriticalPathAnalyzer)
     if isinstance(outcome, int):
         return outcome
-    engine, result = outcome
-    registry = engine.registry if args.engine == "hiway" else engine
-    analysis = analyzers["cp"].analysis(result.workflow_id)
+    cluster, result, analyzer = outcome
+    registry = cluster.metrics.registry
+    analysis = analyzer.analysis(result.workflow_id)
     print()
     print(render_report(analysis, registry=registry,
                         max_tasks=args.max_tasks))
@@ -772,25 +720,12 @@ def report_command(args) -> int:
 
 def explain_command(args) -> int:
     """Execute the ``explain`` subcommand; returns the exit code."""
-    if args.engine == "hiway":
-        outcome = _execute_workflow(args, decision_audit=True)
-        if isinstance(outcome, int):
-            return outcome
-        hiway, result = outcome
-        auditor = hiway.auditor
-    else:
-        from repro.obs.decisions import DecisionAuditor
+    from repro.obs.decisions import DecisionAuditor
 
-        auditors: dict[str, DecisionAuditor] = {}
-
-        def attach_auditor(bus) -> None:
-            auditors["audit"] = DecisionAuditor(bus)
-
-        outcome = _execute_on_engine(args, before_run=attach_auditor)
-        if isinstance(outcome, int):
-            return outcome
-        _, result = outcome
-        auditor = auditors["audit"]
+    outcome = _execute_workflow(args, observe=DecisionAuditor)
+    if isinstance(outcome, int):
+        return outcome
+    _, result, auditor = outcome
     print()
     try:
         print(auditor.explain(args.task_id))
@@ -882,6 +817,10 @@ def explain_submission_command(args) -> int:
         for span in matches:
             print(render_submission(span, max_attempts=args.max_attempts))
     else:
+        def seconds(value: Optional[float]) -> str:
+            # A truncated journal leaves submissions unadmitted/unfinished.
+            return f"{value:8.1f}s" if value is not None else f"{'-':>9s}"
+
         tenant: object = object()  # sentinel: even a None tenant prints
         ordered = sorted(
             spans, key=lambda s: (s.tenant or "", s.submitted_at or 0.0)
@@ -891,8 +830,8 @@ def explain_submission_command(args) -> int:
                 tenant = span.tenant
                 print(f"tenant {tenant or 'untenanted'}:")
             print(f"  {span.name:<28s} {span.outcome:<9s} "
-                  f"queue {span.queue_wait_s:8.1f}s  "
-                  f"latency {span.latency_s:8.1f}s  "
+                  f"queue {seconds(span.queue_wait_s)}  "
+                  f"latency {seconds(span.latency_s)}  "
                   f"attempts {len(span.attempts)}")
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:

@@ -13,7 +13,7 @@ from repro.core.engine import (
     TaskAttempt,
 )
 from repro.core.execution import TaskResult, run_task_in_container
-from repro.core.timeline import TimelineBuilder, render_timeline
+from repro.core.timeline import render_timeline
 from repro.core.provenance import (
     DocumentProvenanceStore,
     ProvenanceManager,
@@ -45,7 +45,6 @@ __all__ = [
     "TaskResult",
     "run_task_in_container",
     "render_timeline",
-    "TimelineBuilder",
     "ProvenanceManager",
     "TraceFileStore",
     "SqlProvenanceStore",

@@ -5,6 +5,12 @@ results in a separate Hi-WAY AM instance being spawned. The
 :class:`HiWay` facade also wires up the surrounding installation
 (cluster, HDFS, YARN RM, tool registry, provenance store) with sensible
 defaults so examples and tests stay short.
+
+Observers attach to the installation's event bus, never to the
+configuration: ``Tracer(hiway.bus)`` records Chrome-trace spans,
+``DecisionAuditor(hiway.bus)`` records every placement with its scored
+candidates, and ``hiway.registry`` (always attached) aggregates the
+standard metrics.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from repro.core.provenance.manager import ProvenanceManager
 from repro.core.provenance.stores import ProvenanceStore
 from repro.core.schedulers import WorkflowScheduler
 from repro.hdfs.filesystem import HdfsClient
-from repro.obs.decisions import DecisionAuditor
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Process
 from repro.tools.generic import default_registry
 from repro.tools.profile import ToolRegistry
@@ -73,18 +77,6 @@ class HiWay:
         #: cluster's recorder; export with ``registry.to_json()`` /
         #: ``registry.to_prometheus()``).
         self.registry = self.cluster.metrics.registry
-        #: Present when ``config.tracing`` is on; export with
-        #: :meth:`Tracer.save` / :meth:`Tracer.to_chrome_trace`.
-        self.tracer: Optional[Tracer] = None
-        if self.config.tracing:
-            self.tracer = Tracer(
-                self.bus, include_hdfs=self.config.trace_hdfs_events
-            )
-        #: Present when ``config.decision_audit`` is on; its presence is
-        #: what makes the schedulers publish their candidate scores.
-        self.auditor: Optional[DecisionAuditor] = None
-        if self.config.decision_audit:
-            self.auditor = DecisionAuditor(self.bus)
 
     def submit(
         self,

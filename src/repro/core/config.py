@@ -40,21 +40,6 @@ class HiWayConfig:
     #: Future-work feature (Sec. 5): size each container to its task's
     #: tool profile instead of the fixed installation-wide capability.
     adaptive_container_sizing: bool = False
-    #: Attach a :class:`~repro.obs.tracer.Tracer` to the installation's
-    #: event bus, recording spans for Chrome ``about:tracing`` export.
-    #: Off by default: with no subscriber the bus's fast path keeps the
-    #: hot loops event-free.
-    tracing: bool = False
-    #: Whether an attached tracer also records per-file HDFS reads and
-    #: writes — the chattiest topic; disable for long runs where only
-    #: container/task lifecycle matters.
-    trace_hdfs_events: bool = True
-    #: Attach a :class:`~repro.obs.decisions.DecisionAuditor` to the
-    #: installation's bus, making every scheduler publish its placements
-    #: with the full scored candidate set. Off by default: without a
-    #: ``SchedulingDecision`` subscriber the policies skip all
-    #: audit-only scoring work.
-    decision_audit: bool = False
     #: Cross-application allocation policy of the installation's default
     #: RM: "fifo" (arrival order), "fair" (fewest weighted containers
     #: first) or "drf" (smallest weighted dominant share first).

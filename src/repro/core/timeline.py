@@ -5,8 +5,9 @@ per task, bars proportional to wall-clock makespan, grouped the way the
 run actually interleaved. Useful when eyeballing scheduler behaviour
 (e.g. Fig. 9's stragglers) without leaving the terminal.
 
-:class:`TimelineBuilder` produces the same chart live from the
-observability bus, with no provenance store in the loop.
+The provenance store is itself filled from the observability bus (the
+provenance manager subscribes to task events), so this chart is a fold
+over the same event stream every other view reads.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.provenance.stores import ProvenanceStore
-from repro.obs import events as obs_events
-from repro.obs.bus import EventBus
 
-__all__ = ["render_timeline", "TimelineBuilder"]
+__all__ = ["render_timeline"]
 
 
 def render_timeline(
@@ -31,20 +30,10 @@ def render_timeline(
     ``width`` is the number of columns the busiest instant maps onto.
     Failed attempts render with ``x`` bars when ``include_failures``.
     """
-    records = store.records(kind="task", workflow_id=workflow_id)
     rows = []
-    for record in records:
+    for record in store.records(kind="task", workflow_id=workflow_id):
         end = record["timestamp"]
-        start = end - record["makespan_seconds"]
-        rows.append((start, end, record))
-    return _render_rows(rows, width=width, include_failures=include_failures)
-
-
-def _render_rows(
-    rows: list[tuple[float, float, dict]],
-    width: int,
-    include_failures: bool,
-) -> str:
+        rows.append((end - record["makespan_seconds"], end, record))
     # Drop skipped rows up front so label alignment and the chart span
     # are computed over exactly the rows that will be printed.
     if not include_failures:
@@ -75,42 +64,3 @@ def _render_rows(
             f"{end - start:7.1f}s"
         )
     return "\n".join(lines)
-
-
-class TimelineBuilder:
-    """Collects task attempts straight off the observability bus.
-
-    Subscribing a builder replaces the store round-trip: the chart is
-    built from :class:`~repro.obs.events.TaskAttemptFinished` events as
-    they are published, so it also works with write-only provenance
-    stores that retain no records.
-    """
-
-    def __init__(self, bus: EventBus, workflow_id: Optional[str] = None):
-        self.workflow_id = workflow_id
-        self._rows: list[tuple[float, float, dict]] = []
-        self._subscription = bus.subscribe(
-            obs_events.TaskAttemptFinished, self._on_task_finished
-        )
-
-    def _on_task_finished(self, event: obs_events.TaskAttemptFinished) -> None:
-        if self.workflow_id is not None and event.workflow_id != self.workflow_id:
-            return
-        end = event.t
-        start = end - event.makespan_seconds
-        self._rows.append((start, end, {
-            "task_id": event.task.task_id if event.task is not None else "?",
-            "signature": event.task.signature if event.task is not None else "?",
-            "node_id": event.node_id,
-            "success": event.success,
-        }))
-
-    def detach(self) -> None:
-        """Stop listening; collected rows stay renderable."""
-        self._subscription.cancel()
-
-    def render(self, width: int = 60, include_failures: bool = True) -> str:
-        """The same ASCII chart as :func:`render_timeline`."""
-        return _render_rows(
-            self._rows, width=width, include_failures=include_failures
-        )

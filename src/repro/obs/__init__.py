@@ -1,12 +1,15 @@
 """repro.obs — the unified observability spine.
 
 One typed :class:`EventBus` per cluster carries every workflow, task,
-file, YARN, HDFS and failure event; the :class:`Tracer`,
+file, YARN, HDFS and failure event; the
 :class:`~repro.core.provenance.manager.ProvenanceManager`,
-:class:`~repro.sim.metrics.MetricRecorder` and
-:class:`~repro.core.timeline.TimelineBuilder` are all subscribers of
-the same stream. See the README "Observability" section for the topic
-map and CLI usage.
+:class:`~repro.sim.metrics.MetricRecorder` (and its
+:class:`MetricsRegistry`) are always subscribed, and every optional
+observer — :class:`Tracer`, :class:`DecisionAuditor`,
+:class:`CriticalPathAnalyzer`, :class:`EventJournal`,
+:class:`LiveMonitor` — is attached the same way, by passing it the
+bus. See the README "Observability" section for the topic map and CLI
+usage.
 """
 
 from repro.obs.analysis import CriticalPathAnalyzer, WorkflowAnalysis, render_report

@@ -19,7 +19,9 @@ or from a journal) into one :class:`SubmissionSpan` per submission.
 Two exports consume the trees: :func:`render_submission` (the
 ``explain-submission`` CLI) and :func:`to_chrome_trace` — one trace
 *process* per tenant, one *thread* per submission, so Perfetto shows
-the service run grouped exactly like the per-tenant SLO report.
+the service run grouped exactly like the per-tenant SLO report. The
+Chrome export goes through the same formatter as the tracer's
+(:func:`~repro.obs.tracer.chrome_trace_records`).
 
 Workflows that never passed through the service harness (plain ``run``
 invocations, Tez or CloudMan engines) still produce a tree: the
@@ -29,11 +31,11 @@ comes from ``ApplicationRegistered`` when available.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.obs import events as ev
+from repro.obs.tracer import chrome_trace_records, dump_chrome_trace
 
 __all__ = [
     "AttemptSpan",
@@ -42,8 +44,6 @@ __all__ = [
     "render_submission",
     "to_chrome_trace",
 ]
-
-_US = 1e6
 
 
 @dataclass
@@ -246,20 +246,14 @@ def chrome_trace_events(spans: Iterable[SubmissionSpan]) -> list[dict]:
     spans = list(spans)
     tenant_names = sorted({span.tenant or "untenanted" for span in spans})
     pids = {tenant: index + 1 for index, tenant in enumerate(tenant_names)}
-    out: list[dict] = []
-    for tenant in tenant_names:
-        out.append({"name": "process_name", "ph": "M",
-                    "pid": pids[tenant], "tid": 0,
-                    "args": {"name": f"tenant {tenant}"}})
-    timed: list[dict] = []
+    threads: list[tuple[int, int, str]] = []
+    timed: list[tuple] = []
     tids: dict[str, int] = {}
     for span in spans:
-        pid = pids[span.tenant or "untenanted"]
-        tid = tids[span.tenant or "untenanted"] = (
-            tids.get(span.tenant or "untenanted", 0) + 1
-        )
-        out.append({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                    "args": {"name": span.name}})
+        tenant = span.tenant or "untenanted"
+        pid = pids[tenant]
+        tid = tids[tenant] = tids.get(tenant, 0) + 1
+        threads.append((pid, tid, span.name))
         end = span.finished_at
         incomplete = end is None
         if incomplete:
@@ -270,52 +264,30 @@ def chrome_trace_events(spans: Iterable[SubmissionSpan]) -> list[dict]:
                 "outcome": span.outcome}
         if incomplete:
             args["incomplete"] = True
-        timed.append({
-            "name": span.name, "cat": "submission", "ph": "X",
-            "ts": round(span.submitted_at * _US, 3),
-            "dur": round(max(end - span.submitted_at, 0.0) * _US, 3),
-            "pid": pid, "tid": tid, "args": args,
-        })
+        timed.append((span.submitted_at, end - span.submitted_at,
+                      span.name, "submission", pid, tid, args))
         if span.admitted_at is not None:
-            timed.append({
-                "name": "admission wait", "cat": "admission", "ph": "X",
-                "ts": round(span.submitted_at * _US, 3),
-                "dur": round(
-                    (span.admitted_at - span.submitted_at) * _US, 3
-                ),
-                "pid": pid, "tid": tid,
-            })
-            exec_end = span.finished_at if span.finished_at is not None else end
-            timed.append({
-                "name": "execution", "cat": "execution", "ph": "X",
-                "ts": round(span.admitted_at * _US, 3),
-                "dur": round(
-                    max(exec_end - span.admitted_at, 0.0) * _US, 3
-                ),
-                "pid": pid, "tid": tid,
-                "args": {"workflow_id": span.workflow_id},
-            })
+            timed.append((span.submitted_at, span.queue_wait_s,
+                          "admission wait", "admission", pid, tid, None))
+            timed.append((span.admitted_at, end - span.admitted_at,
+                          "execution", "execution", pid, tid,
+                          {"workflow_id": span.workflow_id}))
         for attempt in sorted(
             span.attempts, key=lambda a: (a.start, a.task_id)
         ):
-            timed.append({
-                "name": f"{attempt.task_id} ({attempt.tool})",
-                "cat": "attempt", "ph": "X",
-                "ts": round(attempt.start * _US, 3),
-                "dur": round(attempt.duration_s * _US, 3),
-                "pid": pid, "tid": tid,
-                "args": {"node": attempt.node_id,
-                         "attempt": attempt.attempt,
-                         "success": attempt.success},
-            })
-    timed.sort(key=lambda record: (record["ts"], record["pid"], record["tid"]))
-    return out + timed
+            timed.append((attempt.start, attempt.duration_s,
+                          f"{attempt.task_id} ({attempt.tool})", "attempt",
+                          pid, tid,
+                          {"node": attempt.node_id,
+                           "attempt": attempt.attempt,
+                           "success": attempt.success}))
+    return chrome_trace_records(
+        ((pid, f"tenant {tenant}") for tenant, pid in pids.items()),
+        threads,
+        timed,
+    )
 
 
 def to_chrome_trace(spans: Iterable[SubmissionSpan]) -> str:
     """Serialise span trees as Chrome/Perfetto-loadable JSON."""
-    return json.dumps(
-        {"traceEvents": chrome_trace_events(spans),
-         "displayTimeUnit": "ms"},
-        sort_keys=True,
-    )
+    return dump_chrome_trace(chrome_trace_events(spans))

@@ -11,27 +11,85 @@ and a home thread:
 * whole workflows.
 
 Point-in-time occurrences (task dispatch/retry, fault injections, node
-crashes, block placement) become instant events. The result exports as
-Chrome ``trace_event`` JSON — loadable in ``chrome://tracing`` or
-Perfetto — plus a flat metrics summary for quick regression checks.
+crashes) become instant events. The result exports as Chrome
+``trace_event`` JSON — loadable in ``chrome://tracing`` or Perfetto.
+Counts and latency aggregates are not kept here: they live in the
+:class:`~repro.obs.registry.MetricsRegistry` attached to the same bus.
+
+:func:`chrome_trace_records` and :func:`dump_chrome_trace` are the one
+Chrome formatter of the package; the per-submission span trees of
+:mod:`repro.obs.spans` export through them too.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Subscription
 
-__all__ = ["Tracer"]
+__all__ = ["Tracer", "chrome_trace_records", "dump_chrome_trace"]
 
 #: Simulated seconds → trace microseconds.
 _US = 1e6
 
 
+def chrome_trace_records(
+    processes: Iterable[tuple[int, str]],
+    threads: Iterable[tuple[int, int, str]],
+    spans: Iterable[tuple],
+    instants: Iterable[tuple] = (),
+) -> list[dict]:
+    """Chrome ``trace_event`` dictionaries, metadata first.
+
+    ``processes`` are ``(pid, name)`` and ``threads`` ``(pid, tid,
+    name)``, emitted as ``M`` records in the given order. ``spans`` are
+    ``(ts, dur, name, category, pid, tid, args)`` and ``instants``
+    ``(ts, name, category, pid, tid, args)`` with times in simulated
+    seconds; they become ``X`` and ``i`` records in microseconds
+    (clamped at zero, rounded to nanoseconds), sorted by
+    ``(ts, pid, tid)``. Empty ``args`` are omitted.
+    """
+    out: list[dict] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": name}}
+        for pid, name in processes
+    ]
+    out += [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": name}}
+        for pid, tid, name in threads
+    ]
+    timed: list[dict] = []
+    for ts, dur, name, cat, pid, tid, args in spans:
+        record = {"name": name, "cat": cat, "ph": "X",
+                  "ts": round(max(ts, 0.0) * _US, 3),
+                  "dur": round(max(dur, 0.0) * _US, 3),
+                  "pid": pid, "tid": tid}
+        if args:
+            record["args"] = args
+        timed.append(record)
+    for ts, name, cat, pid, tid, args in instants:
+        record = {"name": name, "cat": cat, "ph": "i", "s": "g",
+                  "ts": round(max(ts, 0.0) * _US, 3),
+                  "pid": pid, "tid": tid}
+        if args:
+            record["args"] = args
+        timed.append(record)
+    timed.sort(key=lambda record: (record["ts"], record["pid"], record["tid"]))
+    return out + timed
+
+
+def dump_chrome_trace(records: list[dict]) -> str:
+    """Serialise records as a Chrome/Perfetto-loadable JSON object."""
+    return json.dumps(
+        {"traceEvents": records, "displayTimeUnit": "ms"}, sort_keys=True
+    )
+
+
 class Tracer:
-    """Bus subscriber turning the event stream into spans and counters."""
+    """Bus subscriber turning the event stream into spans."""
 
     def __init__(self, bus: EventBus, include_hdfs: bool = True):
         self.bus = bus
@@ -40,13 +98,9 @@ class Tracer:
         self.spans: list[tuple] = []
         #: Instant marks: (ts_seconds, name, category, pid, tid, args).
         self.instants: list[tuple] = []
-        self.counters: dict[str, float] = {}
         self._request_t: dict[int, float] = {}
         self._container_open: dict[str, tuple[float, str, str]] = {}
         self._workflow_open: dict[str, tuple[float, str]] = {}
-        self._alloc_wait_total = 0.0
-        self._alloc_wait_max = 0.0
-        self._alloc_count = 0
         self._pids: dict[str, int] = {}
         self._tids: dict[tuple[int, str], int] = {}
         self._subscriptions: list[Subscription] = []
@@ -54,11 +108,7 @@ class Tracer:
             (ev.ContainerRequested, self._on_container_requested),
             (ev.ContainerAllocated, self._on_container_allocated),
             (ev.ContainerReleased, self._on_container_released),
-            (ev.ContainerLaunched, self._on_counter_only),
-            (ev.ContainerFinished, self._on_container_finished),
             (ev.NodeCrashed, self._on_node_crashed),
-            (ev.ApplicationRegistered, self._on_counter_only),
-            (ev.ApplicationUnregistered, self._on_counter_only),
             (ev.TaskDispatched, self._on_task_dispatched),
             (ev.TaskRetried, self._on_task_retried),
             (ev.TaskAttemptFinished, self._on_task_attempt_finished),
@@ -70,7 +120,6 @@ class Tracer:
             handlers += [
                 (ev.HdfsRead, self._on_hdfs_read),
                 (ev.HdfsWrite, self._on_hdfs_write),
-                (ev.BlocksPlaced, self._on_blocks_placed),
             ]
         for event_type, handler in handlers:
             self._subscriptions.append(bus.subscribe(event_type, handler))
@@ -82,9 +131,6 @@ class Tracer:
         self._subscriptions.clear()
 
     # -- bookkeeping helpers ------------------------------------------------------
-
-    def _count(self, key: str, amount: float = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + amount
 
     def _pid(self, name: str) -> int:
         pid = self._pids.get(name)
@@ -113,21 +159,12 @@ class Tracer:
 
     # -- yarn ---------------------------------------------------------------------
 
-    def _on_counter_only(self, event: ev.ObsEvent) -> None:
-        self._count(f"yarn.{type(event).__name__}")
-
     def _on_container_requested(self, event: ev.ContainerRequested) -> None:
-        self._count("yarn.container_requests")
         self._request_t[event.request_id] = event.t
 
     def _on_container_allocated(self, event: ev.ContainerAllocated) -> None:
-        self._count("yarn.containers_allocated")
         requested_at = self._request_t.pop(event.request_id, event.t)
-        wait = event.t - requested_at
-        self._alloc_count += 1
-        self._alloc_wait_total += wait
-        self._alloc_wait_max = max(self._alloc_wait_max, wait)
-        self._span(requested_at, wait, "allocate", "yarn",
+        self._span(requested_at, event.t - requested_at, "allocate", "yarn",
                    "yarn-rm", event.app_id,
                    {"container": event.container_id, "node": event.node_id})
         self._container_open[event.container_id] = (
@@ -135,7 +172,6 @@ class Tracer:
         )
 
     def _on_container_released(self, event: ev.ContainerReleased) -> None:
-        self._count("yarn.containers_released")
         opened = self._container_open.pop(event.container_id, None)
         if opened is None:
             return
@@ -143,15 +179,7 @@ class Tracer:
         self._span(start, event.t - start, event.container_id, "container",
                    "containers", node_id, {"app": app_id})
 
-    def _on_container_finished(self, event: ev.ContainerFinished) -> None:
-        self._count(
-            "yarn.containers_succeeded" if event.success
-            else "yarn.containers_failed"
-        )
-
     def _on_node_crashed(self, event: ev.NodeCrashed) -> None:
-        self._count("yarn.nodes_crashed")
-        self._count("yarn.containers_lost", event.containers_lost)
         self._instant(event.t, f"crash:{event.node_id}", "yarn",
                       "cluster", event.node_id,
                       {"containers_lost": event.containers_lost})
@@ -159,11 +187,9 @@ class Tracer:
     # -- workflow / task / file ---------------------------------------------------
 
     def _on_workflow_started(self, event: ev.WorkflowStarted) -> None:
-        self._count("workflow.started")
         self._workflow_open[event.workflow_id] = (event.t, event.name)
 
     def _on_workflow_finished(self, event: ev.WorkflowFinished) -> None:
-        self._count("workflow.succeeded" if event.success else "workflow.failed")
         opened = self._workflow_open.pop(event.workflow_id, None)
         start = opened[0] if opened else event.t - event.runtime_seconds
         self._span(start, event.t - start, event.name or event.workflow_id,
@@ -171,19 +197,16 @@ class Tracer:
                    {"success": event.success})
 
     def _on_task_dispatched(self, event: ev.TaskDispatched) -> None:
-        self._count("task.dispatched")
         self._instant(event.t, f"dispatch:{event.task_id}", "task",
                       "am", event.workflow_id, {"tool": event.tool})
 
     def _on_task_retried(self, event: ev.TaskRetried) -> None:
-        self._count("task.retries")
         self._instant(event.t, f"retry:{event.task_id}", "task",
                       "am", event.workflow_id,
                       {"attempt": event.attempt,
                        "excluded_node": event.excluded_node})
 
     def _on_task_attempt_finished(self, event: ev.TaskAttemptFinished) -> None:
-        self._count("task.completed" if event.success else "task.failed")
         task = event.task
         name = f"{task.tool}:{task.task_id}" if task is not None else "task"
         self._span(event.t - event.makespan_seconds, event.makespan_seconds,
@@ -195,31 +218,18 @@ class Tracer:
     # -- hdfs ---------------------------------------------------------------------
 
     def _on_hdfs_read(self, event: ev.HdfsRead) -> None:
-        self._count("hdfs.reads")
-        self._count("hdfs.read_mb", event.size_mb)
-        self._count("hdfs.read_local_mb", event.local_mb)
-        self._count("hdfs.read_remote_mb", event.remote_mb)
-        if event.remote_mb <= 0:
-            self._count("hdfs.local_reads")
         self._span(event.t - event.seconds, event.seconds,
                    f"read:{event.path}", "hdfs", "hdfs", event.node_id,
                    {"mb": event.size_mb, "local_mb": event.local_mb})
 
     def _on_hdfs_write(self, event: ev.HdfsWrite) -> None:
-        self._count("hdfs.writes")
-        self._count("hdfs.write_mb", event.size_mb)
         self._span(event.t - event.seconds, event.seconds,
                    f"write:{event.path}", "hdfs", "hdfs", event.node_id,
                    {"mb": event.size_mb, "remote_mb": event.remote_mb})
 
-    def _on_blocks_placed(self, event: ev.BlocksPlaced) -> None:
-        self._count("hdfs.files_placed")
-        self._count("hdfs.blocks_placed", len(event.placements))
-
     # -- cluster ------------------------------------------------------------------
 
     def _on_fault_injected(self, event: ev.FaultInjected) -> None:
-        self._count("cluster.faults_injected")
         self._instant(event.t, f"fault:{event.node_id}", "cluster",
                       "cluster", event.node_id,
                       {"planned_at": event.planned_at})
@@ -260,68 +270,27 @@ class Tracer:
     def chrome_trace_events(self) -> list[dict]:
         """The recorded data as Chrome ``trace_event`` dictionaries.
 
-        Span and instant timestamps are microseconds of simulated time,
-        emitted in non-decreasing ``ts`` order. Metadata events naming
-        each process/thread come first (Chrome sorts them itself).
-        Intervals still open at export time (crashed containers,
-        aborted workflows) appear as spans marked ``incomplete``.
+        Metadata events naming each process/thread come first, then
+        spans and instants in ``(ts, pid, tid)`` order (see
+        :func:`chrome_trace_records`). Intervals still open at export
+        time (crashed containers, aborted workflows) appear as spans
+        marked ``incomplete``.
         """
         incomplete = self._incomplete_spans()
-        out: list[dict] = []
-        for name, pid in sorted(self._pids.items(), key=lambda kv: kv[1]):
-            out.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                        "args": {"name": name}})
-        for (pid, name), tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
-            out.append({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                        "args": {"name": name}})
-        timed: list[dict] = []
-        for ts, dur, name, cat, pid, tid, args in self.spans + incomplete:
-            record = {"name": name, "cat": cat, "ph": "X",
-                      "ts": round(max(ts, 0.0) * _US, 3),
-                      "dur": round(max(dur, 0.0) * _US, 3),
-                      "pid": pid, "tid": tid}
-            if args:
-                record["args"] = args
-            timed.append(record)
-        for ts, name, cat, pid, tid, args in self.instants:
-            record = {"name": name, "cat": cat, "ph": "i", "s": "g",
-                      "ts": round(max(ts, 0.0) * _US, 3),
-                      "pid": pid, "tid": tid}
-            if args:
-                record["args"] = args
-            timed.append(record)
-        timed.sort(key=lambda record: record["ts"])
-        return out + timed
+        return chrome_trace_records(
+            ((pid, name) for name, pid in self._pids.items()),
+            ((pid, tid, name) for (pid, name), tid
+             in sorted(self._tids.items(), key=lambda kv: kv[1])),
+            self.spans + incomplete,
+            self.instants,
+        )
 
     def to_chrome_trace(self) -> str:
         """Serialise as a Chrome/Perfetto-loadable JSON object."""
-        return json.dumps(
-            {"traceEvents": self.chrome_trace_events(),
-             "displayTimeUnit": "ms"},
-            sort_keys=True,
-        )
+        return dump_chrome_trace(self.chrome_trace_events())
 
     def save(self, path: str) -> None:
         """Write the Chrome trace JSON to a real file."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_chrome_trace())
             handle.write("\n")
-
-    def metrics_summary(self) -> dict[str, float]:
-        """Flat summary: all counters plus allocate-latency aggregates."""
-        summary = dict(sorted(self.counters.items()))
-        if self._alloc_count:
-            summary["yarn.allocate_wait_mean_s"] = (
-                self._alloc_wait_total / self._alloc_count
-            )
-            summary["yarn.allocate_wait_max_s"] = self._alloc_wait_max
-        read_mb = summary.get("hdfs.read_mb", 0.0)
-        if read_mb > 0:
-            summary["hdfs.read_locality"] = (
-                summary.get("hdfs.read_local_mb", 0.0) / read_mb
-            )
-        summary["spans"] = len(self.spans)
-        incomplete = len(self._container_open) + len(self._workflow_open)
-        if incomplete:
-            summary["spans_incomplete"] = incomplete
-        return summary

@@ -144,3 +144,59 @@ def test_argument_validation():
         parser.parse_args(["run", "wf", "--bind", "nopath="])
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "wf", "--scheduler", "magic"])
+
+
+@pytest.mark.parametrize("engine, app_prefix, chooser", [
+    ("hiway", "workflow-", "data-aware"),
+    ("tez", "application_", "tez-fifo"),
+    ("cloudman", "cloudman-", "slurm-fifo"),
+])
+def test_report_and_explain_on_every_engine(tmp_path, capsys, engine,
+                                            app_prefix, chooser):
+    import json
+
+    base = _montage_args(tmp_path)
+    metrics_path = str(tmp_path / f"metrics-{engine}.json")
+    code = main(["report", *base, "--engine", engine,
+                 "--metrics-out", metrics_path])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"workflow 'montage-0.1' ({app_prefix}" in out
+    assert "succeeded in" in out and "17 task(s)" in out
+    assert "critical path: 9 task(s)" in out
+    assert "hdfs read locality hit rate:" in out
+    document = json.loads(open(metrics_path).read())
+    attempts = document["hiway_task_attempts_total"]["values"]
+    assert attempts["outcome=success"] == 17
+    assert document["hiway_workflows_total"]["values"]["outcome=success"] == 1
+
+    code = main(["explain", *base, "--engine", engine, "bgmodel"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"task bgmodel: {chooser} [queue-bind] chose node" in out
+    assert "candidates" in out
+
+
+def test_trace_subcommand_exports_sorted_chrome_trace(tmp_path, capsys):
+    import json
+
+    workflow = write(tmp_path, "wf.cf", CUNEIFORM)
+    out_path = tmp_path / "trace.json"
+    code = main(["trace", workflow, "--workers", "2",
+                 "--input", "/in/whisper=16", "--out", str(out_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"chrome trace saved to {out_path}" in out
+    # The summary is read off the metrics registry, not the tracer.
+    assert "  task attempts (success): 1\n" in out
+    assert "  containers launched: 1\n" in out
+    assert "  hdfs read locality: " in out
+    document = json.loads(out_path.read_text())
+    assert document["displayTimeUnit"] == "ms"
+    timed = [r for r in document["traceEvents"] if r["ph"] != "M"]
+    stamps = [r["ts"] for r in timed]
+    assert stamps == sorted(stamps)
+    spans = [r for r in timed if r["ph"] == "X"]
+    assert spans
+    # Observers attach before staging, so the input's write is traced.
+    assert any(r["name"] == "write:/in/whisper" for r in spans)

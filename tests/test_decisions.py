@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
-from repro.core import HiWay, HiWayConfig
+from repro.core import HiWay
 from repro.core.schedulers import RoundRobinScheduler, SchedulerContext
 from repro.obs import DecisionAuditor, EventBus
 from repro.obs.events import SchedulingDecision
@@ -19,7 +19,8 @@ def _run_audited(policy, seed=0):
     """Diamond run with the decision audit on; returns (hiway, auditor)."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
-    hiway = HiWay(cluster, config=HiWayConfig(decision_audit=True))
+    hiway = HiWay(cluster)
+    auditor = DecisionAuditor(hiway.bus)
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")
@@ -31,7 +32,7 @@ def _run_audited(policy, seed=0):
                             outputs=["/out"], task_id="join"))
     result = hiway.run(StaticTaskSource(graph), scheduler=policy)
     assert result.success, result.diagnostics
-    return hiway, hiway.auditor
+    return hiway, auditor
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -104,7 +105,8 @@ def test_no_audit_work_without_subscriber():
         worker_ids=["worker-0"], bus=EventBus(Environment())
     ))
     assert not scheduler._decisions_wanted()
-    assert hiway.auditor is not None  # audit config flips it on
+    # Attaching an auditor is what switches the scoring on.
+    assert hiway.bus.wants(SchedulingDecision)
 
 
 def test_retry_fallback_is_audited():

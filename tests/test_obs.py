@@ -3,7 +3,7 @@
 import json
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
-from repro.core import HiWay, HiWayConfig
+from repro.core import HiWay
 from repro.obs import EventBus, Tracer
 from repro.obs.events import (
     ContainerLaunched,
@@ -95,13 +95,19 @@ def test_emit_stamps_clock_and_sequence():
 # -- whole-installation stream --------------------------------------------------
 
 
-def _run_diamond(seed=0, tracing=False):
-    """Run a small diamond workflow; returns (hiway, result, events)."""
+def _run_diamond(seed=0, observe=None):
+    """Run a small diamond workflow; returns (hiway, result, events).
+
+    ``observe`` (when given) receives the bus before staging, the way
+    the CLI attaches its observers.
+    """
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
-    hiway = HiWay(cluster, config=HiWayConfig(tracing=tracing))
+    hiway = HiWay(cluster)
     events = []
     hiway.bus.subscribe("*", events.append)
+    if observe is not None:
+        observe(hiway.bus)
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")
@@ -163,10 +169,17 @@ def test_provenance_records_unchanged_by_bus_indirection():
 # -- tracer / chrome export -----------------------------------------------------
 
 
+def _traced_diamond(**tracer_kwargs):
+    """The diamond run with a :class:`Tracer` on its bus."""
+    tracers = []
+    hiway, _result, _events = _run_diamond(
+        observe=lambda bus: tracers.append(Tracer(bus, **tracer_kwargs))
+    )
+    return hiway, tracers[0]
+
+
 def test_chrome_trace_roundtrips_with_monotone_timestamps(tmp_path):
-    hiway, _result, _events = _run_diamond(tracing=True)
-    tracer = hiway.tracer
-    assert tracer is not None
+    _hiway, tracer = _traced_diamond()
     data = json.loads(tracer.to_chrome_trace())
     events = data["traceEvents"]
     assert events, "trace must not be empty"
@@ -184,31 +197,33 @@ def test_chrome_trace_roundtrips_with_monotone_timestamps(tmp_path):
     assert json.loads(path.read_text()) == data
 
 
-def test_tracer_metrics_summary():
-    hiway, _result, _events = _run_diamond(tracing=True)
-    summary = hiway.tracer.metrics_summary()
-    assert summary["task.completed"] == 3
-    assert summary["workflow.succeeded"] == 1
-    assert summary["yarn.containers_allocated"] >= 3
-    assert 0.0 <= summary["hdfs.read_locality"] <= 1.0
-    assert summary["spans"] > 0
+def test_tracer_spans_agree_with_registry():
+    """Spans and the always-attached registry fold the same stream."""
+    hiway, tracer = _traced_diamond()
+    registry = hiway.registry
+    by_cat = {}
+    for span in tracer.spans:
+        by_cat.setdefault(span[3], []).append(span)
+    assert len(by_cat["task"]) == registry.value(
+        "hiway_task_attempts_total", outcome="success") == 3
+    assert len(by_cat["workflow"]) == registry.value(
+        "hiway_workflows_total", outcome="success") == 1
+    assert len(by_cat["yarn"]) == registry.get(
+        "hiway_container_allocate_wait_seconds").count >= 3
+    assert len(by_cat["container"]) == registry.get(
+        "hiway_container_lifetime_seconds").count
+    stage = registry.get("hiway_hdfs_stage_seconds")
+    reads = [s for s in by_cat["hdfs"] if s[2].startswith("read:")]
+    writes = [s for s in by_cat["hdfs"] if s[2].startswith("write:")]
+    assert len(reads) == stage.labels(direction="in").count > 0
+    assert len(writes) == stage.labels(direction="out").count > 0
 
 
 def test_tracer_can_skip_hdfs_topic():
-    env = Environment()
-    cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=2))
-    hiway = HiWay(
-        cluster, config=HiWayConfig(tracing=True, trace_hdfs_events=False)
-    )
-    hiway.install_everywhere("sort")
-    hiway.stage_inputs({"/in/a": 8.0})
-    graph = WorkflowGraph("nohdfs")
-    graph.add_task(TaskSpec(tool="sort", inputs=["/in/a"], outputs=["/o"]))
-    result = hiway.run(StaticTaskSource(graph))
-    assert result.success
-    summary = hiway.tracer.metrics_summary()
-    assert "hdfs.reads" not in summary
-    assert summary["task.completed"] == 1
+    _hiway, tracer = _traced_diamond(include_hdfs=False)
+    categories = {span[3] for span in tracer.spans}
+    assert "hdfs" not in categories
+    assert sum(1 for span in tracer.spans if span[3] == "task") == 3
 
 
 def test_tracer_detach_stops_recording():
@@ -218,7 +233,7 @@ def test_tracer_detach_stops_recording():
     bus.emit(TaskDispatched(workflow_id="w", task_id="t"))
     tracer.detach()
     bus.emit(TaskDispatched(workflow_id="w", task_id="t2"))
-    assert tracer.counters["task.dispatched"] == 1
+    assert [mark[1] for mark in tracer.instants] == ["dispatch:t"]
     assert not bus.active
 
 
@@ -256,7 +271,7 @@ def test_tracer_exports_dangling_spans_as_incomplete():
         if e["ph"] == "M" and e["name"] == "process_name"
     }
     assert {"containers", "workflows"} <= named
-    assert tracer.metrics_summary()["spans_incomplete"] == 2
+    assert len(incomplete) == 2
     # Export is non-mutating: a second export sees the same picture,
     # and the open-interval bookkeeping is still live.
     assert tracer.chrome_trace_events() == events

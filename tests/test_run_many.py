@@ -13,7 +13,7 @@ from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay, HiWayConfig
 from repro.core.schedulers import make_scheduler
 from repro.errors import WorkflowError
-from repro.obs import CriticalPathAnalyzer
+from repro.obs import CriticalPathAnalyzer, DecisionAuditor
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 
@@ -76,15 +76,16 @@ def test_run_many_separates_per_workflow_metrics():
         "hiway_workflows_total", outcome="success") == 4
 
 
-def test_run_many_separates_decision_audit_per_workflow():
-    hiway, sources = make_installation(decision_audit=True)
+def test_run_many_separates_scheduling_audits_per_workflow():
+    hiway, sources = make_installation()
+    auditor = DecisionAuditor(hiway.bus)
     results = hiway.run_many(sources)
-    audited = hiway.auditor.workflow_ids()
+    audited = auditor.workflow_ids()
     assert sorted(audited) == sorted(r.workflow_id for r in results)
     for result, tag in zip(results, "abcd"):
-        task_ids = hiway.auditor.task_ids(workflow_id=result.workflow_id)
+        task_ids = auditor.task_ids(workflow_id=result.workflow_id)
         assert sorted(task_ids) == [f"grep-{tag}", f"sort-{tag}"]
-        explanation = hiway.auditor.explain(
+        explanation = auditor.explain(
             f"sort-{tag}", workflow_id=result.workflow_id)
         assert f"task sort-{tag}:" in explanation
 

@@ -448,6 +448,35 @@ def test_cli_serve_sim_slo_gate_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_cli_explain_submission_lists_a_truncated_journal(capsys, tmp_path):
+    """A journal cut part-way through a submission lists it IN FLIGHT
+    with '-' for the missing latency instead of crashing."""
+    from repro.cli import main
+
+    journal = tmp_path / "journal.jsonl"
+    code = main([
+        "serve-sim", "--arrival", "poisson", "--rate-per-h", "40",
+        "--horizon-s", "1800", "--workers", "2",
+        "--containers-per-node", "1", "--max-concurrent-apps", "1",
+        "--admission-overflow", "reject", "--seed", "7", "--quiet",
+        "--events-out", str(journal),
+    ])
+    assert code == 0
+    lines = journal.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:100]))
+    capsys.readouterr()
+    trace = tmp_path / "spans.json"
+    assert main(["explain-submission", str(cut),
+                 "--trace-out", str(trace)]) == 0
+    listing = capsys.readouterr().out
+    in_flight = [row for row in listing.splitlines() if "IN FLIGHT" in row]
+    assert in_flight, listing
+    assert all(row.split("latency")[1].split()[0] == "-" for row in in_flight)
+    records = json.loads(trace.read_text())["traceEvents"]
+    assert any(r.get("args", {}).get("incomplete") for r in records)
+
+
 def test_cli_serve_sim_users_and_tenant_profiles(capsys):
     from repro.cli import main
 

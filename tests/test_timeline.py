@@ -4,7 +4,6 @@ from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay, render_timeline
 from repro.core.provenance import TraceFileStore
 from repro.core.provenance.events import TaskEvent
-from repro.core.timeline import TimelineBuilder
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 
@@ -78,24 +77,3 @@ def test_all_rows_skipped_renders_placeholder():
     store = TraceFileStore()
     store.append(_task_event("bad", "sort", "worker-0", 5.0, 5.0, False))
     assert "no task events" in render_timeline(store, include_failures=False)
-
-
-def test_timeline_builder_matches_store_rendering():
-    env = Environment()
-    cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=2))
-    hiway = HiWay(cluster)
-    builder = TimelineBuilder(hiway.bus)
-    hiway.install_everywhere("sort", "grep")
-    hiway.stage_inputs({"/in/a": 32.0})
-    graph = WorkflowGraph("tlb")
-    graph.add_task(TaskSpec(tool="sort", inputs=["/in/a"], outputs=["/m"],
-                            task_id="s"))
-    graph.add_task(TaskSpec(tool="grep", inputs=["/m"], outputs=["/o"],
-                            task_id="g"))
-    result = hiway.run(StaticTaskSource(graph))
-    assert result.success
-    from_bus = builder.render()
-    from_store = render_timeline(hiway.provenance.store,
-                                 workflow_id=result.workflow_id)
-    assert from_bus == from_store
-    builder.detach()
