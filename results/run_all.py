@@ -35,6 +35,6 @@ for name, job in JOBS:
     with open(os.path.join(args.outdir, f"{name}.md"), "w") as fh:
         fh.write(table.to_markdown() + "\n")
     with open(os.path.join(args.outdir, f"{name}.txt"), "w") as fh:
-        fh.write(table.format() + f"\n(wall time {elapsed:.0f}s)\n")
+        fh.write(table.format() + "\n")
     print(f"{name} done in {elapsed:.0f}s", flush=True)
 print("ALL DONE", flush=True)

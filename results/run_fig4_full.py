@@ -10,5 +10,5 @@ started = time.time()
 table = run_fig4(Fig4Config(runs=1))
 print(table.format())
 with open(os.path.join(args.outdir, "fig4_full.txt"), "w") as fh:
-    fh.write(table.format() + f"\n(wall time {time.time()-started:.0f}s)\n")
+    fh.write(table.format() + "\n")
 print(f"done in {time.time()-started:.0f}s", flush=True)

@@ -27,5 +27,5 @@ print(table.format())
 with open(os.path.join(args.outdir, "fig4.md"), "w") as fh:
     fh.write(table.to_markdown() + "\n")
 with open(os.path.join(args.outdir, "fig4.txt"), "w") as fh:
-    fh.write(table.format() + f"\n(wall time {time.time()-started:.0f}s)\n")
+    fh.write(table.format() + "\n")
 print(f"done in {time.time()-started:.0f}s")

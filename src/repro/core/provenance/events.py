@@ -4,12 +4,16 @@ The Provenance Manager registers events at three granularities —
 workflow, task, and file — each timestamped and carrying a unique id,
 serialised as JSON objects. The records double as the lingua franca of
 the re-executable trace language (``repro.langs.tracelang``).
+
+``to_dict`` runs once per recorded event, so it copies the fields (in
+declaration order, as ``dataclasses.asdict`` would) and only the mutable
+containers, rather than deep-copying recursively like ``asdict``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
@@ -52,7 +56,7 @@ class WorkflowEvent:
     event_id: str = field(default_factory=_next_event_id)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -78,7 +82,11 @@ class TaskEvent:
     event_id: str = field(default_factory=_next_event_id)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        record = dict(vars(self))
+        record["inputs"] = list(self.inputs)
+        record["outputs"] = list(self.outputs)
+        record["output_sizes"] = dict(self.output_sizes)
+        return record
 
 
 @dataclass
@@ -98,7 +106,7 @@ class FileEvent:
     event_id: str = field(default_factory=_next_event_id)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 _KIND_TO_CLASS = {

@@ -37,6 +37,26 @@ __all__ = [
 ]
 
 
+#: The JSON types a loaded trace must give the fields the runtime index reads.
+_INDEXED_FIELD_TYPES = {"signature": str, "node_id": str,
+                        "timestamp": (int, float), "makespan_seconds": (int, float)}
+
+
+def _parse_record(line: str, line_number: int) -> dict:
+    """One validated event record from one line of a JSON-lines trace."""
+    try:
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"expected an event object, got {record!r}")
+        event_from_dict(record)  # checks the kind and the field names
+        for name, types in _INDEXED_FIELD_TYPES.items():
+            if name in record and not isinstance(record[name], types):
+                raise ValueError(f"field {name!r} has the wrong type")
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ProvenanceError(f"trace line {line_number}: {exc}") from exc
+    return record
+
+
 class ProvenanceStore:
     """Interface of every provenance backend."""
 
@@ -75,14 +95,46 @@ class ProvenanceStore:
         raise NotImplementedError
 
 
-class TraceFileStore(ProvenanceStore):
+class _IndexedStore(ProvenanceStore):
+    """An in-memory store (records kept by the subclass's ``_store``)
+    that answers :meth:`latest_task_runtime` from a ``(signature, node)
+    -> (timestamp, makespan)`` index updated on every add. A successful
+    task record wins unless its timestamp is older, so on equal
+    timestamps the last one added wins; failures never enter the index.
+    """
+
+    def __init__(self):
+        self._latest_runtime: dict[tuple[str, str], tuple[float, float]] = {}
+
+    def _add(self, record: dict) -> None:
+        self._store(record)
+        if record["kind"] == TASK_EVENT and record["success"]:
+            key = (record["signature"], record["node_id"])
+            timestamp = record["timestamp"]
+            current = self._latest_runtime.get(key)
+            if current is None or timestamp >= current[0]:
+                self._latest_runtime[key] = (timestamp, record["makespan_seconds"])
+
+    def append(self, event) -> None:
+        self._add(event.to_dict())
+
+    def latest_task_runtime(self, signature, node_id):
+        entry = self._latest_runtime.get((signature, node_id))
+        return entry[1] if entry else None
+
+    def clear(self) -> None:
+        self._latest_runtime.clear()
+
+
+class TraceFileStore(_IndexedStore):
     """JSON-lines trace, Hi-WAY's default backend."""
 
     def __init__(self):
+        super().__init__()
         self._records: list[dict] = []
 
-    def append(self, event) -> None:
-        self._records.append(event.to_dict())
+    def _store(self, record: dict) -> None:
+        self._records.append(record)
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
         result = self._records
@@ -92,22 +144,8 @@ class TraceFileStore(ProvenanceStore):
             result = [r for r in result if r.get("workflow_id") == workflow_id]
         return list(result)
 
-    def latest_task_runtime(self, signature, node_id):
-        latest: Optional[float] = None
-        latest_ts = float("-inf")
-        for record in self._records:
-            if (
-                record["kind"] == TASK_EVENT
-                and record["signature"] == signature
-                and record["node_id"] == node_id
-                and record["success"]
-                and record["timestamp"] >= latest_ts
-            ):
-                latest = record["makespan_seconds"]
-                latest_ts = record["timestamp"]
-        return latest
-
     def clear(self) -> None:
+        super().clear()
         self._records.clear()
 
     # -- (de)serialisation -----------------------------------------------------
@@ -118,20 +156,13 @@ class TraceFileStore(ProvenanceStore):
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceFileStore":
-        """Parse a JSON-lines trace back into a store."""
+        """Parse a JSON-lines trace back into a store; a line that is not
+        an event record raises :class:`ProvenanceError` naming it."""
         store = cls()
         for line_number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProvenanceError(
-                    f"trace line {line_number} is not valid JSON: {exc}"
-                ) from exc
-            event_from_dict(record)  # validates the shape
-            store._records.append(record)
+            if line:
+                store._add(_parse_record(line, line_number))
         return store
 
     def save(self, path: str) -> None:
@@ -233,7 +264,7 @@ class SqlProvenanceStore(ProvenanceStore):
         return row[0]
 
 
-class DocumentProvenanceStore(ProvenanceStore):
+class DocumentProvenanceStore(_IndexedStore):
     """Document-oriented backend (in-memory Couchbase stand-in).
 
     Documents are keyed by event id and grouped into per-kind buckets;
@@ -242,25 +273,18 @@ class DocumentProvenanceStore(ProvenanceStore):
     """
 
     def __init__(self):
+        super().__init__()
         self._buckets: dict[str, dict[str, dict]] = {
             WORKFLOW_EVENT: {},
             TASK_EVENT: {},
             FILE_EVENT: {},
         }
-        self._latest_runtime: dict[tuple[str, str], tuple[float, float]] = {}
 
-    def append(self, event) -> None:
-        record = event.to_dict()
+    def _store(self, record: dict) -> None:
         bucket = self._buckets.get(record["kind"])
         if bucket is None:
             raise ProvenanceError(f"unknown event kind {record['kind']!r}")
         bucket[record["event_id"]] = record
-        if record["kind"] == TASK_EVENT and record["success"]:
-            key = (record["signature"], record["node_id"])
-            timestamp = record["timestamp"]
-            current = self._latest_runtime.get(key)
-            if current is None or timestamp >= current[0]:
-                self._latest_runtime[key] = (timestamp, record["makespan_seconds"])
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
         if kind is not None:
@@ -277,11 +301,7 @@ class DocumentProvenanceStore(ProvenanceStore):
         result.sort(key=lambda r: r["event_id"])
         return result
 
-    def latest_task_runtime(self, signature, node_id):
-        entry = self._latest_runtime.get((signature, node_id))
-        return entry[1] if entry else None
-
     def clear(self) -> None:
+        super().clear()
         for bucket in self._buckets.values():
             bucket.clear()
-        self._latest_runtime.clear()

@@ -84,11 +84,16 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["workflow_counts"] = tuple(args.concurrent)
         if args.rm_policy != "all":
             kwargs["policies"] = (args.rm_policy,)
-    for name in names:
+    for index, name in enumerate(names):
+        if index:
+            print()
         started = time.time()
         table = registry[name](quick=args.quick, jobs=jobs, **kwargs)
         print(table.format())
-        print(f"(regenerated in {time.time() - started:.1f}s)\n")
+        # Timing goes to stderr: stdout is the table alone, byte for byte
+        # what results/ commits.
+        print(f"({name} regenerated in {time.time() - started:.1f}s)",
+              file=sys.stderr)
     return 0
 
 

@@ -200,3 +200,15 @@ def test_trace_subcommand_exports_sorted_chrome_trace(tmp_path, capsys):
     assert spans
     # Observers attach before staging, so the input's write is traced.
     assert any(r["name"] == "write:/in/whisper" for r in spans)
+
+
+@pytest.mark.parametrize("line", [
+    '{"kind": "task", "task_id": "x"}',
+    '{"kind": "mystery"}',
+], ids=["missing-fields", "unknown-kind"])
+def test_run_malformed_trace_is_a_parse_error(tmp_path, capsys, line):
+    trace = write(tmp_path, "x.trace", line + "\n")
+    code = main(["run", trace, "--workers", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse workflow: trace line 1: ")

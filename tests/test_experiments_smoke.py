@@ -6,6 +6,8 @@ smallest configurations that still exercise every code path, so that
 ``pytest tests/`` stays fast while covering the harness.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import (
@@ -96,6 +98,11 @@ def test_cli_main_runs_table1(capsys):
     assert main(["table1"]) == 0
     captured = capsys.readouterr()
     assert "Overview of conducted experiments" in captured.out
+    # stdout is the committed table byte for byte; the timing is on stderr.
+    results = os.path.join(os.path.dirname(__file__), "..", "results")
+    with open(os.path.join(results, "table1.txt")) as fh:
+        assert captured.out == fh.read()
+    assert "(table1 regenerated in" in captured.err
 
 
 def test_statistics_helpers():

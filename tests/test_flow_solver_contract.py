@@ -175,26 +175,17 @@ def test_recorded_bench_baseline_is_stamped():
 # -- byte identity against the committed tables ------------------------------
 
 
-def _strip_volatile(text: str) -> str:
-    """Drop wall-time footers; keep everything else byte-for-byte."""
-    return "\n".join(
-        line
-        for line in text.splitlines()
-        if not line.startswith("(wall time")
-    ).strip()
-
-
 @pytest.mark.parametrize("name, regenerate", [
     ("table1", run_table1),
     ("fig8", lambda: run_fig8(Fig8Config(runs=5))),
 ], ids=["table1", "fig8"])
 def test_production_solver_reproduces_committed_tables(name, regenerate):
-    """The committed ``results/`` tables must regenerate byte for byte
-    (wall-time footers excluded). fig8 exercises the full workflow stack
-    through the flow network; table1 pins the static rendering path."""
+    """The committed ``results/`` tables must regenerate byte for byte.
+    fig8 exercises the full workflow stack through the flow network;
+    table1 pins the static rendering path."""
     with open(os.path.join(RESULTS, f"{name}.txt")) as fh:
         recorded = fh.read()
-    assert _strip_volatile(regenerate().format()) == _strip_volatile(recorded)
+    assert regenerate().format() + "\n" == recorded
 
 
 # -- component structure against the oracle ---------------------------------
