@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full experiments experiments-full examples clean
+.PHONY: install test bench paper-checks paper-checks-full experiments experiments-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -11,10 +11,13 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) bench/run.py
 
-bench-full:
-	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+paper-checks:
+	$(PYTHON) -m pytest paper_checks/
+
+paper-checks-full:
+	REPRO_FULL=1 $(PYTHON) -m pytest paper_checks/
 
 experiments:
 	$(PYTHON) -m repro.experiments all --quick
@@ -26,5 +29,5 @@ examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done
 
 clean:
-	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,10 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-shape checks.
 
-Every benchmark regenerates one of the paper's tables/figures (in its
+Every check regenerates one of the paper's tables/figures (in its
 laptop-sized "quick" configuration by default; set ``REPRO_FULL=1`` for
-the paper-scale parameters) and prints the regenerated rows, so running
-``pytest benchmarks/ --benchmark-only -s`` reproduces the evaluation
-section end to end.
+the paper-scale parameters), prints the regenerated rows and asserts
+the paper's result shape, so running
+``PYTHONPATH=src python -m pytest -s paper_checks/`` reproduces the
+evaluation section end to end.
 """
 
 import os

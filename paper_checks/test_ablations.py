@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation checks for the design choices DESIGN.md calls out.
 
 Each ablation isolates one mechanism behind a headline result:
 
@@ -74,7 +74,7 @@ def _remote_stage_in_mb(hiway):
     )
 
 
-def test_ablation_data_aware_needs_constrained_network(benchmark):
+def test_ablation_data_aware_needs_constrained_network():
     """The mechanism behind Figure 4, measured directly.
 
     Data-aware placement's primary effect is fewer remote stage-in bytes;
@@ -85,20 +85,15 @@ def test_ablation_data_aware_needs_constrained_network(benchmark):
     Hi-WAY-vs-Tez gap comes from Tez's stage barriers compounding with
     the saturated network.
     """
-
-    def run_all():
-        results = {}
-        for backbone, label in ((12.0, "slow"), (10_000.0, "fast")):
-            for scheduler in ("data-aware", "fcfs"):
-                runtimes, remote = [], []
-                for seed in range(3):
-                    seconds, hiway = run_snv(scheduler, backbone, seed=seed)
-                    runtimes.append(seconds)
-                    remote.append(_remote_stage_in_mb(hiway))
-                results[(label, scheduler)] = (mean(runtimes), mean(remote))
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = {}
+    for backbone, label in ((12.0, "slow"), (10_000.0, "fast")):
+        for scheduler in ("data-aware", "fcfs"):
+            runtimes, remote = [], []
+            for seed in range(3):
+                seconds, hiway = run_snv(scheduler, backbone, seed=seed)
+                runtimes.append(seconds)
+                remote.append(_remote_stage_in_mb(hiway))
+            results[(label, scheduler)] = (mean(runtimes), mean(remote))
     print()
     for key, (seconds, remote_mb) in sorted(results.items()):
         print(f"  backbone={key[0]:4s} scheduler={key[1]:10s} "
@@ -139,20 +134,15 @@ def run_montage_heft_sequence(unobserved, runs=8, seed=0):
     return runtimes
 
 
-def test_ablation_heft_exploration_rule(benchmark):
+def test_ablation_heft_exploration_rule():
     """Zero-default explores (converges lower); mean-default exploits
     early but can lock in to the initially observed nodes."""
-
-    def run_both():
-        return {
-            policy: [
-                run_montage_heft_sequence(policy, runs=8, seed=s)
-                for s in range(3)
-            ]
-            for policy in ("zero", "mean")
-        }
-
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results = {
+        policy: [
+            run_montage_heft_sequence(policy, runs=8, seed=s) for s in range(3)
+        ]
+        for policy in ("zero", "mean")
+    }
     print()
     for policy, sequences in results.items():
         tail = [mean(seq[-2:]) for seq in sequences]
@@ -165,19 +155,16 @@ def test_ablation_heft_exploration_rule(benchmark):
 
 
 @pytest.mark.parametrize("replication", [1, 2, 3])
-def test_ablation_replication_drives_locality(benchmark, replication):
-    def run():
-        _seconds, hiway = run_snv("data-aware", backbone_mb_s=10.0,
-                                  replication=replication)
-        events = [
-            e for e in hiway.provenance.store.records(kind="file")
-            if e["direction"] == "in"
-        ]
-        total = sum(e["size_mb"] for e in events)
-        local = sum(e["size_mb"] * e["local_fraction"] for e in events)
-        return local / total
-
-    locality = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_replication_drives_locality(replication):
+    _seconds, hiway = run_snv("data-aware", backbone_mb_s=10.0,
+                              replication=replication)
+    events = [
+        e for e in hiway.provenance.store.records(kind="file")
+        if e["direction"] == "in"
+    ]
+    total = sum(e["size_mb"] for e in events)
+    local = sum(e["size_mb"] * e["local_fraction"] for e in events)
+    locality = local / total
     print(f"\n  replication={replication}: stage-in locality {locality:.2f}")
     # More replicas -> more placement choices -> more local reads.
     # (Absolute thresholds chosen loosely; see the trend test below.)
@@ -187,7 +174,7 @@ def test_ablation_replication_drives_locality(benchmark, replication):
         assert locality > 0.45
 
 
-def test_ablation_adaptive_container_sizing(benchmark):
+def test_ablation_adaptive_container_sizing():
     """The Sec. 5 future-work feature: with a fixed 1 GB container the
     memory-hungry TopHat2 task OOMs; adaptive sizing runs it."""
     from repro.workloads import RNASEQ_TOOLS, trapline_galaxy_json
@@ -212,7 +199,7 @@ def test_ablation_adaptive_container_sizing(benchmark):
         return hiway.run(source)
 
     fixed = run(False)
-    adaptive = benchmark.pedantic(lambda: run(True), rounds=1, iterations=1)
+    adaptive = run(True)
     print(f"\n  fixed container: success={fixed.success}; "
           f"adaptive: success={adaptive.success}")
     assert not fixed.success and any("MB" in d for d in fixed.diagnostics)

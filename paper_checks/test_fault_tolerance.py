@@ -1,7 +1,7 @@
-"""Bench: fault-tolerance overhead (Sec. 3.1 claims).
+"""Paper check: fault-tolerance overhead (Sec. 3.1 claims).
 
 Not a paper figure — the paper asserts recovery qualitatively. This
-bench quantifies it: the same SNV workload with and without two node
+check quantifies it: the same SNV workload with and without two node
 crashes mid-run. Recovery must succeed and cost less than the work the
 dead nodes would have contributed (the cluster shrinks by 2/8, so a
 slowdown beyond ~2x would indicate recovery is broken, not just slower).
@@ -47,15 +47,9 @@ def run_snv(crash: bool, seed: int = 0) -> tuple[float, int]:
     return result.runtime_seconds, result.task_failures
 
 
-def test_recovery_overhead_is_bounded(benchmark):
-    def run_both():
-        baseline, _failures = run_snv(crash=False)
-        crashed, failures = run_snv(crash=True)
-        return baseline, crashed, failures
-
-    baseline, crashed, failures = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+def test_recovery_overhead_is_bounded():
+    baseline, _failures = run_snv(crash=False)
+    crashed, failures = run_snv(crash=True)
     overhead = crashed / baseline
     print(f"\n  baseline {baseline/60:.1f} min; with 2 crashes "
           f"{crashed/60:.1f} min (x{overhead:.2f}, {failures} retried tasks)")

@@ -1,4 +1,4 @@
-"""Bench: regenerate Figure 4 (SNV calling, Hi-WAY vs Tez).
+"""Paper check: regenerate Figure 4 (SNV calling, Hi-WAY vs Tez).
 
 Shape assertions (the reproduction target):
 
@@ -12,11 +12,9 @@ Shape assertions (the reproduction target):
 from repro.experiments import Fig4Config, run_fig4
 
 
-def test_fig4_hiway_vs_tez(benchmark, quick):
+def test_fig4_hiway_vs_tez(quick):
     config = Fig4Config.quick() if quick else Fig4Config()
-    table = benchmark.pedantic(
-        lambda: run_fig4(config), rounds=1, iterations=1
-    )
+    table = run_fig4(config)
     print()
     print(table.format())
     ratios = table.column("tez/hiway")

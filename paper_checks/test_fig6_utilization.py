@@ -1,4 +1,4 @@
-"""Bench: regenerate Figure 6 (master/worker resource utilisation).
+"""Paper check: regenerate Figure 6 (master/worker resource utilisation).
 
 Shape assertions: master-side load grows with cluster size yet stays far
 below saturation, while workers remain CPU-bound near their core count.
@@ -7,11 +7,9 @@ below saturation, while workers remain CPU-bound near their core count.
 from repro.experiments import Fig6Config, run_fig6
 
 
-def test_fig6_utilization(benchmark, quick):
+def test_fig6_utilization(quick):
     config = Fig6Config.quick() if quick else Fig6Config()
-    table = benchmark.pedantic(
-        lambda: run_fig6(config), rounds=1, iterations=1
-    )
+    table = run_fig6(config)
     print()
     print(table.format())
     hadoop_cpu = table.column("hadoop_cpu_load")

@@ -1,4 +1,4 @@
-"""Bench: regenerate Figure 8 (TRAPLINE RNA-seq, Hi-WAY vs CloudMan).
+"""Paper check: regenerate Figure 8 (TRAPLINE RNA-seq, Hi-WAY vs CloudMan).
 
 Shape assertions: Hi-WAY outperforms Galaxy CloudMan at every cluster
 size (paper: by at least 25 %; we accept >= 15 % to leave calibration
@@ -8,11 +8,9 @@ head-room), and both systems speed up with more nodes.
 from repro.experiments import Fig8Config, run_fig8
 
 
-def test_fig8_hiway_vs_cloudman(benchmark, quick):
+def test_fig8_hiway_vs_cloudman(quick):
     config = Fig8Config.quick() if quick else Fig8Config()
-    table = benchmark.pedantic(
-        lambda: run_fig8(config), rounds=1, iterations=1
-    )
+    table = run_fig8(config)
     print()
     print(table.format())
     ratios = table.column("cloudman/hiway")

@@ -1,4 +1,4 @@
-"""Bench: regenerate Figure 9 (HEFT vs FCFS under heterogeneity).
+"""Paper check: regenerate Figure 9 (HEFT vs FCFS under heterogeneity).
 
 Shape assertions:
 
@@ -11,15 +11,13 @@ Shape assertions:
 from repro.experiments import Fig9Config, mean, run_fig9
 
 
-def test_fig9_heft_learning_curve(benchmark, quick):
+def test_fig9_heft_learning_curve(quick):
     config = (
         Fig9Config(consecutive_heft_runs=14, experiment_repeats=6)
         if quick
         else Fig9Config()
     )
-    table = benchmark.pedantic(
-        lambda: run_fig9(config), rounds=1, iterations=1
-    )
+    table = run_fig9(config)
     print()
     print(table.format())
     heft = table.column("heft_median_s")

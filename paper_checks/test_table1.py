@@ -1,10 +1,10 @@
-"""Bench: regenerate Table 1 (experiment overview)."""
+"""Paper check: regenerate Table 1 (experiment overview)."""
 
 from repro.experiments import run_table1
 
 
-def test_table1_overview(benchmark):
-    table = benchmark(run_table1)
+def test_table1_overview():
+    table = run_table1()
     print()
     print(table.format())
     assert len(table.rows) == 4

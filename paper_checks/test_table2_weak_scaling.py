@@ -1,4 +1,4 @@
-"""Bench: regenerate Table 2 / Figure 5 (weak scaling, cost per GB).
+"""Paper check: regenerate Table 2 / Figure 5 (weak scaling, cost per GB).
 
 Shape assertions: runtime stays flat (near-linear scalability) while the
 cost per gigabyte falls monotonically toward ~$0.10.
@@ -7,11 +7,9 @@ cost per gigabyte falls monotonically toward ~$0.10.
 from repro.experiments import Table2Config, run_table2
 
 
-def test_table2_weak_scaling(benchmark, quick):
+def test_table2_weak_scaling(quick):
     config = Table2Config.quick() if quick else Table2Config()
-    table = benchmark.pedantic(
-        lambda: run_table2(config), rounds=1, iterations=1
-    )
+    table = run_table2(config)
     print()
     print(table.format())
     runtimes = table.column("runtime_min")

@@ -479,15 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or 'experiments fig4 --concurrent')",
     )
     experiments.add_argument("experiment_args", nargs=argparse.REMAINDER)
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the kernel/locality/scheduler/end-to-end benchmark "
-        "suite and write BENCH_<n>.json (optionally compare against a "
-        "baseline and fail on regressions)",
-    )
-    from repro.perf.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
     return parser
 
 
@@ -862,10 +853,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         from repro.experiments.__main__ import main as experiments_main
 
         return experiments_main(args.experiment_args)
-    if args.command == "bench":
-        from repro.perf.bench import run_bench_command
-
-        return run_bench_command(args)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

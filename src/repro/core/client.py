@@ -190,11 +190,6 @@ class HiWay:
         for node in self.cluster.all_nodes():
             node.install(*tool_names)
 
-    def stage_input(self, path: str, size_mb: float, writer: Optional[str] = None):
-        """Generator process placing an input file into HDFS."""
-        node_id = writer or self.cluster.worker_ids[0]
-        return self.hdfs.write(path, size_mb, node_id)
-
     def stage_inputs(self, files: dict[str, float], seed: int = 0) -> None:
         """Synchronously materialise input files into HDFS.
 

@@ -43,14 +43,6 @@ class TaskResult:
     def input_mb(self) -> float:
         return sum(report.size_mb for report in self.input_reports)
 
-    @property
-    def local_input_fraction(self) -> float:
-        total = self.input_mb
-        if total <= 0:
-            return 1.0
-        local = sum(report.local_mb for report in self.input_reports)
-        return local / total
-
 
 def run_task_in_container(
     env,

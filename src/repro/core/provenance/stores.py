@@ -83,14 +83,6 @@ class ProvenanceStore:
             if record["signature"] == signature and record["success"]
         }
 
-    def task_records(self, workflow_id: Optional[str] = None) -> list[dict]:
-        """All successful task records (optionally of one workflow)."""
-        return [
-            record
-            for record in self.records(kind=TASK_EVENT, workflow_id=workflow_id)
-            if record["success"]
-        ]
-
     def clear(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 

@@ -37,7 +37,7 @@ class HeftScheduler(StaticScheduler):
     #: Supported policies for never-observed (signature, node) pairs:
     #: "zero" is the paper's exploration-encouraging default; "mean"
     #: assumes the signature's mean observed runtime instead, which
-    #: avoids exploration (ablated in benchmarks/test_ablations.py).
+    #: avoids exploration (ablated in paper_checks/test_ablations.py).
     UNOBSERVED_POLICIES = ("zero", "mean")
 
     def __init__(self, seed: int | None = None, unobserved: str = "zero"):

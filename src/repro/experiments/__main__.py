@@ -18,6 +18,19 @@ import time
 from repro.experiments import CONCURRENT_EXPERIMENTS, EXPERIMENTS
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for ``--jobs`` and ``--concurrent``: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -35,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="spread the run grid over N worker processes (default: 1, serial)",
@@ -48,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--concurrent",
         nargs="*",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(

@@ -51,7 +51,7 @@ class ExperimentTable:
         return [row[index] for row in self.rows]
 
     def format(self) -> str:
-        """Fixed-width text rendering (what the benchmarks print).
+        """Fixed-width text rendering (what the paper checks print).
 
         Both renderings end with the flow solver version stamp, so every
         recorded table is attributable.

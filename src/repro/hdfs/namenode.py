@@ -85,12 +85,6 @@ class NameNode:
         """Ids of the registered DataNodes."""
         return list(self._datanodes)
 
-    def register_datanode(self, node_id: str) -> None:
-        """Add a DataNode (used when clusters grow in tests)."""
-        if node_id not in self._datanodes:
-            self._datanodes.append(node_id)
-        self._local_index.setdefault(node_id, {})
-
     def remove_datanode(self, node_id: str) -> None:
         """Drop a DataNode, e.g. after a simulated crash.
 

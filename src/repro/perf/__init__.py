@@ -1,14 +1,8 @@
-"""Performance harness: parallel grid running and benchmark tracking.
+"""Parallel grid running for the experiment harnesses.
 
-Two concerns live here:
-
-* :mod:`repro.perf.grid` — a deterministic process-pool runner the
-  experiment harnesses (fig4/fig6/fig8/fig9/table2) use to spread their
-  (workflow x scheduler x scale x seed) grids over cores;
-* :mod:`repro.perf.bench` — the ``python -m repro bench`` suite that
-  measures kernel, locality-query, scheduler and end-to-end throughput
-  and writes ``BENCH_<n>.json`` so every change has a perf trajectory
-  to compare against.
+:mod:`repro.perf.grid` is a deterministic process-pool runner the
+experiment harnesses (fig4/fig6/fig8/fig9/table2) use to spread their
+(workflow x scheduler x scale x seed) grids over cores.
 """
 
 from repro.perf.grid import default_jobs, run_grid

@@ -512,12 +512,6 @@ class Environment:
             self._queue, (self._now, priority, next(self._eids), _Deferred(fn, arg))
         )
 
-    def _schedule_callback(
-        self, event: Event, callback: Callable[[Event], None]
-    ) -> None:
-        """Deliver ``callback(event)`` for an already-processed event."""
-        self._schedule_deferred(callback, event)
-
     def run(self, until: Optional[float | Event] = None) -> object:
         """Run the simulation.
 

@@ -31,8 +31,8 @@ clock coincides with the global clock at each of its refill instants
 exact for piecewise-constant rates; ``built_at`` stamps the instant the
 component was last assembled.
 
-Every emitted table, service report and bench document carries the
-``SOLVER_VERSION`` stamp. The per-component fills are checked against a
+Every emitted table and service report carries the ``SOLVER_VERSION``
+stamp. The per-component fills are checked against a
 from-scratch global progressive fill kept in the test suite as a
 reference oracle (see DESIGN.md). Tables recorded under the retired
 global solver stay in ``results/v1/``, next to the commit that
@@ -63,8 +63,8 @@ __all__ = ["Resource", "Flow", "FlowNetwork", "SOLVER_VERSION"]
 #: Tolerance used when deciding a flow has fully drained.
 _EPSILON = 1e-9
 
-#: Version stamp of the rate solver, carried by every emitted table,
-#: service report and bench document.
+#: Version stamp of the rate solver, carried by every emitted table
+#: and service report.
 SOLVER_VERSION = "partitioned-v2"
 
 

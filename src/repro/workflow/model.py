@@ -87,10 +87,6 @@ class WorkflowGraph:
             self._producers[path] = task.task_id
         return task
 
-    def producer_of(self, path: str) -> Optional[str]:
-        """Task id producing ``path``, or None for workflow inputs."""
-        return self._producers.get(path)
-
     def input_files(self) -> list[str]:
         """Files consumed but never produced: the workflow's inputs."""
         consumed = {p for task in self.tasks.values() for p in task.inputs}

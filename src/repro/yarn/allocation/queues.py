@@ -173,9 +173,6 @@ class PendingPool:
             queue.spec = spec
         return spec
 
-    def spec_for(self, tenant: str) -> TenantSpec:
-        return self._specs.get(tenant, TenantSpec())
-
     def queue_for(self, tenant: str) -> TenantQueue:
         """The tenant's queue, created on first touch with its spec."""
         queue = self._queues.get(tenant)

@@ -1,7 +1,7 @@
 """Smoke tests: every experiment module runs at reduced scale and shows
 the paper's qualitative shape.
 
-The full-shape assertions live in benchmarks/; these tests use the
+The full-shape assertions live in paper_checks/; these tests use the
 smallest configurations that still exercise every code path, so that
 ``pytest tests/`` stays fast while covering the harness.
 """
@@ -133,3 +133,20 @@ def test_cli_main_accepts_jobs_and_parallel_flags(capsys):
     assert main(["table1", "--jobs", "2"]) == 0
     assert main(["table1", "--parallel"]) == 0
     assert "Overview" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--quick", "--concurrent", "0"],
+    ["fig4", "--quick", "--concurrent", "-2"],
+    ["table1", "--jobs", "0"],
+    ["table1", "--jobs", "-3"],
+], ids=["concurrent-0", "concurrent-neg", "jobs-0", "jobs-neg"])
+def test_cli_rejects_non_positive_counts(argv, capsys):
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be a positive integer" in captured.err
+    assert captured.out == ""

@@ -155,23 +155,6 @@ def test_experiment_tables_carry_solver_stamp():
     assert "_solver_version: partitioned-v2_" in table.to_markdown()
 
 
-def test_bench_document_carries_solver_stamp():
-    from repro.perf.bench import run_benchmarks
-
-    fake = {"noop": lambda quick: (100, 0.001)}
-    doc = run_benchmarks(quick=True, benchmarks=fake, repeats=1)
-    assert doc["solver_version"] == SOLVER_VERSION
-
-
-def test_recorded_bench_baseline_is_stamped():
-    import json
-
-    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_3.json")
-    with open(path) as fh:
-        document = json.load(fh)
-    assert document["solver_version"] == SOLVER_VERSION
-
-
 # -- byte identity against the committed tables ------------------------------
 
 

@@ -1,6 +1,7 @@
 """Tests for the observability spine: bus, tracer, and subscribers."""
 
 import json
+import time
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
@@ -30,6 +31,47 @@ def test_idle_bus_fast_path():
     # Inactive bus neither stamps nor dispatches.
     assert returned is event
     assert event.seq == -1
+
+
+def test_idle_bus_emit_is_near_free():
+    """Guard: with no subscriber, the guarded-emit pattern must stay
+    within a small factor of a bare attribute-check loop, because every
+    hot path in the RM/NM/HDFS/AM pays it per potential event."""
+    bus = EventBus(Environment())
+    iterations = 200_000
+
+    class Plain:
+        active = False
+
+    plain = Plain()
+
+    def loop_plain():
+        hits = 0
+        for _ in range(iterations):
+            if plain.active:
+                hits += 1
+        return hits
+
+    def loop_bus():
+        hits = 0
+        for _ in range(iterations):
+            if bus.wants(TaskDispatched):
+                hits += 1
+        return hits
+
+    # Warm up, then take the best of several runs to dodge scheduler noise.
+    loop_plain(), loop_bus()
+    plain_best = min(
+        (lambda s: (loop_plain(), time.perf_counter() - s)[1])(time.perf_counter())
+        for _ in range(5)
+    )
+    bus_best = min(
+        (lambda s: (loop_bus(), time.perf_counter() - s)[1])(time.perf_counter())
+        for _ in range(5)
+    )
+    # wants() is an attribute read + early return; allow generous slack
+    # for interpreter jitter but fail if it ever grows real work.
+    assert bus_best < plain_best * 10 + 0.05
 
 
 def test_subscribe_selectors_and_delivery_order():

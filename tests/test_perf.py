@@ -1,18 +1,10 @@
-"""Tests for the parallel grid runner and the benchmark harness."""
+"""Tests for the parallel grid runner."""
 
-import json
 import os
 
 import pytest
 
 from repro.perf import default_jobs, run_grid
-from repro.perf.bench import (
-    BENCHMARKS,
-    SCHEMA,
-    compare_results,
-    next_bench_path,
-    run_benchmarks,
-)
 
 
 def square_with_pid(base, exponent):
@@ -59,62 +51,3 @@ def test_run_grid_propagates_worker_exceptions():
 def test_run_grid_empty_params():
     assert run_grid(square_with_pid, [], jobs=2) == []
 
-
-def test_next_bench_path_picks_first_free_index(tmp_path):
-    assert next_bench_path(str(tmp_path)).endswith("BENCH_1.json")
-    (tmp_path / "BENCH_1.json").write_text("{}")
-    (tmp_path / "BENCH_3.json").write_text("{}")
-    assert next_bench_path(str(tmp_path)).endswith("BENCH_2.json")
-    (tmp_path / "BENCH_2.json").write_text("{}")
-    assert next_bench_path(str(tmp_path)).endswith("BENCH_4.json")
-
-
-def bench_document(**ops):
-    return {
-        "schema": SCHEMA,
-        "benchmarks": [
-            {"name": name, "ops_per_second": value} for name, value in ops.items()
-        ],
-    }
-
-
-def test_compare_results_flags_real_regressions():
-    baseline = bench_document(calibration=1000.0, kernel=500.0)
-    same = bench_document(calibration=1000.0, kernel=490.0)
-    assert compare_results(same, baseline, tolerance=0.25) == []
-    slow = bench_document(calibration=1000.0, kernel=300.0)
-    report = compare_results(slow, baseline, tolerance=0.25)
-    assert len(report) == 1 and "kernel" in report[0]
-
-
-def test_compare_results_normalises_by_calibration():
-    baseline = bench_document(calibration=1000.0, kernel=500.0)
-    # The whole machine is 2x slower: kernel at 250 is *not* a
-    # regression once normalised by the calibration loop.
-    slower_machine = bench_document(calibration=500.0, kernel=250.0)
-    assert compare_results(slower_machine, baseline, tolerance=0.25) == []
-    # But a benchmark that lost ground relative to raw Python speed is.
-    regressed = bench_document(calibration=500.0, kernel=120.0)
-    assert compare_results(regressed, baseline, tolerance=0.25)
-
-
-def test_compare_results_ignores_unknown_and_calibration_entries():
-    baseline = bench_document(calibration=1000.0, retired_bench=500.0)
-    current = bench_document(calibration=100.0)
-    assert compare_results(current, baseline) == []
-
-
-def test_run_benchmarks_document_shape():
-    # The two cheapest benchmarks keep this a unit test, not a benchmark.
-    subset = {name: BENCHMARKS[name] for name in ("calibration", "kernel_timeouts")}
-    document = run_benchmarks(quick=True, benchmarks=subset)
-    assert document["schema"] == SCHEMA
-    assert document["quick"] is True
-    names = [entry["name"] for entry in document["benchmarks"]]
-    assert names == ["calibration", "kernel_timeouts"]
-    for entry in document["benchmarks"]:
-        assert entry["ops"] > 0
-        assert entry["wall_seconds"] > 0
-        assert entry["ops_per_second"] > 0
-    assert document["peak_rss_kb"] > 0
-    json.dumps(document)  # must be serialisable as-is
