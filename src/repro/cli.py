@@ -56,6 +56,28 @@ NODE_TYPES = {
 }
 
 
+def _checked(convert, holds, requirement: str):
+    """An argparse ``type=`` converting with ``convert`` and exiting
+    with a usage error unless ``holds(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__}, got {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}")
+        return value
+    return parse
+
+
+#: Periods and windows; a zero sample period would never terminate.
+_positive_float = _checked(float, lambda value: value > 0, "positive")
+#: Series decimation keeps every second sample, so it needs two.
+_series_bound = _checked(int, lambda value: value >= 2, "at least 2")
+
+
 def _parse_size_spec(spec: str) -> tuple[str, float]:
     """``/path=SIZE_MB`` -> (path, size)."""
     path, separator, size = spec.partition("=")
@@ -244,7 +266,8 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     deployment.add_argument("--fixed-containers", action="store_true",
                             help="disable adaptive per-tool container "
                             "sizing (1 vcore / 1024 MB for everything)")
-    deployment.add_argument("--sample-period-s", type=float, default=60.0,
+    deployment.add_argument("--sample-period-s", type=_positive_float,
+                            default=60.0,
                             help="backlog/queue-depth sampling period "
                             "(default: 60)")
     deployment.add_argument("--no-drain", action="store_true",
@@ -266,7 +289,8 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     telemetry.add_argument("--live", action="store_true",
                            help="print rolling p50/p95/p99, burn-rate "
                            "alerts and stragglers while the run plays")
-    telemetry.add_argument("--live-period-s", type=float, default=300.0,
+    telemetry.add_argument("--live-period-s", type=_positive_float,
+                           default=300.0,
                            help="seconds of simulated time between live "
                            "snapshots (default: 300)")
 
@@ -275,7 +299,8 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="also write the metrics registry as JSON here "
                         "(includes the backlog/queue-depth time series)")
-    parser.add_argument("--max-series-points", type=int, default=None,
+    parser.add_argument("--max-series-points", type=_series_bound,
+                        default=None,
                         help="bound each service time series to N samples "
                         "via stride decimation (default: unbounded)")
     parser.add_argument("--quiet", action="store_true")
@@ -439,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo_watch.add_argument("journal", help="journal file from "
                            "'serve-sim --events-out'")
-    slo_watch.add_argument("--window-s", type=float, default=300.0,
+    slo_watch.add_argument("--window-s", type=_positive_float, default=300.0,
                            help="tumbling window width (default: 300)")
     slo_watch.add_argument("--straggler-factor", type=float, default=3.0,
                            help="flag attempts slower than FACTOR x the "
@@ -634,35 +659,8 @@ def trace_command(args) -> int:
     return 0 if result.success else 1
 
 
-def _report_from_journal(args) -> int:
-    """``report --from-journal``: rebuild reports offline from a journal."""
-    from repro.obs.analysis import CriticalPathAnalyzer, render_report
-    from repro.obs.journal import (
-        JournalError,
-        load_registry,
-        load_service_report,
-        read_journal,
-    )
-
-    try:
-        meta, events = read_journal(args.from_journal)
-    except (OSError, JournalError) as error:
-        print(f"error: cannot read journal: {error}", file=sys.stderr)
-        return 2
-    if "service" in meta:
-        # A serve-sim journal: rebuild the SLO report byte-for-byte.
-        report = load_service_report(args.from_journal)
-        print(report.render(), end="")
-        registry = load_registry(events)
-        exit_code = 0 if report.passed() else 1
-    else:
-        registry = load_registry(events)
-        analyzer = CriticalPathAnalyzer()
-        analyzer.replay(events)
-        analysis = analyzer.analysis()
-        print(render_report(analysis, registry=registry,
-                            max_tasks=args.max_tasks))
-        exit_code = 0
+def _write_metrics(args, registry) -> None:
+    """``report``'s ``--metrics-out`` (JSON) and ``--prometheus-out``."""
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(registry.to_json() + "\n")
@@ -673,6 +671,33 @@ def _report_from_journal(args) -> int:
             handle.write(registry.to_prometheus())
         if not args.quiet:
             print(f"metrics (Prometheus) saved to {args.prometheus_out}")
+
+
+def _report_from_journal(args) -> int:
+    """``report --from-journal``: rebuild reports offline from a journal."""
+    from repro.obs.analysis import CriticalPathAnalyzer, render_report
+    from repro.obs.journal import JournalError, read_journal, replay_registry
+
+    try:
+        meta, events = read_journal(args.from_journal)
+    except (OSError, JournalError) as error:
+        print(f"error: cannot read journal: {error}", file=sys.stderr)
+        return 2
+    registry = replay_registry(meta, events)
+    if "service" in meta:
+        # A serve-sim journal: the live run's own fold, byte-for-byte.
+        from repro.service import ServiceReport
+
+        report = ServiceReport.from_events(meta["service"], events, registry)
+        print(report.render(), end="")
+        exit_code = 0 if report.passed() else 1
+    else:
+        analyzer = CriticalPathAnalyzer()
+        analyzer.replay(events)
+        print(render_report(analyzer.analysis(), registry=registry,
+                            max_tasks=args.max_tasks))
+        exit_code = 0
+    _write_metrics(args, registry)
     return exit_code
 
 
@@ -696,16 +721,7 @@ def report_command(args) -> int:
     print()
     print(render_report(analysis, registry=registry,
                         max_tasks=args.max_tasks))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(registry.to_json() + "\n")
-        if not args.quiet:
-            print(f"\nmetrics (JSON) saved to {args.metrics_out}")
-    if args.prometheus_out:
-        with open(args.prometheus_out, "w", encoding="utf-8") as handle:
-            handle.write(registry.to_prometheus())
-        if not args.quiet:
-            print(f"metrics (Prometheus) saved to {args.prometheus_out}")
+    _write_metrics(args, registry)
     return 0 if result.success else 1
 
 
@@ -739,29 +755,18 @@ def slo_watch_command(args) -> int:
     from repro.obs.bus import EventBus
     from repro.obs.journal import JournalError, read_journal, replay
     from repro.obs.live import LiveMonitor
+    from repro.service.slo import run_epoch, slo_targets
 
     try:
         meta, events = read_journal(args.journal)
     except (OSError, JournalError) as error:
         print(f"error: cannot read journal: {error}", file=sys.stderr)
         return 2
-    from repro.obs.events import ServiceSample
-
-    targets = None
-    # The run epoch: the service runner's first sample fires at t0.
-    epoch = next(
-        (e.t - e.rel_t for e in events if isinstance(e, ServiceSample)), 0.0
-    )
-    service = meta.get("service")
-    if service and service.get("targets"):
-        from repro.service import SloTargets
-
-        targets = SloTargets(**service["targets"])
     monitor = LiveMonitor(
         window_s=args.window_s,
-        targets=targets,
+        targets=slo_targets(meta.get("service", {})),
         straggler_factor=args.straggler_factor,
-        epoch=epoch,
+        epoch=run_epoch(events),
     )
     bus = EventBus()
     monitor.attach(bus)

@@ -16,10 +16,12 @@ substrate for the offline tooling:
   (:class:`~repro.obs.registry.MetricsRegistry`,
   :class:`~repro.obs.analysis.CriticalPathAnalyzer`,
   :class:`~repro.obs.live.LiveMonitor`) works offline;
-* :func:`load_registry` — rebuild a metrics registry from a journal;
-* :func:`load_service_report` — rebuild the full
-  :class:`~repro.service.slo.ServiceReport` of the ``serve-sim`` run
-  that wrote the journal, byte-identical to the live report.
+* :func:`load_registry` / :func:`replay_registry` — rebuild a metrics
+  registry from a journal;
+* :func:`load_service_report` — rebuild the ``serve-sim`` report with
+  the live run's own fold,
+  :meth:`~repro.service.slo.ServiceReport.from_events`, so report and
+  registry are byte-identical to the live ones.
 
 File format (``hiway-journal/1``): UTF-8 JSONL. The first line is
 ``{"schema": "hiway-journal/1", "meta": {...}}``; every further line is
@@ -31,7 +33,6 @@ Unknown event names are skipped on read (forward compatibility), and a
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
@@ -48,6 +49,7 @@ __all__ = [
     "read_journal",
     "read_meta",
     "replay",
+    "replay_registry",
     "load_registry",
     "load_service_report",
 ]
@@ -247,6 +249,8 @@ def _open_for_read(source: Union[str, TextIO]) -> tuple[TextIO, bool]:
 
 
 def _check_header(line: str) -> dict:
+    if not line:
+        raise JournalError("journal is empty (no header line)")
     try:
         header = json.loads(line)
     except json.JSONDecodeError as error:
@@ -259,14 +263,28 @@ def _check_header(line: str) -> dict:
     return header.get("meta", {})
 
 
+def _decode(handle: TextIO) -> Iterator[ev.ObsEvent]:
+    """The events of the lines after the header line."""
+    for number, line in enumerate(handle, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise JournalError(
+                f"journal line {number} is not JSON: {error}"
+            ) from None
+        event = event_from_dict(record)
+        if event is not None:
+            yield event
+
+
 def read_meta(source: Union[str, TextIO]) -> dict:
     """The header metadata of a journal (without decoding events)."""
     handle, owned = _open_for_read(source)
     try:
-        first = handle.readline()
-        if not first:
-            raise JournalError("journal is empty (no header line)")
-        return _check_header(first)
+        return _check_header(handle.readline())
     finally:
         if owned:
             handle.close()
@@ -276,51 +294,27 @@ def iter_events(source: Union[str, TextIO]) -> Iterator[ev.ObsEvent]:
     """Decode a journal's events in recorded order (header checked)."""
     handle, owned = _open_for_read(source)
     try:
-        first = handle.readline()
-        if not first:
-            raise JournalError("journal is empty (no header line)")
-        _check_header(first)
-        for number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise JournalError(
-                    f"journal line {number} is not JSON: {error}"
-                ) from None
-            event = event_from_dict(record)
-            if event is not None:
-                yield event
+        _check_header(handle.readline())
+        yield from _decode(handle)
     finally:
         if owned:
             handle.close()
 
 
 def read_journal(source: Union[str, TextIO]) -> tuple[dict, list[ev.ObsEvent]]:
-    """(meta, events) of a whole journal, loaded eagerly."""
+    """(meta, events) of a whole journal, read once and loaded eagerly."""
     handle, owned = _open_for_read(source)
     try:
-        text = handle.read()
+        meta = _check_header(handle.readline())
+        return meta, list(_decode(handle))
     finally:
         if owned:
             handle.close()
-    buffer = io.StringIO(text)
-    meta = read_meta(io.StringIO(text))
-    return meta, list(iter_events(buffer))
 
 
-def replay(
-    events: Union[str, TextIO, Iterable[ev.ObsEvent]], bus: EventBus
-) -> int:
-    """Deliver recorded events into ``bus`` (timestamps preserved).
-
-    ``events`` may be a journal path/handle or an already-decoded
-    iterable. Returns the number of events delivered.
-    """
-    if isinstance(events, str) or hasattr(events, "readline"):
-        events = iter_events(events)  # type: ignore[arg-type]
+def replay(events: Iterable[ev.ObsEvent], bus: EventBus) -> int:
+    """Deliver decoded events into ``bus`` (timestamps preserved);
+    returns the number of events delivered."""
     count = 0
     for event in events:
         bus.deliver(event)
@@ -331,22 +325,26 @@ def replay(
 # -- offline rebuilds ---------------------------------------------------------
 
 
-def load_registry(source: Union[str, TextIO]):
-    """Rebuild a :class:`~repro.obs.registry.MetricsRegistry` offline.
-
-    The registry subscribes its standard aggregations to a detached
-    bus, the journal replays through it, and the result carries the
-    same counters/histograms a live run would have accumulated from
-    these events.
-    """
+def replay_registry(meta: dict, events: Iterable[ev.ObsEvent]):
+    """Rebuild the :class:`~repro.obs.registry.MetricsRegistry` a run with
+    header ``meta`` fed from ``events``; a ``serve-sim`` header's
+    ``max_series_points`` bounds the service series as it did live."""
     from repro.obs.registry import MetricsRegistry
 
-    bus = EventBus()
     registry = MetricsRegistry()
+    service = meta.get("service")
+    if service:
+        registry.service_series(service.get("max_series_points"))
+    bus = EventBus()
     registry.attach(bus)
-    replay(source, bus)
+    replay(events, bus)
     registry.detach()
     return registry
+
+
+def load_registry(source: Union[str, TextIO]):
+    """Rebuild the metrics registry of the run that wrote a journal."""
+    return replay_registry(*read_journal(source))
 
 
 def load_service_report(source: Union[str, TextIO]):
@@ -357,77 +355,15 @@ def load_service_report(source: Union[str, TextIO]):
     rebuilt report renders byte-identically to the live one — the
     replay-determinism contract guarded in CI.
     """
-    from repro.obs.registry import Series
-    from repro.service.slo import ServiceReport, SloTargets, SubmissionRecord
+    from repro.service.slo import ServiceReport
 
-    handle, owned = _open_for_read(source)
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    meta = read_meta(io.StringIO(text))
+    meta, events = read_journal(source)
     service = meta.get("service")
     if not service:
         raise JournalError(
             "journal has no 'service' metadata; only serve-sim journals "
             "(--events-out) can rebuild a service report"
         )
-    max_points = service.get("max_series_points")
-    submitted_at: dict[str, float] = {}
-    admitted_at: dict[str, float] = {}
-    finished: dict[str, tuple[float, bool, bool]] = {}
-    # Replayed through Series instances so a bounded run's stride
-    # decimation reproduces exactly.
-    backlog = Series("backlog", max_points=max_points)
-    queue_depth = Series("queue_depth", max_points=max_points)
-    running_apps = Series("running_apps", max_points=max_points)
-    last_sample_t = 0.0
-    # The run epoch: the first ServiceSample fires exactly at t0.
-    t0: Optional[float] = None
-    for event in iter_events(io.StringIO(text)):
-        if isinstance(event, ev.WorkflowSubmitted):
-            submitted_at[event.name] = event.t
-        elif isinstance(event, ev.WorkflowStarted):
-            if event.name in submitted_at:
-                admitted_at.setdefault(event.name, event.t)
-        elif isinstance(event, ev.SubmissionFinished):
-            finished[event.name] = (event.t, event.success, event.rejected)
-        elif isinstance(event, ev.ServiceSample):
-            if t0 is None:
-                t0 = event.t - event.rel_t
-            backlog.record(event.rel_t, event.backlog)
-            queue_depth.record(event.rel_t, event.queue_depth)
-            running_apps.record(event.rel_t, event.running_apps)
-            last_sample_t = event.rel_t
-    if t0 is None:
-        t0 = 0.0
-    records = []
-    for spec in service["schedule"]:
-        name = spec["name"]
-        final = finished.get(name)
-        records.append(SubmissionRecord(
-            index=int(spec["index"]),
-            name=name,
-            tenant=spec["tenant"],
-            kind=spec["kind"],
-            submitted_at=submitted_at.get(name, t0 + float(spec["at"])),
-            admitted_at=admitted_at.get(name),
-            finished_at=final[0] if final else None,
-            success=final[1] if final else False,
-            rejected=final[2] if final else False,
-        ))
-    targets = None
-    if service.get("targets") is not None:
-        targets = SloTargets(**service["targets"])
-    horizon_s = float(service["horizon_s"])
-    return ServiceReport(
-        traffic=service["traffic"],
-        setup=service["setup"],
-        horizon_s=max(last_sample_t, horizon_s),
-        records=records,
-        backlog=list(backlog.samples),
-        queue_depth=list(queue_depth.samples),
-        running_apps=list(running_apps.samples),
-        targets=targets,
+    return ServiceReport.from_events(
+        service, events, replay_registry(meta, events)
     )

@@ -39,9 +39,9 @@ LATENCY_BUCKETS = (0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0)
 
 #: The service-level time series fed by ``ServiceSample`` events:
 #: ``(metric name, help text, ServiceSample attribute)``. One shared
-#: definition so the live ``ServiceRunner`` (which pre-creates them
-#: with a ``max_points`` bound) and an offline journal replay register
-#: identical instruments.
+#: definition, created through :meth:`MetricsRegistry.service_series`
+#: by the live ``ServiceRunner`` and the offline journal replay alike,
+#: so both register identical instruments.
 SERVICE_SERIES = (
     ("hiway_service_backlog_depth",
      "Submissions in the system (arrived, not yet final)", "backlog"),
@@ -289,6 +289,14 @@ class MetricsRegistry:
         """Get or create the timestamped series ``name`` (idempotent)."""
         return self._register(Series(name, help, labelnames, max_points))
 
+    def service_series(self, max_points: Optional[int] = None) -> dict[str, Series]:
+        """Get or create the :data:`SERVICE_SERIES`, keyed by their
+        ``ServiceSample`` attribute (existing series keep their bound)."""
+        return {
+            attr: self.series(name, help_text, max_points=max_points)
+            for name, help_text, attr in SERVICE_SERIES
+        }
+
     def get(self, name: str) -> Optional[_Instrument]:
         return self._instruments.get(name)
 
@@ -450,12 +458,9 @@ class MetricsRegistry:
             ).set(event.runtime_seconds)
 
         def on_service_sample(event: ev.ServiceSample) -> None:
-            # Lazy get-or-create: when the service runner pre-created
-            # these with a max_points bound, that instrument wins.
-            for name, help_text, attr in SERVICE_SERIES:
-                self.series(name, help_text).record(
-                    event.rel_t, getattr(event, attr)
-                )
+            # Get-or-create: pre-created series keep their max_points.
+            for attr, series in self.service_series().items():
+                series.record(event.rel_t, getattr(event, attr))
 
         for event_type, handler in [
             (ev.WorkflowSubmitted, on_submitted),

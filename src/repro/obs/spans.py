@@ -107,6 +107,16 @@ class SubmissionSpan:
         return self.finished_at - self.submitted_at
 
     @property
+    def makespan_s(self) -> Optional[float]:
+        if self.admitted_at is None or self.finished_at is None:
+            return None
+        return self.finished_at - self.admitted_at
+
+    @property
+    def completed(self) -> bool:
+        return self.finished_at is not None and not self.rejected
+
+    @property
     def outcome(self) -> str:
         if self.rejected:
             return "REJECTED"
@@ -215,10 +225,10 @@ def render_submission(span: SubmissionSpan, max_attempts: int = 30) -> str:
     if span.rejected:
         lines.append("  rejected by admission control (no execution span)")
         return "\n".join(lines)
-    if span.admitted_at is not None and span.finished_at is not None:
+    if span.makespan_s is not None:
         lines.append(
             f"  execution ({span.workflow_id}): "
-            f"{span.finished_at - span.admitted_at:.1f}s, "
+            f"{span.makespan_s:.1f}s, "
             f"{len(span.attempts)} attempts "
             f"({sum(1 for a in span.attempts if not a.success)} failed, "
             f"{span.retries} retries)"

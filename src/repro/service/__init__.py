@@ -10,8 +10,9 @@ the outcome against service-level objectives:
 * :mod:`repro.service.traffic` — tenant profiles and workload mixes
   turning arrival times into concrete submissions;
 * :mod:`repro.service.runner` — the long-lived installation driver;
-* :mod:`repro.service.slo` — p50/p95/p99 latency, throughput, backlog
-  and rejection-rate evaluation with a PASS/FAIL verdict.
+* :mod:`repro.service.slo` — the report as one fold over the event
+  stream: p50/p95/p99 latency, throughput, backlog and rejection-rate
+  evaluation with a PASS/FAIL verdict.
 
 Entry points: ``python -m repro serve-sim`` (CLI) and the ``openloop``
 experiment (capacity planning: 2x traffic, more nodes, fifo vs fair vs
@@ -28,7 +29,7 @@ from repro.service.arrivals import (
     rate_from_users,
 )
 from repro.service.runner import ServiceConfig, ServiceRunner
-from repro.service.slo import ServiceReport, SloTargets, SubmissionRecord
+from repro.service.slo import ServiceReport, SloTargets
 from repro.service.traffic import (
     DEFAULT_TENANTS,
     WORKLOAD_KINDS,
@@ -49,7 +50,6 @@ __all__ = [
     "ServiceRunner",
     "ServiceReport",
     "SloTargets",
-    "SubmissionRecord",
     "WORKLOAD_KINDS",
     "DEFAULT_TENANTS",
     "TenantProfile",

@@ -7,18 +7,15 @@ run and feeds it submissions as an arrival process fires on the
 simulated clock, the way the paper's Sec. 3.1 "many independent AMs on
 one installation" deployment would actually be operated.
 
-Per submission it records:
-
-* **queue wait** — arrival (``WorkflowSubmitted``) to AM start
-  (``WorkflowStarted``), i.e. the time spent in the admission queue;
-* **makespan** — AM start to final state;
-* **end-to-end latency** — arrival to final state (what a user feels).
-
-A sampler process additionally records backlog depth, admission queue
-depth, running applications and pending container requests every
-``sample_period_s`` into :class:`~repro.obs.registry.Series` metrics,
-so the time series ride the same registry export (JSON / Prometheus
-text) as every other metric.
+The runner keeps no per-submission state. It publishes each arrival
+(``WorkflowSubmitted``) and final state (``SubmissionFinished``) on the
+bus, and a sampler publishes backlog, admission queue depth, running
+applications and pending container requests every ``sample_period_s``
+as ``ServiceSample`` events, which the registry records as
+:class:`~repro.obs.registry.Series`. The report (queue wait, makespan
+and end-to-end latency per submission) is
+:meth:`~repro.service.slo.ServiceReport.from_events` over those events:
+the fold ``report --from-journal`` applies to a journal.
 """
 
 from __future__ import annotations
@@ -31,9 +28,8 @@ from repro.core import HiWay, HiWayConfig
 from repro.hdfs import HdfsClient
 from repro.langs import CuneiformSource, DaxSource, GalaxySource
 from repro.obs import events as ev
-from repro.obs.registry import SERVICE_SERIES
 from repro.service.arrivals import ArrivalProcess
-from repro.service.slo import ServiceReport, SloTargets, SubmissionRecord
+from repro.service.slo import REPORT_EVENTS, ServiceReport, SloTargets
 from repro.service.traffic import (
     DEFAULT_TENANTS,
     SubmissionSpec,
@@ -107,6 +103,12 @@ class ServiceConfig:
     #: Seed for HDFS placement and input staging.
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.sample_period_s > 0:
+            raise ValueError(
+                f"sample_period_s must be > 0, got {self.sample_period_s}"
+            )
+
     def setup_line(self) -> str:
         """One deterministic line describing the deployment, ending with
         the flow solver version stamp."""
@@ -157,19 +159,11 @@ class ServiceRunner:
         )
         self.bus = self.hiway.bus
         self.registry = self.hiway.registry
-        # Per-run measurement state, keyed by (unique) submission name.
-        self._submitted_at: dict[str, float] = {}
-        self._admitted_at: dict[str, float] = {}
-        self._finished: dict[str, tuple[float, bool, bool]] = {}
+        # Submissions that arrived / reached a final state (the backlog).
+        self._arrived = 0
+        self._finished = 0
         self._t0 = 0.0
         self._staged = False
-        self.bus.subscribe(ev.WorkflowStarted, self._on_started)
-
-    def _on_started(self, event: ev.WorkflowStarted) -> None:
-        # WorkflowStarted fires once per AM, post-admission; the gap to
-        # the submission time is the admission queue wait.
-        if event.name in self._submitted_at:
-            self._admitted_at.setdefault(event.name, event.t)
 
     # -- workload materialisation -----------------------------------------------
 
@@ -255,11 +249,10 @@ class ServiceRunner:
         delay = self._t0 + spec.at - self.env.now
         if delay > 0:
             yield self.env.timeout(delay)
-        self._submitted_at[spec.name] = self.env.now
-        if self.bus.wants(ev.WorkflowSubmitted):
-            self.bus.emit(ev.WorkflowSubmitted(
-                name=spec.name, tenant=spec.tenant, workload=spec.kind
-            ))
+        self._arrived += 1
+        self.bus.emit(ev.WorkflowSubmitted(
+            name=spec.name, tenant=spec.tenant, workload=spec.kind
+        ))
         result = yield self.hiway.submit(
             self._source_for(spec),
             scheduler=self.config.scheduler,
@@ -270,12 +263,11 @@ class ServiceRunner:
             diagnostic.startswith(_REJECTED_PREFIX)
             for diagnostic in result.diagnostics
         )
-        self._finished[spec.name] = (self.env.now, result.success, rejected)
-        if self.bus.wants(ev.SubmissionFinished):
-            self.bus.emit(ev.SubmissionFinished(
-                name=spec.name, tenant=spec.tenant, workload=spec.kind,
-                success=result.success, rejected=rejected,
-            ))
+        self._finished += 1
+        self.bus.emit(ev.SubmissionFinished(
+            name=spec.name, tenant=spec.tenant, workload=spec.kind,
+            success=result.success, rejected=rejected,
+        ))
 
     def _sampler(self):
         while True:
@@ -288,7 +280,7 @@ class ServiceRunner:
         # same handler reproduces them from a journal replay.
         self.bus.emit(ev.ServiceSample(
             rel_t=self.env.now - self._t0,
-            backlog=float(len(self._submitted_at) - len(self._finished)),
+            backlog=float(self._arrived - self._finished),
             queue_depth=float(self.hiway.rm.admission_queue_depth()),
             running_apps=float(self.hiway.rm.active_application_count()),
             pending_containers=float(self.hiway.rm.pending_request_count()),
@@ -333,24 +325,24 @@ class ServiceRunner:
         schedule = build_schedule(
             arrivals, tenants, horizon_s, max_submissions=max_submissions
         )
+        # No epoch (t0) in the header: staging runs the sim clock, so it
+        # is not known yet; the fold takes it from the first sample.
+        meta = {
+            "traffic": arrivals.describe(),
+            "setup": self.config.setup_line(),
+            "horizon_s": horizon_s,
+            "targets": asdict(targets) if targets is not None else None,
+            "max_series_points": self.config.max_series_points,
+            "schedule": [
+                {"index": spec.index, "name": spec.name,
+                 "tenant": spec.tenant, "kind": spec.kind, "at": spec.at}
+                for spec in schedule
+            ],
+        }
         if journal is not None:
             # Attached before staging so the journal carries the whole
-            # event stream the live registry saw. The run's epoch (t0)
-            # is not in the header — staging runs the sim clock, so it
-            # is not known yet; readers derive it from the first
-            # ServiceSample (emitted exactly at t0 with rel_t == 0).
-            journal.write_header({"service": {
-                "traffic": arrivals.describe(),
-                "setup": self.config.setup_line(),
-                "horizon_s": horizon_s,
-                "targets": asdict(targets) if targets is not None else None,
-                "max_series_points": self.config.max_series_points,
-                "schedule": [
-                    {"index": spec.index, "name": spec.name,
-                     "tenant": spec.tenant, "kind": spec.kind, "at": spec.at}
-                    for spec in schedule
-                ],
-            }})
+            # event stream the live registry saw.
+            journal.write_header({"service": meta})
             journal.attach(self.bus)
         self._stage({spec.kind for spec in schedule})
         self._t0 = self.env.now
@@ -363,14 +355,11 @@ class ServiceRunner:
                 self.env.process(
                     self._snapshot_loop(monitor, snapshot_every_s, on_snapshot)
                 )
-        max_points = self.config.max_series_points
-        series = {
-            attr: self.registry.series(name, help_text, max_points=max_points)
-            for name, help_text, attr in SERVICE_SERIES
-        }
-        backlog, queue_depth, running = (
-            series["backlog"], series["queue_depth"], series["running_apps"]
-        )
+        self.registry.service_series(self.config.max_series_points)
+        events: list[ev.ObsEvent] = []
+        subscriptions = [
+            self.bus.subscribe(kind, events.append) for kind in REPORT_EVENTS
+        ]
         processes = [self.env.process(self._drive(spec)) for spec in schedule]
         self.env.process(self._sampler())
         if processes:
@@ -382,33 +371,10 @@ class ServiceRunner:
                 # first processed event instead of the horizon.
                 self.env.run(until=self._t0 + horizon_s)
         self._sample()
+        for subscription in subscriptions:
+            subscription.cancel()
         if monitor is not None:
             monitor.close()
         if journal is not None:
             journal.detach()
-
-        records = []
-        for spec in schedule:
-            final = self._finished.get(spec.name)
-            records.append(SubmissionRecord(
-                index=spec.index,
-                name=spec.name,
-                tenant=spec.tenant,
-                kind=spec.kind,
-                submitted_at=self._submitted_at.get(spec.name, self._t0 + spec.at),
-                admitted_at=self._admitted_at.get(spec.name),
-                finished_at=final[0] if final else None,
-                success=final[1] if final else False,
-                rejected=final[2] if final else False,
-            ))
-        duration = max(self.env.now - self._t0, horizon_s)
-        return ServiceReport(
-            traffic=arrivals.describe(),
-            setup=self.config.setup_line(),
-            horizon_s=duration,
-            records=records,
-            backlog=list(backlog.samples),
-            queue_depth=list(queue_depth.samples),
-            running_apps=list(running.samples),
-            targets=targets,
-        )
+        return ServiceReport.from_events(meta, events, self.registry)

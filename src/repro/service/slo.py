@@ -2,9 +2,13 @@
 
 A batch harness reports a makespan; a service reports a latency
 *distribution* against declared targets. :class:`ServiceReport` turns
-one open-loop run's submission records and time series into p50/p95/p99
+one open-loop run's per-submission spans and time series into p50/p95/p99
 end-to-end latency, admission queue wait, throughput, backlog depth and
 rejection rate, and grades them against :class:`SloTargets`.
+
+:meth:`ServiceReport.from_events` is the one fold from a run's events
+to its report; the live ``serve-sim`` run and the offline
+``report --from-journal`` both call it, so the two match byte for byte.
 
 Rendering is strictly a function of simulated quantities — no wall
 clock, no ordering dependent on dict iteration of unsorted inputs — so
@@ -15,11 +19,20 @@ a seeded run's report is byte-identical across invocations (the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from repro.obs import events as ev
+from repro.obs.spans import SubmissionSpan, build_submission_spans
 from repro.stats import mean, percentile
 
-__all__ = ["SloTargets", "SubmissionRecord", "ServiceReport"]
+__all__ = ["REPORT_EVENTS", "SloTargets", "ServiceReport", "run_epoch",
+           "slo_targets"]
+
+#: The events a service report folds; every other event is ignored.
+REPORT_EVENTS = (
+    ev.WorkflowSubmitted, ev.WorkflowStarted, ev.SubmissionFinished,
+    ev.ServiceSample,
+)
 
 
 @dataclass(frozen=True)
@@ -44,50 +57,16 @@ class SloTargets:
         )
 
 
-@dataclass(frozen=True)
-class SubmissionRecord:
-    """What became of one submission.
+def run_epoch(events: Iterable[ev.ObsEvent]) -> float:
+    """The run's epoch ``t0``, at which its first ``ServiceSample`` fires."""
+    samples = (e for e in events if isinstance(e, ev.ServiceSample))
+    return next((e.t - e.rel_t for e in samples), 0.0)
 
-    Exactly one of the three outcomes holds: ``rejected`` (admission
-    refused it), ``completed`` (a result came back, ``success`` telling
-    whether the workflow itself succeeded), or neither (still in flight
-    when the run was cut off at the horizon).
-    """
 
-    index: int
-    name: str
-    tenant: str
-    kind: str
-    submitted_at: float
-    admitted_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    success: bool = False
-    rejected: bool = False
-
-    @property
-    def completed(self) -> bool:
-        return self.finished_at is not None and not self.rejected
-
-    @property
-    def latency_s(self) -> Optional[float]:
-        """End-to-end latency: submission to final state."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-    @property
-    def queue_wait_s(self) -> Optional[float]:
-        """Admission queue wait: submission to AM start."""
-        if self.admitted_at is None:
-            return None
-        return self.admitted_at - self.submitted_at
-
-    @property
-    def makespan_s(self) -> Optional[float]:
-        """Execution time after admission."""
-        if self.admitted_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.admitted_at
+def slo_targets(service_meta: dict) -> Optional[SloTargets]:
+    """The targets a ``service`` header declares (``None`` if none)."""
+    targets = service_meta.get("targets")
+    return SloTargets(**targets) if targets is not None else None
 
 
 def _series_stats(samples: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -114,12 +93,44 @@ class ServiceReport:
     traffic: str
     setup: str
     horizon_s: float
-    records: list[SubmissionRecord]
+    #: One span per scheduled submission, in schedule order.
+    records: list[SubmissionSpan]
     #: (sim time, value) samples recorded every ``sample_period_s``.
     backlog: list[tuple[float, float]] = field(default_factory=list)
     queue_depth: list[tuple[float, float]] = field(default_factory=list)
     running_apps: list[tuple[float, float]] = field(default_factory=list)
     targets: Optional[SloTargets] = None
+
+    @classmethod
+    def from_events(cls, service_meta: dict, events, registry) -> "ServiceReport":
+        """Fold one run into its report: ``service_meta`` is the runner's
+        ``service`` header, ``events`` the run's stream (only
+        :data:`REPORT_EVENTS` count) and ``registry`` the one those
+        events fed, read for the time series. A scheduled submission
+        that never arrived is submitted at ``t0 + at``, in flight."""
+        events = [e for e in events if isinstance(e, REPORT_EVENTS)]
+        spans = {span.name: span for span in build_submission_spans(events)}
+        samples = [e for e in events if isinstance(e, ev.ServiceSample)]
+        t0 = run_epoch(samples)
+        records = [
+            spans.get(spec["name"]) or SubmissionSpan(
+                spec["name"], tenant=spec["tenant"], workload=spec["kind"],
+                submitted_at=t0 + float(spec["at"]),
+            )
+            for spec in service_meta["schedule"]
+        ]
+        series = registry.service_series()
+        return cls(
+            traffic=service_meta["traffic"],
+            setup=service_meta["setup"],
+            horizon_s=max(samples[-1].rel_t if samples else 0.0,
+                          float(service_meta["horizon_s"])),
+            records=records,
+            backlog=list(series["backlog"].samples),
+            queue_depth=list(series["queue_depth"].samples),
+            running_apps=list(series["running_apps"].samples),
+            targets=slo_targets(service_meta),
+        )
 
     # -- scalar aggregates ------------------------------------------------------
 
@@ -128,22 +139,22 @@ class ServiceReport:
         return len(self.records)
 
     @property
-    def completed(self) -> list[SubmissionRecord]:
+    def completed(self) -> list[SubmissionSpan]:
         return [r for r in self.records if r.completed]
 
     @property
-    def rejected(self) -> list[SubmissionRecord]:
+    def rejected(self) -> list[SubmissionSpan]:
         return [r for r in self.records if r.rejected]
 
     @property
-    def unfinished(self) -> list[SubmissionRecord]:
+    def unfinished(self) -> list[SubmissionSpan]:
         return [
             r for r in self.records
             if not r.rejected and r.finished_at is None
         ]
 
     @property
-    def failed(self) -> list[SubmissionRecord]:
+    def failed(self) -> list[SubmissionSpan]:
         return [r for r in self.completed if not r.success]
 
     @property

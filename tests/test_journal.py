@@ -135,46 +135,55 @@ def test_event_type_table_covers_the_whole_vocabulary():
             assert name in EVENT_TYPES
 
 
-def _serve(journal=None, max_series_points=None, horizon=3600.0):
+def _serve(journal=None, **config):
     runner = ServiceRunner(ServiceConfig(
-        workers=2, max_concurrent_apps=2, sample_period_s=120.0,
-        max_series_points=max_series_points, seed=0,
+        workers=2, max_concurrent_apps=2, sample_period_s=120.0, seed=0,
+        **config,
     ))
     report = runner.run(
         make_arrivals("poisson", 20.0 / 3600.0, seed=3),
-        horizon_s=horizon,
+        horizon_s=3600.0,
         targets=SloTargets(p99_s=4000.0),
         journal=journal,
     )
     return runner, report
 
 
-def test_service_report_rebuilds_byte_identically_from_journal():
+def _journalled(**config):
+    """(runner, live report, journal text) of one service run."""
     buffer = io.StringIO()
     journal = EventJournal(buffer)
-    _, live = _serve(journal=journal)
+    runner, live = _serve(journal=journal, **config)
     journal.close()
-    rebuilt = load_service_report(io.StringIO(buffer.getvalue()))
+    return runner, live, buffer.getvalue()
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({}, id="drain"),
+    pytest.param({"drain": False, "admission_overflow": "reject"},
+                 id="no-drain-reject"),
+    pytest.param({"max_series_points": 8}, id="max-series-points-8"),
+])
+def test_service_report_rebuilds_byte_identically_from_journal(config):
+    runner, live, text = _journalled(**config)
+    rebuilt = load_service_report(io.StringIO(text))
     assert rebuilt.render() == live.render()
     assert rebuilt.passed() == live.passed()
+    assert load_registry(io.StringIO(text)).to_json() \
+        == runner.registry.to_json()
+    if not config.get("drain", True):
+        assert live.rejected and live.unfinished
+    if config.get("max_series_points"):
+        sampled = live.backlog[-1][0] / 120.0 + 1  # before decimation
+        assert len(rebuilt.backlog) <= 8 < sampled
 
 
-def test_service_report_rebuild_matches_under_series_decimation():
-    buffer = io.StringIO()
-    journal = EventJournal(buffer)
-    _, live = _serve(journal=journal, max_series_points=8, horizon=7200.0)
-    journal.close()
-    rebuilt = load_service_report(io.StringIO(buffer.getvalue()))
-    assert rebuilt.render() == live.render()
-    assert len(rebuilt.backlog) <= 8
-
-
-def test_load_registry_matches_the_live_registry():
-    buffer = io.StringIO()
-    journal = EventJournal(buffer)
-    runner, _ = _serve(journal=journal)
-    journal.close()
-    offline = load_registry(io.StringIO(buffer.getvalue()))
+@pytest.mark.parametrize("max_series_points", [None, 8],
+                         ids=["unbounded", "max-series-points-8"])
+def test_load_registry_matches_the_live_registry(max_series_points):
+    runner, _, text = _journalled(max_series_points=max_series_points)
+    offline = load_registry(io.StringIO(text))
+    assert offline.to_json() == runner.registry.to_json()
     assert offline.to_prometheus() == runner.registry.to_prometheus()
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.experiments.common import percentile
+from repro.obs.spans import SubmissionSpan
 from repro.service import (
     ARRIVAL_NAMES,
     BurstArrivals,
@@ -27,7 +28,6 @@ from repro.service import (
     ServiceReport,
     ServiceRunner,
     SloTargets,
-    SubmissionRecord,
     TenantProfile,
     build_schedule,
     make_arrivals,
@@ -183,10 +183,10 @@ def test_percentile_matches_reference_implementation():
 
 def _record(index, submitted, admitted=None, finished=None,
             success=True, rejected=False, tenant="genomics", kind="snv"):
-    return SubmissionRecord(
-        index=index, name=f"job-{index:05d}-{kind}", tenant=tenant,
-        kind=kind, submitted_at=submitted, admitted_at=admitted,
-        finished_at=finished, success=success, rejected=rejected,
+    return SubmissionSpan(
+        name=f"job-{index:05d}-{kind}", tenant=tenant, workload=kind,
+        submitted_at=submitted, admitted_at=admitted, finished_at=finished,
+        success=success, rejected=rejected,
     )
 
 
@@ -439,6 +439,45 @@ def test_cli_serve_sim_is_byte_deterministic(capsys, tmp_path):
     assert main(SERVE_SMOKE_ARGS + ["--quiet", "--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_cli_replayed_metrics_match_the_live_run_byte_for_byte(
+        capsys, tmp_path):
+    from repro.cli import main
+
+    journal = tmp_path / "journal.jsonl"
+    live, replayed = tmp_path / "live.json", tmp_path / "replayed.json"
+    assert main(SERVE_SMOKE_ARGS + [
+        "--quiet", "--max-series-points", "8", "--events-out", str(journal),
+        "--metrics-out", str(live),
+    ]) == 0
+    assert main(["report", "--from-journal", str(journal), "--quiet",
+                 "--metrics-out", str(replayed)]) == 0
+    capsys.readouterr()
+    assert replayed.read_bytes() == live.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve-sim", "--sample-period-s", "0"],
+    ["serve-sim", "--sample-period-s", "-5"],
+    ["serve-sim", "--live-period-s", "0"],
+    ["serve-sim", "--max-series-points", "1"],
+    ["slo-watch", "journal.jsonl", "--window-s", "0"],
+    ["slo-watch", "journal.jsonl", "--window-s", "-1"],
+])
+def test_cli_rejects_out_of_range_periods_as_usage_errors(argv, capsys):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", [0.0, -5.0])
+def test_service_config_rejects_non_positive_sample_period(period):
+    with pytest.raises(ValueError, match="sample_period_s"):
+        ServiceConfig(sample_period_s=period)
 
 
 def test_cli_serve_sim_slo_gate_exit_code(capsys):
