@@ -72,8 +72,13 @@ def _checked(convert, holds, requirement: str):
     return parse
 
 
-#: Periods and windows; a zero sample period would never terminate.
+#: Periods, windows, sizes and rates; a zero sample period would never
+#: terminate, and a zero-capacity node or link never finishes a task.
 _positive_float = _checked(float, lambda value: value > 0, "positive")
+#: Workers, containers and vcores: at least one to run anything on.
+_positive_int = _checked(int, lambda value: value > 0, "positive")
+#: Row caps of the rendered tables.
+_row_count = _checked(int, lambda value: value >= 0, "non-negative")
 #: Series decimation keeps every second sample, so it needs two.
 _series_bound = _checked(int, lambda value: value >= 2, "at least 2")
 
@@ -161,7 +166,7 @@ def _add_workflow_arguments(
         parser.add_argument("workflow", help="workflow file (any supported language)")
     parser.add_argument("--language", choices=["cuneiform", "dax", "galaxy", "trace", "cwl"],
                         help="skip auto-detection")
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=_positive_int, default=4)
     parser.add_argument("--masters", type=int, default=1)
     parser.add_argument("--node-type", choices=sorted(NODE_TYPES), default="m3.large")
     parser.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="data-aware")
@@ -174,10 +179,13 @@ def _add_workflow_arguments(
     parser.add_argument("--install", dest="tools", action="append", default=[],
                         metavar="TOOL", help="install only these tools "
                         "(default: every built-in profile)")
-    parser.add_argument("--container-vcores", type=int, default=1)
-    parser.add_argument("--container-memory-mb", type=float, default=1024.0)
-    parser.add_argument("--containers-per-node", type=int, default=None)
-    parser.add_argument("--backbone-mb-s", type=float, default=10_000.0)
+    parser.add_argument("--container-vcores", type=_positive_int, default=1)
+    parser.add_argument("--container-memory-mb", type=_positive_float,
+                        default=1024.0)
+    parser.add_argument("--containers-per-node", type=_positive_int,
+                        default=None)
+    parser.add_argument("--backbone-mb-s", type=_positive_float,
+                        default=10_000.0)
     parser.add_argument("--rm-policy", choices=["fifo", "fair", "drf"],
                         default="fifo",
                         help="cross-application RM allocation policy "
@@ -244,9 +252,11 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                          help="truncate the schedule after N submissions")
 
     deployment = parser.add_argument_group("deployment")
-    deployment.add_argument("--workers", type=int, default=8)
-    deployment.add_argument("--containers-per-node", type=int, default=3)
-    deployment.add_argument("--backbone-mb-s", type=float, default=100.0)
+    deployment.add_argument("--workers", type=_positive_int, default=8)
+    deployment.add_argument("--containers-per-node", type=_positive_int,
+                            default=3)
+    deployment.add_argument("--backbone-mb-s", type=_positive_float,
+                            default=100.0)
     deployment.add_argument("--rm-policy", choices=["fifo", "fair", "drf"],
                             default="fair",
                             help="cross-application RM allocation policy "
@@ -423,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print an ASCII Gantt chart of the run")
     trace = subparsers.add_parser(
         "trace",
-        help="execute a workflow with the tracer attached and export a "
-        "Chrome trace_event JSON (chrome://tracing / Perfetto)",
+        help="execute a workflow and export its Chrome trace_event JSON "
+        "(chrome://tracing / Perfetto)",
     )
     _add_workflow_arguments(trace)
     trace.add_argument("--out", default="trace.json",
@@ -447,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--prometheus-out", metavar="PATH",
                         help="also write the metrics registry in Prometheus "
                         "text exposition format here")
-    report.add_argument("--max-tasks", type=int, default=20,
+    report.add_argument("--max-tasks", type=_row_count, default=20,
                         help="rows in the per-task slack table (default: 20)")
     explain = subparsers.add_parser(
         "explain",
@@ -487,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain_submission.add_argument("--trace-out", metavar="PATH",
                                     help="export every span tree as a Chrome "
                                     "trace_event JSON grouped by tenant")
-    explain_submission.add_argument("--max-attempts", type=int, default=30,
+    explain_submission.add_argument("--max-attempts", type=_row_count,
+                                    default=30,
                                     help="attempt rows per tree (default: 30)")
     serve = subparsers.add_parser(
         "serve-sim",
@@ -507,17 +518,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute_workflow(args, observe=None, provenance_store=None):
+def _execute_workflow(args, event_types=(), provenance_store=None):
     """Parse, provision, stage and run on ``args.engine``.
 
-    Returns ``(cluster, result, observer)`` or an int exit code.
-    ``observe`` (when given) is called with the cluster's event bus
-    before tools are installed or inputs staged, and its return value
-    comes back as ``observer`` — the one way every subcommand attaches
-    its tracer, critical-path analyzer or decision auditor, on every
-    engine. The metrics registry is ``cluster.metrics.registry``.
-    Tez and CloudMan need a static workflow graph, so dynamic sources
-    (Cuneiform) only run on Hi-WAY.
+    Returns ``(cluster, result, events)`` or an int exit code.
+    ``events`` lists, in emission order, every event of ``event_types``
+    from before tools are installed or inputs staged: the one record
+    every subcommand folds into its view, on every engine. Subscribing
+    only the types a view declares keeps audit-only work (candidate
+    scoring for ``SchedulingDecision``) off the other subcommands. The
+    metrics registry is ``cluster.metrics.registry``. Tez and CloudMan
+    need a static workflow graph, so dynamic sources (Cuneiform) only
+    run on Hi-WAY.
     """
     engine = getattr(args, "engine", "hiway")
     with open(args.workflow, "r", encoding="utf-8") as handle:
@@ -545,7 +557,9 @@ def _execute_workflow(args, observe=None, provenance_store=None):
         backbone_mb_s=args.backbone_mb_s,
     ))
     cluster.metrics.attach(cluster.bus)
-    observer = observe(cluster.bus) if observe is not None else None
+    events: list = []
+    for event_type in event_types:
+        cluster.bus.subscribe(event_type, events.append)
     tools = default_registry()
     for node in cluster.all_nodes():
         node.install(*(args.tools or tools.names()))
@@ -608,7 +622,7 @@ def _execute_workflow(args, observe=None, provenance_store=None):
                 print(f"  output: {path} ({size_mb:.1f} MB)")
         for diagnostic in result.diagnostics:
             print(f"  diagnostic: {diagnostic}")
-    return cluster, result, observer
+    return cluster, result, events
 
 
 def run_command(args) -> int:
@@ -632,21 +646,24 @@ def run_command(args) -> int:
 
 def trace_command(args) -> int:
     """Execute the ``trace`` subcommand; returns the exit code."""
-    from repro.obs.tracer import Tracer
+    from repro.obs.tracer import TRACE_EVENTS, dump_chrome_trace, trace_records
 
-    outcome = _execute_workflow(args, observe=lambda bus: Tracer(
-        bus, include_hdfs=not args.no_hdfs_events
-    ))
+    outcome = _execute_workflow(args, TRACE_EVENTS)
     if isinstance(outcome, int):
         return outcome
-    cluster, result, tracer = outcome
-    tracer.save(args.out)
+    cluster, result, events = outcome
+    records = trace_records(events, cluster.env.now,
+                            include_hdfs=not args.no_hdfs_events)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(dump_chrome_trace(records) + "\n")
     if not args.quiet:
         registry = cluster.metrics.registry
         allocate_wait = registry.get("hiway_container_allocate_wait_seconds")
         print(f"  chrome trace saved to {args.out} "
               "(open in chrome://tracing or https://ui.perfetto.dev)")
-        print(f"  spans: {len(tracer.spans)}")
+        closed = sum(1 for record in records if record["ph"] == "X"
+                     and "incomplete" not in record.get("args", ()))
+        print(f"  spans: {closed}")
         for outcome_label in ("success", "failure"):
             attempts = registry.value(
                 "hiway_task_attempts_total", outcome=outcome_label
@@ -673,9 +690,23 @@ def _write_metrics(args, registry) -> None:
             print(f"metrics (Prometheus) saved to {args.prometheus_out}")
 
 
+def _print_workflow_report(args, events, registry) -> bool:
+    """Print the critical-path report of the latest finished workflow in
+    ``events``: one fold and one selection, live or replayed. False
+    (with an error on stderr) when ``events`` hold no workflow."""
+    from repro.obs.analysis import analyze, latest_finished, render_report
+
+    try:
+        analysis = latest_finished(analyze(events))
+    except KeyError as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return False
+    print(render_report(analysis, registry=registry, max_tasks=args.max_tasks))
+    return True
+
+
 def _report_from_journal(args) -> int:
     """``report --from-journal``: rebuild reports offline from a journal."""
-    from repro.obs.analysis import CriticalPathAnalyzer, render_report
     from repro.obs.journal import JournalError, read_journal, replay_registry
 
     try:
@@ -691,19 +722,17 @@ def _report_from_journal(args) -> int:
         report = ServiceReport.from_events(meta["service"], events, registry)
         print(report.render(), end="")
         exit_code = 0 if report.passed() else 1
-    else:
-        analyzer = CriticalPathAnalyzer()
-        analyzer.replay(events)
-        print(render_report(analyzer.analysis(), registry=registry,
-                            max_tasks=args.max_tasks))
+    elif _print_workflow_report(args, events, registry):
         exit_code = 0
+    else:
+        return 2
     _write_metrics(args, registry)
     return exit_code
 
 
 def report_command(args) -> int:
     """Execute the ``report`` subcommand; returns the exit code."""
-    from repro.obs.analysis import CriticalPathAnalyzer, render_report
+    from repro.obs.analysis import ANALYSIS_EVENTS
 
     if args.from_journal:
         return _report_from_journal(args)
@@ -712,34 +741,33 @@ def report_command(args) -> int:
               file=sys.stderr)
         return 2
 
-    outcome = _execute_workflow(args, observe=CriticalPathAnalyzer)
+    outcome = _execute_workflow(args, ANALYSIS_EVENTS)
     if isinstance(outcome, int):
         return outcome
-    cluster, result, analyzer = outcome
+    cluster, result, events = outcome
     registry = cluster.metrics.registry
-    analysis = analyzer.analysis(result.workflow_id)
     print()
-    print(render_report(analysis, registry=registry,
-                        max_tasks=args.max_tasks))
+    if not _print_workflow_report(args, events, registry):
+        return 1
     _write_metrics(args, registry)
     return 0 if result.success else 1
 
 
 def explain_command(args) -> int:
     """Execute the ``explain`` subcommand; returns the exit code."""
-    from repro.obs.decisions import DecisionAuditor
+    from repro.obs.decisions import DECISION_EVENTS, explain, task_ids
 
-    outcome = _execute_workflow(args, observe=DecisionAuditor)
+    outcome = _execute_workflow(args, DECISION_EVENTS)
     if isinstance(outcome, int):
         return outcome
-    _, result, auditor = outcome
+    _, result, decisions = outcome
     print()
     try:
-        print(auditor.explain(args.task_id))
+        print(explain(decisions, args.task_id))
     except KeyError:
         print(f"error: no scheduling decisions recorded for task "
               f"{args.task_id!r}", file=sys.stderr)
-        known = auditor.task_ids()
+        known = task_ids(decisions)
         if known:
             print("known task ids: " + ", ".join(known), file=sys.stderr)
         return 1

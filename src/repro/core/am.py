@@ -186,7 +186,7 @@ class HiWayApplicationMaster:
         self.provenance = provenance
         # The AM publishes workflow/task/file events onto the cluster's
         # observability bus; the provenance manager records them as a
-        # bus subscriber (Sec. 3.5), alongside any tracer attached.
+        # bus subscriber (Sec. 3.5), alongside any other subscriber.
         self.bus = cluster.bus
         provenance.attach(self.bus)
         self.config = config or HiWayConfig()

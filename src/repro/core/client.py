@@ -7,10 +7,12 @@ results in a separate Hi-WAY AM instance being spawned. The
 defaults so examples and tests stay short.
 
 Observers attach to the installation's event bus, never to the
-configuration: ``Tracer(hiway.bus)`` records Chrome-trace spans,
-``DecisionAuditor(hiway.bus)`` records every placement with its scored
-candidates, and ``hiway.registry`` (always attached) aggregates the
-standard metrics.
+configuration. ``hiway.registry`` (always attached) aggregates the
+standard metrics. Every other view records events and folds them
+afterwards: subscribe ``events.append`` to the types a view declares
+(``TRACE_EVENTS``, ``ANALYSIS_EVENTS``, ``DECISION_EVENTS``), run,
+then call ``trace_records(events, now)``, ``analyze(events)`` or
+``explain(events, task_id)``.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class HiWay:
 
         Every AM gets its own workflow id (threaded through bus events,
         the metrics registry, the decision audit and the critical-path
-        analyzer), so per-workflow observability survives the
+        fold), so per-workflow observability survives the
         multi-tenancy (Sec. 3.1: "many independent AMs").
         """
         processes = self.submit_many(

@@ -35,11 +35,10 @@ __all__ = ["SchedulerContext", "WorkflowScheduler", "QueueScheduler"]
 class SchedulerContext:
     """Everything a scheduling policy may consult.
 
-    ``bus`` and ``workflow_id`` exist for the decision audit: when a
-    :class:`~repro.obs.decisions.DecisionAuditor` (or any other
-    subscriber of :class:`~repro.obs.events.SchedulingDecision`) is
-    attached, policies publish every placement with its scored
-    candidate set. The AM fills ``workflow_id`` once it is allocated.
+    ``bus`` and ``workflow_id`` exist for the decision audit: while
+    anything subscribes to :class:`~repro.obs.events.SchedulingDecision`
+    (``python -m repro explain`` does), policies publish every placement
+    with its scored candidate set. The AM fills ``workflow_id`` once it is allocated.
     """
 
     worker_ids: list[str]

@@ -1,20 +1,29 @@
 """repro.obs — the unified observability spine.
 
 One typed :class:`EventBus` per cluster carries every workflow, task,
-file, YARN, HDFS and failure event; the
+file, YARN, HDFS and failure event. The
 :class:`~repro.core.provenance.manager.ProvenanceManager`,
 :class:`~repro.sim.metrics.MetricRecorder` (and its
-:class:`MetricsRegistry`) are always subscribed, and every optional
-observer — :class:`Tracer`, :class:`DecisionAuditor`,
-:class:`CriticalPathAnalyzer`, :class:`EventJournal`,
-:class:`LiveMonitor` — is attached the same way, by passing it the
-bus. See the README "Observability" section for the topic map and CLI
-usage.
+:class:`MetricsRegistry`) are always subscribed; an
+:class:`EventJournal` or a :class:`LiveMonitor` attaches the same way,
+by passing it the bus. Every single-workflow view is a pure fold over
+a recorded event list, identical live or decoded from a journal:
+:func:`trace_records` (Chrome trace), :func:`analyze` (critical path)
+and :func:`repro.obs.decisions.explain` (decision audit). Each declares
+the event types it reads (``TRACE_EVENTS``, ``ANALYSIS_EVENTS``,
+``DECISION_EVENTS``). See the README "Observability" section for the
+topic map and CLI usage.
 """
 
-from repro.obs.analysis import CriticalPathAnalyzer, WorkflowAnalysis, render_report
+from repro.obs.analysis import (
+    ANALYSIS_EVENTS,
+    WorkflowAnalysis,
+    analyze,
+    latest_finished,
+    render_report,
+)
 from repro.obs.bus import EventBus, Subscription
-from repro.obs.decisions import DecisionAuditor
+from repro.obs.decisions import DECISION_EVENTS
 from repro.obs.events import (
     ApplicationRegistered,
     ApplicationUnregistered,
@@ -66,19 +75,22 @@ from repro.obs.spans import (
     render_submission,
     to_chrome_trace,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import TRACE_EVENTS, trace_records
 
 __all__ = [
     "EventBus",
     "Subscription",
-    "Tracer",
+    "TRACE_EVENTS",
+    "trace_records",
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
     "Series",
-    "DecisionAuditor",
-    "CriticalPathAnalyzer",
+    "DECISION_EVENTS",
+    "ANALYSIS_EVENTS",
+    "analyze",
+    "latest_finished",
     "WorkflowAnalysis",
     "render_report",
     "EventJournal",

@@ -1,7 +1,7 @@
 """Critical-path and bottleneck analysis over the event stream.
 
-The :class:`CriticalPathAnalyzer` subscribes to (or replays) a
-cluster's observability stream and reconstructs, per workflow:
+:func:`analyze` folds a recorded event list — the live run's or one
+decoded from a journal — and reconstructs, per workflow:
 
 * a **task span** per completed task — dispatch, start, finish, split
   into scheduler/allocation wait, stage-in, compute and stage-out;
@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.obs import events as ev
-from repro.obs.bus import EventBus, Subscription
 
-__all__ = ["TaskSpan", "WorkflowAnalysis", "CriticalPathAnalyzer",
-           "render_report"]
+__all__ = ["ANALYSIS_EVENTS", "TaskSpan", "WorkflowAnalysis", "analyze",
+           "latest_finished", "render_report"]
 
 
 @dataclass
@@ -124,186 +123,169 @@ class WorkflowAnalysis:
         return by_node
 
 
-class CriticalPathAnalyzer:
-    """Reconstructs workflow structure from the observability stream."""
+#: The events :func:`analyze` reads.
+ANALYSIS_EVENTS = (
+    ev.WorkflowStarted,
+    ev.WorkflowFinished,
+    ev.TaskDispatched,
+    ev.TaskAttemptFinished,
+    ev.FileStaged,
+)
 
-    def __init__(self, bus: Optional[EventBus] = None):
-        self.workflows: dict[str, WorkflowAnalysis] = {}
-        self._dispatch_t: dict[tuple[str, str], float] = {}
-        self._subscriptions: list[Subscription] = []
-        if bus is not None:
-            self.attach(bus)
 
-    def attach(self, bus: EventBus) -> None:
-        """Subscribe to the workflow/task/file events of ``bus``."""
-        for event_type in (
-            ev.WorkflowStarted,
-            ev.WorkflowFinished,
-            ev.TaskDispatched,
-            ev.TaskRetried,
-            ev.TaskAttemptFinished,
-            ev.FileStaged,
-        ):
-            self._subscriptions.append(bus.subscribe(event_type, self.feed))
+def analyze(events: Iterable[ev.ObsEvent]) -> dict[str, WorkflowAnalysis]:
+    """Every workflow of ``events`` by id, in start order.
 
-    def detach(self) -> None:
-        """Unsubscribe (accumulated analyses stay available)."""
-        for subscription in self._subscriptions:
-            subscription.cancel()
-        self._subscriptions.clear()
-
-    # -- event ingestion -----------------------------------------------------------
-
-    def feed(self, event: ev.ObsEvent) -> None:
-        """Ingest one event (bus delivery or offline replay)."""
+    A workflow whose ``WorkflowFinished`` is among the events is
+    finalised (``complete``): its DAG, critical path and slacks are
+    filled in.
+    """
+    workflows: dict[str, WorkflowAnalysis] = {}
+    dispatch_t: dict[tuple[str, str], float] = {}
+    for event in events:
         if isinstance(event, ev.WorkflowStarted):
-            self.workflows[event.workflow_id] = WorkflowAnalysis(
+            workflows[event.workflow_id] = WorkflowAnalysis(
                 workflow_id=event.workflow_id,
                 name=event.name,
                 started_at=event.t,
             )
         elif isinstance(event, ev.TaskDispatched):
-            self._dispatch_t[(event.workflow_id, event.task_id)] = event.t
+            dispatch_t[(event.workflow_id, event.task_id)] = event.t
         elif isinstance(event, ev.TaskAttemptFinished):
-            self._on_attempt(event)
+            _on_attempt(workflows.get(event.workflow_id), dispatch_t, event)
         elif isinstance(event, ev.FileStaged):
-            self._on_file(event)
+            _on_file(workflows.get(event.workflow_id), event)
         elif isinstance(event, ev.WorkflowFinished):
-            analysis = self.workflows.get(event.workflow_id)
+            analysis = workflows.get(event.workflow_id)
             if analysis is not None:
                 analysis.finished_at = event.t
                 analysis.success = event.success
-                self._finalise(analysis)
+                _finalise(analysis)
+    return workflows
 
-    def replay(self, events: Iterable[ev.ObsEvent]) -> None:
-        """Feed a pre-recorded event stream (offline analysis)."""
-        for event in events:
-            self.feed(event)
 
-    def _on_attempt(self, event: ev.TaskAttemptFinished) -> None:
-        analysis = self.workflows.get(event.workflow_id)
-        if analysis is None or event.task is None:
-            return
-        task = event.task
-        existing = analysis.spans.get(task.task_id)
-        attempts = (existing.attempts + 1) if existing is not None else 1
-        if not event.success:
-            # Keep a failed attempt only as an attempt count; spans
-            # describe the attempt that actually produced the outputs.
-            if existing is not None:
-                existing.attempts = attempts
-            else:
-                analysis.spans[task.task_id] = TaskSpan(
-                    task_id=task.task_id, tool=task.tool,
-                    node_id=event.node_id,
-                    dispatched_at=self._dispatch_t.get(
-                        (event.workflow_id, task.task_id), event.t
-                    ),
-                    started_at=event.t, finished_at=event.t,
-                )
-            return
-        dispatched = self._dispatch_t.get(
-            (event.workflow_id, task.task_id),
-            event.t - event.makespan_seconds,
-        )
-        analysis.spans[task.task_id] = TaskSpan(
-            task_id=task.task_id,
-            tool=task.tool,
-            node_id=event.node_id,
-            dispatched_at=dispatched,
-            started_at=event.t - event.makespan_seconds,
-            finished_at=event.t,
-            attempts=attempts,
-            inputs=tuple(task.inputs),
-            outputs=tuple(task.outputs),
-        )
+def latest_finished(workflows: dict[str, WorkflowAnalysis]) -> WorkflowAnalysis:
+    """The last workflow to finish, else the last to start."""
+    if not workflows:
+        raise KeyError("no workflows observed")
+    finished = [w for w in workflows.values() if w.complete]
+    return (finished or list(workflows.values()))[-1]
 
-    def _on_file(self, event: ev.FileStaged) -> None:
-        analysis = self.workflows.get(event.workflow_id)
-        if analysis is None or event.task is None or event.report is None:
-            return
-        span = analysis.spans.get(event.task.task_id)
-        if span is None:
-            return
-        # Inputs (and outputs) move in parallel, so the phase's wall
-        # clock is the slowest transfer, not the sum.
-        if event.report.direction == "in":
-            span.stage_in_seconds = max(
-                span.stage_in_seconds, event.report.seconds
-            )
+
+def _on_attempt(
+    analysis: Optional[WorkflowAnalysis],
+    dispatch_t: dict[tuple[str, str], float],
+    event: ev.TaskAttemptFinished,
+) -> None:
+    if analysis is None or event.task is None:
+        return
+    task = event.task
+    existing = analysis.spans.get(task.task_id)
+    attempts = (existing.attempts + 1) if existing is not None else 1
+    if not event.success:
+        # Keep a failed attempt only as an attempt count; spans
+        # describe the attempt that actually produced the outputs.
+        if existing is not None:
+            existing.attempts = attempts
         else:
-            span.stage_out_seconds = max(
-                span.stage_out_seconds, event.report.seconds
+            analysis.spans[task.task_id] = TaskSpan(
+                task_id=task.task_id, tool=task.tool,
+                node_id=event.node_id,
+                dispatched_at=dispatch_t.get(
+                    (event.workflow_id, task.task_id), event.t
+                ),
+                started_at=event.t, finished_at=event.t,
             )
+        return
+    dispatched = dispatch_t.get(
+        (event.workflow_id, task.task_id),
+        event.t - event.makespan_seconds,
+    )
+    analysis.spans[task.task_id] = TaskSpan(
+        task_id=task.task_id,
+        tool=task.tool,
+        node_id=event.node_id,
+        dispatched_at=dispatched,
+        started_at=event.t - event.makespan_seconds,
+        finished_at=event.t,
+        attempts=attempts,
+        inputs=tuple(task.inputs),
+        outputs=tuple(task.outputs),
+    )
 
-    # -- structure ----------------------------------------------------------------
 
-    def _finalise(self, analysis: WorkflowAnalysis) -> None:
-        """Recover the DAG, critical path and slacks for one workflow."""
-        spans = analysis.spans
-        producer: dict[str, str] = {}
-        for span in spans.values():
-            for path in span.outputs:
-                producer[path] = span.task_id
-        parents: dict[str, list[str]] = {}
-        children: dict[str, list[str]] = {task_id: [] for task_id in spans}
-        for span in spans.values():
-            seen: list[str] = []
-            for path in span.inputs:
-                parent = producer.get(path)
-                if parent is not None and parent != span.task_id and parent not in seen:
-                    seen.append(parent)
-                    children[parent].append(span.task_id)
-            parents[span.task_id] = seen
-        analysis.parents = parents
+def _on_file(analysis: Optional[WorkflowAnalysis], event: ev.FileStaged) -> None:
+    if analysis is None or event.task is None or event.report is None:
+        return
+    span = analysis.spans.get(event.task.task_id)
+    if span is None:
+        return
+    # Inputs (and outputs) move in parallel, so the phase's wall
+    # clock is the slowest transfer, not the sum.
+    if event.report.direction == "in":
+        span.stage_in_seconds = max(
+            span.stage_in_seconds, event.report.seconds
+        )
+    else:
+        span.stage_out_seconds = max(
+            span.stage_out_seconds, event.report.seconds
+        )
 
-        if spans:
-            # Critical path: from the last finisher, walk back through
-            # the parent whose output arrived last (ties: first in
-            # input order, which is deterministic).
-            end_task = max(
-                spans.values(), key=lambda s: (s.finished_at, s.task_id)
-            ).task_id
-            path = [end_task]
-            while parents[path[-1]]:
-                path.append(max(
-                    parents[path[-1]],
-                    key=lambda task_id: spans[task_id].finished_at,
-                ))
-            path.reverse()
-            analysis.critical_path = path
-            for task_id in path:
-                spans[task_id].on_critical_path = True
 
-            # Slack: latest finish keeping the observed workflow end,
-            # assuming each task needs its observed start->finish span
-            # and children could start the instant their parents finish.
-            end_at = max(span.finished_at for span in spans.values())
-            latest_finish: dict[str, float] = {}
-            for span in sorted(
-                spans.values(), key=lambda s: -s.finished_at
-            ):
-                bounds = [
-                    latest_finish[child] - spans[child].makespan_seconds
-                    for child in children[span.task_id]
-                ]
-                latest_finish[span.task_id] = min(bounds) if bounds else end_at
-                span.slack_seconds = max(
-                    latest_finish[span.task_id] - span.finished_at, 0.0
-                )
-        analysis.complete = True
+def _finalise(analysis: WorkflowAnalysis) -> None:
+    """Recover the DAG, critical path and slacks for one workflow."""
+    spans = analysis.spans
+    producer: dict[str, str] = {}
+    for span in spans.values():
+        for path in span.outputs:
+            producer[path] = span.task_id
+    parents: dict[str, list[str]] = {}
+    children: dict[str, list[str]] = {task_id: [] for task_id in spans}
+    for span in spans.values():
+        seen: list[str] = []
+        for path in span.inputs:
+            parent = producer.get(path)
+            if parent is not None and parent != span.task_id and parent not in seen:
+                seen.append(parent)
+                children[parent].append(span.task_id)
+        parents[span.task_id] = seen
+    analysis.parents = parents
 
-    # -- selection ----------------------------------------------------------------
+    if spans:
+        # Critical path: from the last finisher, walk back through
+        # the parent whose output arrived last (ties: first in
+        # input order, which is deterministic).
+        end_task = max(
+            spans.values(), key=lambda s: (s.finished_at, s.task_id)
+        ).task_id
+        path = [end_task]
+        while parents[path[-1]]:
+            path.append(max(
+                parents[path[-1]],
+                key=lambda task_id: spans[task_id].finished_at,
+            ))
+        path.reverse()
+        analysis.critical_path = path
+        for task_id in path:
+            spans[task_id].on_critical_path = True
 
-    def analysis(self, workflow_id: Optional[str] = None) -> WorkflowAnalysis:
-        """The analysis for ``workflow_id`` (default: latest finished)."""
-        if not self.workflows:
-            raise KeyError("no workflows observed")
-        if workflow_id is None:
-            finished = [w for w in self.workflows.values() if w.complete]
-            pool = finished or list(self.workflows.values())
-            return pool[-1]
-        return self.workflows[workflow_id]
+        # Slack: latest finish keeping the observed workflow end,
+        # assuming each task needs its observed start->finish span
+        # and children could start the instant their parents finish.
+        end_at = max(span.finished_at for span in spans.values())
+        latest_finish: dict[str, float] = {}
+        for span in sorted(
+            spans.values(), key=lambda s: -s.finished_at
+        ):
+            bounds = [
+                latest_finish[child] - spans[child].makespan_seconds
+                for child in children[span.task_id]
+            ]
+            latest_finish[span.task_id] = min(bounds) if bounds else end_at
+            span.slack_seconds = max(
+                latest_finish[span.task_id] - span.finished_at, 0.0
+            )
+    analysis.complete = True
 
 
 def render_report(

@@ -3,160 +3,90 @@
 Every scheduling policy publishes a
 :class:`~repro.obs.events.SchedulingDecision` for each placement it
 makes — the chosen pairing plus the scored candidate set it weighed.
-The :class:`DecisionAuditor` subscribes to that stream and can explain
-any placement after the fact, which is what provenance-centric related
-work asks of execution traces: enough infrastructure context to justify
-and reproduce decisions, not just outcomes.
-
-The audit log serialisation (:meth:`DecisionAuditor.log_lines`) is
-deterministic: two runs with identical seeds produce byte-identical
-logs, guarded by ``tests/test_decisions.py``.
+The audit is the list of those events, live or decoded from a journal;
+:func:`explain` accounts for any placement after the fact, which is what
+provenance-centric related work asks of execution traces: enough
+infrastructure context to justify and reproduce decisions, not just
+outcomes. The functions take any event list and read only its
+decisions.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Optional
+from typing import Iterable, Optional
 
-from repro.obs.bus import EventBus, Subscription
-from repro.obs.events import SchedulingDecision
+from repro.obs.events import ObsEvent, SchedulingDecision
 
-__all__ = ["DecisionAuditor"]
+__all__ = ["DECISION_EVENTS", "decisions_for", "explain", "task_ids"]
+
+#: The events the audit reads. Policies score the rejected candidates
+#: only while someone subscribes to these.
+DECISION_EVENTS = (SchedulingDecision,)
 
 
 def _fmt_score(score: float) -> str:
     return f"{score:.6g}"
 
 
-class DecisionAuditor:
-    """Bus subscriber accumulating the scheduler decision audit log."""
+def task_ids(
+    events: Iterable[ObsEvent], workflow_id: Optional[str] = None
+) -> list[str]:
+    """Distinct task ids with at least one decision, in event order.
 
-    def __init__(self, bus: Optional[EventBus] = None):
-        self.decisions: list[SchedulingDecision] = []
-        self._subscription: Optional[Subscription] = None
-        if bus is not None:
-            self.attach(bus)
+    With ``workflow_id`` only that workflow's decisions count — needed
+    once several AMs share one installation (``run_many``).
+    """
+    return list(dict.fromkeys(
+        d.task_id for d in events
+        if isinstance(d, SchedulingDecision)
+        and (workflow_id is None or d.workflow_id == workflow_id)
+    ))
 
-    def attach(self, bus: EventBus) -> None:
-        """Start recording ``bus``'s scheduling decisions (one bus max)."""
-        if self._subscription is not None:
-            raise RuntimeError("auditor already attached to a bus")
-        self._subscription = bus.subscribe(
-            SchedulingDecision, self.decisions.append
+
+def decisions_for(
+    events: Iterable[ObsEvent], task_id: str, workflow_id: Optional[str] = None
+) -> list[SchedulingDecision]:
+    """All decisions about ``task_id``, in event order."""
+    return [
+        d
+        for d in events
+        if isinstance(d, SchedulingDecision)
+        and d.task_id == task_id
+        and (workflow_id is None or d.workflow_id == workflow_id)
+    ]
+
+
+def explain(
+    events: Iterable[ObsEvent], task_id: str, workflow_id: Optional[str] = None
+) -> str:
+    """Human-readable account of every decision about ``task_id``.
+
+    Names the policy, the chosen node and the full scored candidate
+    set; raises ``KeyError`` when the task was never decided on.
+    ``workflow_id`` restricts the account to one concurrent
+    workflow's decisions.
+    """
+    decisions = decisions_for(events, task_id, workflow_id=workflow_id)
+    if not decisions:
+        raise KeyError(task_id)
+    lines: list[str] = []
+    for decision in decisions:
+        lines.append(
+            f"task {decision.task_id}: {decision.policy} [{decision.kind}]"
+            f" chose node {decision.node_id} at t={decision.t:.3f}s"
+            + (f" ({decision.reason})" if decision.reason else "")
         )
-
-    def detach(self) -> None:
-        """Stop recording (the accumulated log stays available)."""
-        if self._subscription is not None:
-            self._subscription.cancel()
-            self._subscription = None
-
-    # -- queries ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    def workflow_ids(self) -> list[str]:
-        """Distinct workflow ids with at least one recorded decision."""
-        seen: dict[str, None] = {}
-        for decision in self.decisions:
-            seen.setdefault(decision.workflow_id)
-        return list(seen)
-
-    def task_ids(self, workflow_id: Optional[str] = None) -> list[str]:
-        """Distinct task ids with at least one recorded decision.
-
-        With ``workflow_id`` only that workflow's decisions count —
-        needed once several AMs share one installation (``run_many``).
-        """
-        seen: dict[str, None] = {}
-        for decision in self.decisions:
-            if workflow_id is not None and decision.workflow_id != workflow_id:
-                continue
-            seen.setdefault(decision.task_id)
-        return list(seen)
-
-    def decisions_for(
-        self, task_id: str, workflow_id: Optional[str] = None
-    ) -> list[SchedulingDecision]:
-        """All recorded decisions about ``task_id``, in event order."""
-        return [
-            d
-            for d in self.decisions
-            if d.task_id == task_id
-            and (workflow_id is None or d.workflow_id == workflow_id)
-        ]
-
-    # -- rendering ----------------------------------------------------------------
-
-    def explain(self, task_id: str, workflow_id: Optional[str] = None) -> str:
-        """Human-readable account of every decision about ``task_id``.
-
-        Names the policy, the chosen node and the full scored candidate
-        set; raises ``KeyError`` when the task was never decided on.
-        ``workflow_id`` restricts the account to one concurrent
-        workflow's decisions.
-        """
-        decisions = self.decisions_for(task_id, workflow_id=workflow_id)
-        if not decisions:
-            raise KeyError(task_id)
-        lines: list[str] = []
-        for decision in decisions:
-            lines.append(
-                f"task {decision.task_id}: {decision.policy} [{decision.kind}]"
-                f" chose node {decision.node_id} at t={decision.t:.3f}s"
-                + (f" ({decision.reason})" if decision.reason else "")
-            )
-            if not decision.candidates:
-                continue
-            chosen_key = (
-                decision.task_id if decision.candidate_kind == "task"
-                else decision.node_id
-            )
-            lines.append(
-                f"  candidates ({decision.candidate_kind}s scored by "
-                f"{decision.score_name}, {decision.better} wins):"
-            )
-            for key, score in decision.candidates:
-                marker = "*" if key == chosen_key else " "
-                lines.append(f"   {marker} {key:<24} {_fmt_score(score)}")
-        return "\n".join(lines)
-
-    def log_lines(self) -> list[str]:
-        """The whole audit log, one deterministic line per decision."""
-        lines = []
-        for d in self.decisions:
-            candidates = ",".join(
-                f"{key}={_fmt_score(score)}" for key, score in d.candidates
-            )
-            lines.append(
-                f"seq={d.seq} t={d.t:.9f} policy={d.policy} kind={d.kind}"
-                f" task={d.task_id} node={d.node_id}"
-                f" score={d.score_name}/{d.better}"
-                f" candidates=[{candidates}]"
-                + (f" reason={d.reason}" if d.reason else "")
-            )
-        return lines
-
-    def to_json(self) -> str:
-        """The audit log as a JSON array (stable field order)."""
-        return json.dumps(
-            [
-                {
-                    "seq": d.seq,
-                    "t": d.t,
-                    "workflow_id": d.workflow_id,
-                    "policy": d.policy,
-                    "kind": d.kind,
-                    "task_id": d.task_id,
-                    "node_id": d.node_id,
-                    "candidate_kind": d.candidate_kind,
-                    "score_name": d.score_name,
-                    "better": d.better,
-                    "reason": d.reason,
-                    "candidates": [list(pair) for pair in d.candidates],
-                }
-                for d in self.decisions
-            ],
-            sort_keys=True,
+        if not decision.candidates:
+            continue
+        chosen_key = (
+            decision.task_id if decision.candidate_kind == "task"
+            else decision.node_id
         )
+        lines.append(
+            f"  candidates ({decision.candidate_kind}s scored by "
+            f"{decision.score_name}, {decision.better} wins):"
+        )
+        for key, score in decision.candidates:
+            marker = "*" if key == chosen_key else " "
+            lines.append(f"   {marker} {key:<24} {_fmt_score(score)}")
+    return "\n".join(lines)

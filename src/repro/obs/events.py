@@ -224,8 +224,8 @@ class SchedulingDecision(ObsEvent):
     position for FCFS, locality fraction for data-aware, relative
     suitability for adaptive-queue, rotation offset for round-robin,
     estimated finish time for HEFT — and ``better`` whether lower or
-    higher scores win. This is the record the
-    :class:`~repro.obs.decisions.DecisionAuditor` replays to explain any
+    higher scores win. This is the record
+    :func:`~repro.obs.decisions.explain` reads to account for any
     placement after the fact.
     """
 

@@ -12,10 +12,12 @@ substrate for the offline tooling:
   into the original ``repro.obs.events`` dataclasses (``t``/``seq``
   preserved);
 * :func:`replay` — deliver recorded events into a fresh bus via
-  :meth:`~repro.obs.bus.EventBus.deliver`, so any subscriber
+  :meth:`~repro.obs.bus.EventBus.deliver`, so a bus subscriber
   (:class:`~repro.obs.registry.MetricsRegistry`,
-  :class:`~repro.obs.analysis.CriticalPathAnalyzer`,
-  :class:`~repro.obs.live.LiveMonitor`) works offline;
+  :class:`~repro.obs.live.LiveMonitor`) works offline; the folds over
+  an event list (:func:`~repro.obs.analysis.analyze`,
+  :func:`~repro.obs.tracer.trace_records`,
+  :func:`~repro.obs.decisions.explain`) take the decoded list as is;
 * :func:`load_registry` / :func:`replay_registry` — rebuild a metrics
   registry from a journal;
 * :func:`load_service_report` — rebuild the ``serve-sim`` report with

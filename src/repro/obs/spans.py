@@ -1,9 +1,10 @@
 """Per-submission span trees built from the event stream.
 
-The :class:`~repro.obs.tracer.Tracer` groups spans by *infrastructure*
-(containers per node, workflows in one process); an operator debugging
-one slow submission wants the opposite grouping — everything that
-happened to *this* submission, in causal order:
+The Chrome trace (:func:`~repro.obs.tracer.trace_records`) groups
+spans by *infrastructure* (containers per node, workflows in one
+process); an operator debugging one slow submission wants the opposite
+grouping — everything that happened to *this* submission, in causal
+order:
 
 ::
 
@@ -20,7 +21,7 @@ Two exports consume the trees: :func:`render_submission` (the
 ``explain-submission`` CLI) and :func:`to_chrome_trace` — one trace
 *process* per tenant, one *thread* per submission, so Perfetto shows
 the service run grouped exactly like the per-tenant SLO report. The
-Chrome export goes through the same formatter as the tracer's
+Chrome export goes through the same formatter as that trace
 (:func:`~repro.obs.tracer.chrome_trace_records`).
 
 Workflows that never passed through the service harness (plain ``run``

@@ -104,6 +104,13 @@ class ServiceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A cluster with no workers or no container slots never drains
+        # its admission queue, so the run would never end.
+        for name in ("workers", "containers_per_node"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         if not self.sample_period_s > 0:
             raise ValueError(
                 f"sample_period_s must be > 0, got {self.sample_period_s}"

@@ -1,23 +1,24 @@
-"""Tests for the critical-path / bottleneck analyzer (repro.obs.analysis)."""
+"""Tests for the critical-path / bottleneck fold (repro.obs.analysis)."""
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
-from repro.obs import CriticalPathAnalyzer, render_report
+from repro.obs import ANALYSIS_EVENTS, analyze, latest_finished, render_report
+from repro.obs.events import WorkflowFinished
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 
 
 def _run_diamond(seed=0):
-    """Diamond run with an attached analyzer; returns (hiway, result,
-    analyzer, raw event list)."""
+    """Diamond run recording the analysis events; returns (hiway,
+    result, analyses by workflow id, recorded events)."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
     hiway = HiWay(cluster)
-    analyzer = CriticalPathAnalyzer(hiway.bus)
     events = []
-    hiway.bus.subscribe("*", events.append)
+    for event_type in ANALYSIS_EVENTS:
+        hiway.bus.subscribe(event_type, events.append)
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")
@@ -29,12 +30,12 @@ def _run_diamond(seed=0):
                             outputs=["/out"], task_id="join"))
     result = hiway.run(StaticTaskSource(graph))
     assert result.success, result.diagnostics
-    return hiway, result, analyzer, events
+    return hiway, result, analyze(events), events
 
 
 def test_analyzer_reconstructs_the_dag_and_critical_path():
-    _hiway, result, analyzer, _events = _run_diamond()
-    analysis = analyzer.analysis(result.workflow_id)
+    _hiway, result, workflows, _events = _run_diamond()
+    analysis = workflows[result.workflow_id]
     assert analysis.complete and analysis.success
     assert sorted(analysis.spans) == ["join", "left", "right"]
     assert sorted(analysis.parents["join"]) == ["left", "right"]
@@ -48,8 +49,8 @@ def test_analyzer_reconstructs_the_dag_and_critical_path():
 
 
 def test_slack_is_zero_on_the_critical_path_and_positive_off_it():
-    _hiway, result, analyzer, _events = _run_diamond()
-    analysis = analyzer.analysis(result.workflow_id)
+    _hiway, result, workflows, _events = _run_diamond()
+    analysis = workflows[result.workflow_id]
     on_path = set(analysis.critical_path)
     for task_id, span in analysis.spans.items():
         if task_id in on_path:
@@ -66,8 +67,8 @@ def test_slack_is_zero_on_the_critical_path_and_positive_off_it():
 
 
 def test_phase_breakdown_and_utilization_are_consistent():
-    _hiway, result, analyzer, _events = _run_diamond()
-    analysis = analyzer.analysis(result.workflow_id)
+    _hiway, result, workflows, _events = _run_diamond()
+    analysis = workflows[result.workflow_id]
     for span in analysis.spans.values():
         assert span.makespan_seconds == pytest.approx(
             span.stage_in_seconds + span.compute_seconds
@@ -84,34 +85,23 @@ def test_phase_breakdown_and_utilization_are_consistent():
         assert 0.0 <= entry["busy_fraction"] <= 1.0 + 1e-9
 
 
-def test_offline_replay_matches_live_subscription():
-    _hiway, result, live, events = _run_diamond()
-    offline = CriticalPathAnalyzer()
-    offline.replay(events)
-    live_analysis = live.analysis(result.workflow_id)
-    replayed = offline.analysis(result.workflow_id)
-    assert replayed.critical_path == live_analysis.critical_path
-    assert sorted(replayed.spans) == sorted(live_analysis.spans)
-    for task_id, span in replayed.spans.items():
-        assert span.slack_seconds == pytest.approx(
-            live_analysis.spans[task_id].slack_seconds
-        )
-
-
 def test_analysis_selection_and_missing_workflow():
-    _hiway, result, analyzer, _events = _run_diamond()
-    assert analyzer.analysis().workflow_id == result.workflow_id
+    _hiway, result, workflows, events = _run_diamond()
+    assert latest_finished(workflows).workflow_id == result.workflow_id
     with pytest.raises(KeyError):
-        analyzer.analysis("workflow-999999")
-    with pytest.raises(KeyError):
-        CriticalPathAnalyzer().analysis()
+        workflows["workflow-999999"]
+    with pytest.raises(KeyError, match="no workflows observed"):
+        latest_finished(analyze([]))
+    # A workflow that never finished is still selected, unfinalised.
+    unfinished = analyze(
+        e for e in events if not isinstance(e, WorkflowFinished)
+    )
+    assert not latest_finished(unfinished).complete
 
 
 def test_render_report_covers_the_required_sections():
-    hiway, result, analyzer, _events = _run_diamond()
-    text = render_report(
-        analyzer.analysis(result.workflow_id), registry=hiway.registry
-    )
+    hiway, result, workflows, _events = _run_diamond()
+    text = render_report(workflows[result.workflow_id], registry=hiway.registry)
     assert "critical path:" in text
     assert "per-task slack" in text
     assert "time breakdown" in text
@@ -121,6 +111,6 @@ def test_render_report_covers_the_required_sections():
 
 
 def test_render_report_truncates_long_task_tables():
-    _hiway, result, analyzer, _events = _run_diamond()
-    text = render_report(analyzer.analysis(result.workflow_id), max_tasks=1)
+    _hiway, result, workflows, _events = _run_diamond()
+    text = render_report(workflows[result.workflow_id], max_tasks=1)
     assert "... 2 more task(s)" in text

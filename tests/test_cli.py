@@ -146,6 +146,43 @@ def test_argument_validation():
         parser.parse_args(["run", "wf", "--scheduler", "magic"])
 
 
+@pytest.mark.parametrize("argv", [
+    [command, "wf", "--workers", "0"]
+    for command in ("run", "trace", "report", "explain")
+] + [
+    ["serve-sim", "--workers", "0"],
+    ["serve-sim", "--containers-per-node", "0"],
+    ["serve-sim", "--backbone-mb-s", "0"],
+    ["run", "wf", "--containers-per-node", "0"],
+    ["run", "wf", "--container-vcores", "0"],
+    ["run", "wf", "--container-memory-mb", "0"],
+    ["run", "wf", "--backbone-mb-s", "0"],
+    ["report", "wf", "--max-tasks", "-1"],
+    ["explain-submission", "journal.jsonl", "--max-attempts", "-1"],
+], ids=lambda argv: " ".join(arg for arg in argv if arg != "wf"))
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    """Empty clusters, zero-capacity links and negative row caps exit 2
+    at parse time instead of raising, hanging or mislabelling rows."""
+    if argv[0] == "explain":
+        argv = argv[:2] + ["task"] + argv[2:]
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_report_from_journal_without_a_workflow_is_an_error(tmp_path, capsys):
+    from repro.obs.journal import EventJournal
+
+    journal = tmp_path / "empty.jsonl"
+    EventJournal(str(journal)).close()
+    code = main(["report", "--from-journal", str(journal)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no workflows observed\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("engine, app_prefix, chooser", [
     ("hiway", "workflow-", "data-aware"),
     ("tez", "application_", "tez-fifo"),

@@ -2,7 +2,7 @@
 
 The Tez and CloudMan baselines must publish the same workflow/task/file
 lifecycle events as the Hi-WAY engine, so that the critical-path
-analyzer, the metrics registry and the span builder work unchanged on
+fold, the metrics registry and the span builder work unchanged on
 every backend.
 """
 
@@ -13,8 +13,7 @@ from repro.baselines.tez import TezApplicationMaster
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
 from repro.hdfs import HdfsClient
-from repro.obs import events as ev
-from repro.obs.analysis import CriticalPathAnalyzer
+from repro.obs.analysis import analyze
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import build_submission_spans
 from repro.sim import Environment
@@ -45,13 +44,12 @@ def _diamond():
 
 
 def _instrument(bus):
-    """Attach analyzer + registry + a raw event log to ``bus``."""
-    analyzer = CriticalPathAnalyzer(bus)
+    """Attach a registry and a raw event log to ``bus``."""
     registry = MetricsRegistry()
     registry.attach(bus)
     seen = []
     bus.subscribe("*", seen.append)
-    return analyzer, registry, seen
+    return registry, seen
 
 
 def _run_hiway():
@@ -106,7 +104,7 @@ ENGINES = {
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engine_emits_the_core_vocabulary(engine):
-    _, _, seen = ENGINES[engine]()
+    _, seen = ENGINES[engine]()
     names = {type(event).__name__ for event in seen}
     missing = CORE_VOCABULARY - names
     assert not missing, f"{engine} never emitted {sorted(missing)}"
@@ -114,8 +112,8 @@ def test_engine_emits_the_core_vocabulary(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_critical_path_is_non_empty_on_every_engine(engine):
-    analyzer, _, _ = ENGINES[engine]()
-    (analysis,) = analyzer.workflows.values()
+    _, seen = ENGINES[engine]()
+    (analysis,) = analyze(seen).values()
     assert analysis.critical_path, f"{engine}: empty critical path"
     assert analysis.critical_path_seconds() > 0
     # The diamond's join step is always on the critical path.
@@ -125,7 +123,7 @@ def test_critical_path_is_non_empty_on_every_engine(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_registry_counts_tasks_on_every_engine(engine):
-    _, registry, _ = ENGINES[engine]()
+    registry, _ = ENGINES[engine]()
     assert registry.value("hiway_task_attempts_total", outcome="success") == 3
     runtimes = registry.get("hiway_task_runtime_seconds")
     assert sum(child.count for _key, child in runtimes.series()) == 3
@@ -133,7 +131,7 @@ def test_registry_counts_tasks_on_every_engine(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_span_trees_build_on_every_engine(engine):
-    _, _, seen = ENGINES[engine]()
+    _, seen = ENGINES[engine]()
     spans = build_submission_spans(seen)
     (span,) = spans
     assert span.outcome == "SUCCEEDED"

@@ -193,3 +193,108 @@ def test_load_service_report_requires_service_metadata():
         journal.write_header({"run": "not-a-service"})
     with pytest.raises(JournalError, match="service"):
         load_service_report(io.StringIO(buffer.getvalue()))
+
+
+# -- single-workflow views: live = journal replay -----------------------------
+
+#: The Montage inputs the CI report loop stages.
+MONTAGE_INPUTS = {f"/data/2mass/raw-{index:02d}.fits": 4.2 for index in range(5)}
+
+
+def _journalled_montage(engine, scheduler):
+    """Montage 0.1 on ``engine`` with every event recorded twice: as the
+    live event list and through an :class:`EventJournal`. Returns
+    (final clock, live events, live registry, journal text)."""
+    from repro.baselines.cloudman import GalaxyCloudMan
+    from repro.baselines.tez import TezApplicationMaster
+    from repro.cluster import Cluster, ClusterSpec, M3_LARGE
+    from repro.core import HiWay, HiWayConfig
+    from repro.hdfs import HdfsClient
+    from repro.langs import parse_workflow
+    from repro.obs.registry import MetricsRegistry
+    from repro.sim import Environment
+    from repro.tools import default_registry
+    from repro.workloads import montage_dax
+    from repro.yarn import ResourceManager
+
+    source = parse_workflow(montage_dax(0.1), language="dax")
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
+    registry = MetricsRegistry()
+    registry.attach(cluster.bus)
+    live = []
+    cluster.bus.subscribe("*", live.append)
+    buffer = io.StringIO()
+    journal = EventJournal(buffer)
+    journal.attach(cluster.bus)
+    tools = default_registry()
+    for node in cluster.all_nodes():
+        node.install(*tools.names())
+    if engine == "hiway":
+        hiway = HiWay(cluster, tools=tools,
+                      config=HiWayConfig(scheduler=scheduler))
+        hiway.stage_inputs(MONTAGE_INPUTS)
+        result = hiway.run(source, scheduler=scheduler)
+    elif engine == "tez":
+        hdfs = HdfsClient(cluster, seed=0)
+        hdfs.stage_many(MONTAGE_INPUTS, seed=0)
+        am = TezApplicationMaster(cluster, hdfs, ResourceManager(env, cluster),
+                                  tools, source.graph)
+        process = env.process(am.run())
+        env.run(until=process)
+        result = process.value
+    else:
+        cloudman = GalaxyCloudMan(cluster, tools, slots_per_node=3)
+        cloudman.stage_inputs(MONTAGE_INPUTS)
+        result = cloudman.run(source.graph)
+    journal.close()
+    assert result.success, result.diagnostics
+    return env.now, live, registry, buffer.getvalue()
+
+
+@pytest.mark.parametrize("engine, scheduler", [
+    ("hiway", "data-aware"),
+    ("hiway", "heft"),
+    ("tez", None),
+    ("cloudman", None),
+], ids=["hiway-data-aware", "hiway-heft", "tez", "cloudman"])
+def test_single_workflow_views_match_journal_replay(engine, scheduler):
+    """The journal is the record every single-workflow view rebuilds
+    from: the Chrome trace, the critical-path report and every task's
+    decision account come out the same from the decoded events as from
+    the live ones, and the same again from just the event types each
+    view declares (what the CLI records)."""
+    from repro.obs.analysis import (
+        ANALYSIS_EVENTS, analyze, latest_finished, render_report,
+    )
+    from repro.obs.decisions import DECISION_EVENTS, explain, task_ids
+    from repro.obs.journal import replay_registry
+    from repro.obs.tracer import TRACE_EVENTS, trace_records
+
+    now, live, registry, text = _journalled_montage(engine, scheduler)
+    meta, decoded = read_journal(io.StringIO(text))
+    assert len(decoded) == len(live)
+
+    def declared(event_types):
+        return [event for event in live if type(event) in event_types]
+
+    trace = trace_records(live, now)
+    assert trace_records(decoded, now) == trace
+    assert trace_records(declared(TRACE_EVENTS), now) == trace
+
+    def report(events, registry):
+        return render_report(latest_finished(analyze(events)),
+                             registry=registry)
+
+    rendered = report(live, registry)
+    assert "critical path: 9 task(s)" in rendered
+    assert report(decoded, replay_registry(meta, decoded)) == rendered
+    assert report(declared(ANALYSIS_EVENTS), registry) == rendered
+
+    decided = task_ids(live)
+    assert len(decided) == 17
+    assert task_ids(decoded) == decided
+    for task_id in decided:
+        account = explain(live, task_id)
+        assert explain(decoded, task_id) == account
+        assert explain(declared(DECISION_EVENTS), task_id) == account

@@ -1,11 +1,12 @@
-"""Tests for the observability spine: bus, tracer, and subscribers."""
+"""Tests for the observability spine: bus, subscribers and the trace fold."""
 
 import json
 import time
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
-from repro.obs import EventBus, Tracer
+from repro.obs import EventBus, trace_records
+from repro.obs.tracer import dump_chrome_trace
 from repro.obs.events import (
     ContainerLaunched,
     TaskAttemptFinished,
@@ -137,19 +138,13 @@ def test_emit_stamps_clock_and_sequence():
 # -- whole-installation stream --------------------------------------------------
 
 
-def _run_diamond(seed=0, observe=None):
-    """Run a small diamond workflow; returns (hiway, result, events).
-
-    ``observe`` (when given) receives the bus before staging, the way
-    the CLI attaches its observers.
-    """
+def _run_diamond(seed=0):
+    """Run a small diamond workflow; returns (hiway, result, events)."""
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
     hiway = HiWay(cluster)
     events = []
     hiway.bus.subscribe("*", events.append)
-    if observe is not None:
-        observe(hiway.bus)
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")
@@ -211,18 +206,26 @@ def test_provenance_records_unchanged_by_bus_indirection():
 # -- tracer / chrome export -----------------------------------------------------
 
 
-def _traced_diamond(**tracer_kwargs):
-    """The diamond run with a :class:`Tracer` on its bus."""
-    tracers = []
-    hiway, _result, _events = _run_diamond(
-        observe=lambda bus: tracers.append(Tracer(bus, **tracer_kwargs))
-    )
-    return hiway, tracers[0]
+def _traced_diamond(**trace_kwargs):
+    """The diamond run and its Chrome records; returns (hiway, records)."""
+    hiway, _result, events = _run_diamond()
+    records = trace_records(events, hiway.env.now, **trace_kwargs)
+    return hiway, records
 
 
-def test_chrome_trace_roundtrips_with_monotone_timestamps(tmp_path):
-    _hiway, tracer = _traced_diamond()
-    data = json.loads(tracer.to_chrome_trace())
+def _closed_spans(records):
+    """The ``X`` (span) records, grouped by category."""
+    by_cat = {}
+    for record in records:
+        if record["ph"] == "X":
+            by_cat.setdefault(record["cat"], []).append(record)
+    return by_cat
+
+
+def test_chrome_trace_roundtrips_with_monotone_timestamps():
+    _hiway, records = _traced_diamond()
+    data = json.loads(dump_chrome_trace(records))
+    assert data["traceEvents"] == records
     events = data["traceEvents"]
     assert events, "trace must not be empty"
     timed = [e for e in events if e["ph"] != "M"]
@@ -233,19 +236,13 @@ def test_chrome_trace_roundtrips_with_monotone_timestamps(tmp_path):
         assert record["ph"] in {"X", "i"}
         if record["ph"] == "X":
             assert record["dur"] >= 0
-    # save() writes the same JSON to disk.
-    path = tmp_path / "trace.json"
-    tracer.save(str(path))
-    assert json.loads(path.read_text()) == data
 
 
 def test_tracer_spans_agree_with_registry():
     """Spans and the always-attached registry fold the same stream."""
-    hiway, tracer = _traced_diamond()
+    hiway, records = _traced_diamond()
     registry = hiway.registry
-    by_cat = {}
-    for span in tracer.spans:
-        by_cat.setdefault(span[3], []).append(span)
+    by_cat = _closed_spans(records)
     assert len(by_cat["task"]) == registry.value(
         "hiway_task_attempts_total", outcome="success") == 3
     assert len(by_cat["workflow"]) == registry.value(
@@ -255,28 +252,17 @@ def test_tracer_spans_agree_with_registry():
     assert len(by_cat["container"]) == registry.get(
         "hiway_container_lifetime_seconds").count
     stage = registry.get("hiway_hdfs_stage_seconds")
-    reads = [s for s in by_cat["hdfs"] if s[2].startswith("read:")]
-    writes = [s for s in by_cat["hdfs"] if s[2].startswith("write:")]
+    reads = [s for s in by_cat["hdfs"] if s["name"].startswith("read:")]
+    writes = [s for s in by_cat["hdfs"] if s["name"].startswith("write:")]
     assert len(reads) == stage.labels(direction="in").count > 0
     assert len(writes) == stage.labels(direction="out").count > 0
 
 
 def test_tracer_can_skip_hdfs_topic():
-    _hiway, tracer = _traced_diamond(include_hdfs=False)
-    categories = {span[3] for span in tracer.spans}
-    assert "hdfs" not in categories
-    assert sum(1 for span in tracer.spans if span[3] == "task") == 3
-
-
-def test_tracer_detach_stops_recording():
-    env = Environment()
-    bus = EventBus(env)
-    tracer = Tracer(bus)
-    bus.emit(TaskDispatched(workflow_id="w", task_id="t"))
-    tracer.detach()
-    bus.emit(TaskDispatched(workflow_id="w", task_id="t2"))
-    assert [mark[1] for mark in tracer.instants] == ["dispatch:t"]
-    assert not bus.active
+    _hiway, records = _traced_diamond(include_hdfs=False)
+    by_cat = _closed_spans(records)
+    assert "hdfs" not in by_cat
+    assert len(by_cat["task"]) == 3
 
 
 def test_tracer_exports_dangling_spans_as_incomplete():
@@ -286,7 +272,8 @@ def test_tracer_exports_dangling_spans_as_incomplete():
 
     env = Environment()
     bus = EventBus(env)
-    tracer = Tracer(bus)
+    recorded = []
+    bus.subscribe("*", recorded.append)
 
     def proc(env):
         bus.emit(WorkflowStarted(workflow_id="w1", name="doomed"))
@@ -298,7 +285,7 @@ def test_tracer_exports_dangling_spans_as_incomplete():
     env.process(proc(env))
     env.run()
 
-    events = tracer.chrome_trace_events()
+    events = trace_records(recorded, now=env.now)
     incomplete = [
         e for e in events
         if e["ph"] == "X" and e.get("args", {}).get("incomplete")
@@ -314,7 +301,11 @@ def test_tracer_exports_dangling_spans_as_incomplete():
     }
     assert {"containers", "workflows"} <= named
     assert len(incomplete) == 2
-    # Export is non-mutating: a second export sees the same picture,
-    # and the open-interval bookkeeping is still live.
-    assert tracer.chrome_trace_events() == events
-    assert tracer._container_open and tracer._workflow_open
+    # The fold is pure: a second export sees the same picture, and a
+    # later clock only stretches the open intervals.
+    assert trace_records(recorded, now=env.now) == events
+    later = [
+        e["dur"] for e in trace_records(recorded, now=9.0)
+        if e.get("args", {}).get("incomplete")
+    ]
+    assert later == [pytest.approx(9.0 * 1e6)] * 2

@@ -13,7 +13,8 @@ from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay, HiWayConfig
 from repro.core.schedulers import make_scheduler
 from repro.errors import WorkflowError
-from repro.obs import CriticalPathAnalyzer, DecisionAuditor
+from repro.obs import ANALYSIS_EVENTS, DECISION_EVENTS, analyze
+from repro.obs.decisions import explain, task_ids
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 
@@ -78,24 +79,29 @@ def test_run_many_separates_per_workflow_metrics():
 
 def test_run_many_separates_scheduling_audits_per_workflow():
     hiway, sources = make_installation()
-    auditor = DecisionAuditor(hiway.bus)
+    decisions = []
+    for event_type in DECISION_EVENTS:
+        hiway.bus.subscribe(event_type, decisions.append)
     results = hiway.run_many(sources)
-    audited = auditor.workflow_ids()
+    audited = {decision.workflow_id for decision in decisions}
     assert sorted(audited) == sorted(r.workflow_id for r in results)
     for result, tag in zip(results, "abcd"):
-        task_ids = auditor.task_ids(workflow_id=result.workflow_id)
-        assert sorted(task_ids) == [f"grep-{tag}", f"sort-{tag}"]
-        explanation = auditor.explain(
-            f"sort-{tag}", workflow_id=result.workflow_id)
+        decided = task_ids(decisions, workflow_id=result.workflow_id)
+        assert sorted(decided) == [f"grep-{tag}", f"sort-{tag}"]
+        explanation = explain(
+            decisions, f"sort-{tag}", workflow_id=result.workflow_id)
         assert f"task sort-{tag}:" in explanation
 
 
 def test_run_many_separates_critical_path_analyses():
     hiway, sources = make_installation()
-    analyzer = CriticalPathAnalyzer(hiway.bus)
+    events = []
+    for event_type in ANALYSIS_EVENTS:
+        hiway.bus.subscribe(event_type, events.append)
     results = hiway.run_many(sources)
+    workflows = analyze(events)
     for result, tag in zip(results, "abcd"):
-        analysis = analyzer.analysis(result.workflow_id)
+        analysis = workflows[result.workflow_id]
         assert analysis.complete and analysis.success
         # Only this workflow's tasks — nothing leaked across AMs.
         assert sorted(analysis.spans) == [f"grep-{tag}", f"sort-{tag}"]

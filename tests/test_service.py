@@ -480,6 +480,13 @@ def test_service_config_rejects_non_positive_sample_period(period):
         ServiceConfig(sample_period_s=period)
 
 
+@pytest.mark.parametrize("field", ["workers", "containers_per_node"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_service_config_rejects_an_empty_cluster(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        ServiceConfig(**{field: value})
+
+
 def test_cli_serve_sim_slo_gate_exit_code(capsys):
     from repro.cli import main
 
