@@ -77,8 +77,14 @@ def _checked(convert, holds, requirement: str):
 _positive_float = _checked(float, lambda value: value > 0, "positive")
 #: Workers, containers and vcores: at least one to run anything on.
 _positive_int = _checked(int, lambda value: value > 0, "positive")
-#: Row caps of the rendered tables.
-_row_count = _checked(int, lambda value: value >= 0, "non-negative")
+#: Row caps, admission caps, submission counts (0 is meaningful).
+_non_negative_int = _checked(int, lambda value: value >= 0, "non-negative")
+#: Offsets, durations and populations that may be zero.
+_non_negative_float = _checked(float, lambda value: value >= 0, "non-negative")
+#: A diurnal amplitude: the rate swings by at most its mean.
+_fraction = _checked(float, lambda value: 0 <= value <= 1, "in [0, 1]")
+#: A burst multiplies the base rate, never thins it.
+_multiplier = _checked(float, lambda value: value >= 1, "at least 1")
 #: Series decimation keeps every second sample, so it needs two.
 _series_bound = _checked(int, lambda value: value >= 2, "at least 2")
 
@@ -218,28 +224,30 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                          help="arrival process shape (default: poisson)")
     traffic.add_argument("--rate-per-h", type=float, default=12.0,
                          help="mean arrivals per hour (default: 12)")
-    traffic.add_argument("--users", type=float, default=None,
+    traffic.add_argument("--users", type=_non_negative_float, default=None,
                          help="derive the rate from a simulated user "
                          "population instead of --rate-per-h")
-    traffic.add_argument("--requests-per-user-hour", type=float, default=0.5,
+    traffic.add_argument("--requests-per-user-hour",
+                         type=_non_negative_float, default=0.5,
                          help="workflows each user submits per hour "
                          "(with --users; default: 0.5)")
-    traffic.add_argument("--horizon-s", type=float, default=3600.0,
+    traffic.add_argument("--horizon-s", type=_positive_float, default=3600.0,
                          help="arrival window in simulated seconds "
                          "(default: 3600)")
     traffic.add_argument("--seed", type=int, default=0,
                          help="arrival/tenant-draw seed (default: 0)")
-    traffic.add_argument("--amplitude", type=float, default=0.8,
+    traffic.add_argument("--amplitude", type=_fraction, default=0.8,
                          help="diurnal: sinusoid amplitude in [0,1] "
                          "(default: 0.8)")
-    traffic.add_argument("--period-s", type=float, default=86_400.0,
+    traffic.add_argument("--period-s", type=_positive_float, default=86_400.0,
                          help="diurnal: cycle length (default: 86400)")
-    traffic.add_argument("--burst-multiplier", type=float, default=8.0,
+    traffic.add_argument("--burst-multiplier", type=_multiplier, default=8.0,
                          help="burst: rate multiplier inside the window "
                          "(default: 8)")
-    traffic.add_argument("--burst-at-s", type=float, default=0.0,
+    traffic.add_argument("--burst-at-s", type=_non_negative_float, default=0.0,
                          help="burst: window start (default: 0)")
-    traffic.add_argument("--burst-duration-s", type=float, default=600.0,
+    traffic.add_argument("--burst-duration-s", type=_non_negative_float,
+                         default=600.0,
                          help="burst: window length (default: 600)")
     traffic.add_argument("--tenant-profile", dest="tenant_profiles",
                          type=_parse_tenant_profile, action="append",
@@ -248,7 +256,8 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                          "workload mix, e.g. 'genomics:2=snv:3,rnaseq:1'; "
                          "repeatable (default: the built-in three-tenant "
                          "population)")
-    traffic.add_argument("--max-submissions", type=int, default=None,
+    traffic.add_argument("--max-submissions", type=_non_negative_int,
+                         default=None,
                          help="truncate the schedule after N submissions")
 
     deployment = parser.add_argument_group("deployment")
@@ -263,7 +272,8 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                             "(default: fair)")
     deployment.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                             default="data-aware")
-    deployment.add_argument("--max-concurrent-apps", type=int, default=8,
+    deployment.add_argument("--max-concurrent-apps", type=_non_negative_int,
+                            default=8,
                             help="admission cap on concurrently running "
                             "workflows; 0 = uncapped (default: 8)")
     deployment.add_argument("--admission-overflow",
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--prometheus-out", metavar="PATH",
                         help="also write the metrics registry in Prometheus "
                         "text exposition format here")
-    report.add_argument("--max-tasks", type=_row_count, default=20,
+    report.add_argument("--max-tasks", type=_non_negative_int, default=20,
                         help="rows in the per-task slack table (default: 20)")
     explain = subparsers.add_parser(
         "explain",
@@ -497,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_submission.add_argument("--trace-out", metavar="PATH",
                                     help="export every span tree as a Chrome "
                                     "trace_event JSON grouped by tenant")
-    explain_submission.add_argument("--max-attempts", type=_row_count,
+    explain_submission.add_argument("--max-attempts", type=_non_negative_int,
                                     default=30,
                                     help="attempt rows per tree (default: 30)")
     serve = subparsers.add_parser(
@@ -556,10 +566,12 @@ def _execute_workflow(args, event_types=(), provenance_store=None):
         master_count=args.masters,
         backbone_mb_s=args.backbone_mb_s,
     ))
-    cluster.metrics.attach(cluster.bus)
+    if engine != "hiway":
+        # A HiWay installation subscribes the cluster's recorder itself.
+        cluster.bus.subscribe(cluster.metrics.registry.handlers())
+        cluster.bus.subscribe(cluster.metrics.handlers())
     events: list = []
-    for event_type in event_types:
-        cluster.bus.subscribe(event_type, events.append)
+    cluster.bus.subscribe(dict.fromkeys(event_types, events.append))
     tools = default_registry()
     for node in cluster.all_nodes():
         node.install(*(args.tools or tools.names()))
@@ -627,16 +639,18 @@ def _execute_workflow(args, event_types=(), provenance_store=None):
 
 def run_command(args) -> int:
     """Execute the ``run`` subcommand; returns the exit code."""
+    from repro.obs.timeline import TIMELINE_EVENTS, render_timeline
+
     store = TraceFileStore()
-    outcome = _execute_workflow(args, provenance_store=store)
+    outcome = _execute_workflow(
+        args, TIMELINE_EVENTS if args.timeline else (), provenance_store=store
+    )
     if isinstance(outcome, int):
         return outcome
-    _, result, _ = outcome
+    _, result, events = outcome
     if args.timeline:
-        from repro.core.timeline import render_timeline
-
         print()
-        print(render_timeline(store, workflow_id=result.workflow_id))
+        print(render_timeline(events, workflow_id=result.workflow_id))
     if args.trace_out:
         store.save(args.trace_out)
         if not args.quiet:
@@ -780,8 +794,7 @@ def slo_watch_command(args) -> int:
     Exit code 1 means at least one burn-rate alert fired during the
     replay — the command doubles as a post-hoc SLO gate over a journal.
     """
-    from repro.obs.bus import EventBus
-    from repro.obs.journal import JournalError, read_journal, replay
+    from repro.obs.journal import JournalError, read_journal
     from repro.obs.live import LiveMonitor
     from repro.service.slo import run_epoch, slo_targets
 
@@ -796,11 +809,12 @@ def slo_watch_command(args) -> int:
         straggler_factor=args.straggler_factor,
         epoch=run_epoch(events),
     )
-    bus = EventBus()
-    monitor.attach(bus)
-    replay(events, bus)
+    handlers = monitor.handlers()
+    for event in events:
+        handler = handlers.get(type(event))
+        if handler is not None:
+            handler(event)
     monitor.close()
-    monitor.detach()
     if not args.quiet:
         for window in monitor.all_windows():
             print(window.line())

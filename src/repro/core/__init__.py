@@ -13,7 +13,6 @@ from repro.core.engine import (
     TaskAttempt,
 )
 from repro.core.execution import TaskResult, run_task_in_container
-from repro.core.timeline import render_timeline
 from repro.core.provenance import (
     DocumentProvenanceStore,
     ProvenanceManager,
@@ -44,7 +43,6 @@ __all__ = [
     "RetryPolicy",
     "TaskResult",
     "run_task_in_container",
-    "render_timeline",
     "ProvenanceManager",
     "TraceFileStore",
     "SqlProvenanceStore",

@@ -185,10 +185,9 @@ class HiWayApplicationMaster:
         self.source = source
         self.provenance = provenance
         # The AM publishes workflow/task/file events onto the cluster's
-        # observability bus; the provenance manager records them as a
-        # bus subscriber (Sec. 3.5), alongside any other subscriber.
+        # observability bus; the provenance manager, subscribed by the
+        # installation, records them (Sec. 3.5).
         self.bus = cluster.bus
-        provenance.attach(self.bus)
         self.config = config or HiWayConfig()
         if scheduler is None:
             scheduler = self.config.scheduler

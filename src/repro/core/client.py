@@ -6,13 +6,14 @@ results in a separate Hi-WAY AM instance being spawned. The
 (cluster, HDFS, YARN RM, tool registry, provenance store) with sensible
 defaults so examples and tests stay short.
 
-Observers attach to the installation's event bus, never to the
-configuration. ``hiway.registry`` (always attached) aggregates the
-standard metrics. Every other view records events and folds them
-afterwards: subscribe ``events.append`` to the types a view declares
-(``TRACE_EVENTS``, ``ANALYSIS_EVENTS``, ``DECISION_EVENTS``), run,
-then call ``trace_records(events, now)``, ``analyze(events)`` or
-``explain(events, task_id)``.
+Observers subscribe to the installation's event bus, never to the
+configuration. The installation subscribes its own: the provenance
+manager and ``hiway.registry``, which aggregates the standard metrics.
+Every other view records events and folds them afterwards: subscribe
+``dict.fromkeys(TRACE_EVENTS, events.append)`` (or ``ANALYSIS_EVENTS``,
+``DECISION_EVENTS``, ``TIMELINE_EVENTS``), run, then call
+``trace_records(events, now)``, ``analyze(events)``,
+``explain(events, task_id)`` or ``render_timeline(events)``.
 """
 
 from __future__ import annotations
@@ -74,11 +75,15 @@ class HiWay:
         self.provenance = ProvenanceManager(self.env, provenance_store)
         #: The installation's observability bus (owned by the cluster).
         self.bus = cluster.bus
-        self.cluster.metrics.attach(self.bus)
         #: The installation's metric aggregations (owned by the
         #: cluster's recorder; export with ``registry.to_json()`` /
         #: ``registry.to_prometheus()``).
         self.registry = self.cluster.metrics.registry
+        self.bus.subscribe(self.registry.handlers())
+        self.bus.subscribe(self.cluster.metrics.handlers())
+        # The AMs publish workflow/task/file events; the provenance
+        # manager records them as a bus subscriber (Sec. 3.5).
+        self.bus.subscribe(self.provenance.handlers())
 
     def submit(
         self,

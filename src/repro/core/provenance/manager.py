@@ -8,9 +8,10 @@ as a fourth workflow language.
 
 Since the observability refactor the manager is a *subscriber* of the
 cluster-wide event bus (:mod:`repro.obs`): the AM publishes typed
-workflow/task/file events and :meth:`ProvenanceManager.attach` bridges
-them into the store. The direct recording methods remain the public API
-(and are what the bridge calls), so stores see byte-identical records.
+workflow/task/file events and the handler table of
+:meth:`ProvenanceManager.handlers` bridges them into the store. The
+direct recording methods remain the public API (and are what the
+bridge calls), so stores see byte-identical records.
 
 Workflow and event ids are allocated from per-manager counters, so two
 runs in one process produce identical, re-executable traces.
@@ -25,7 +26,6 @@ from repro.core.provenance.events import FileEvent, TaskEvent, WorkflowEvent
 from repro.core.provenance.stores import ProvenanceStore, TraceFileStore
 from repro.hdfs.filesystem import FileTransferReport
 from repro.obs import events as obs_events
-from repro.obs.bus import EventBus
 from repro.sim.engine import Environment
 from repro.workflow.model import TaskSpec
 
@@ -44,30 +44,28 @@ class ProvenanceManager:
         #: managers' workflows (possible when two installations share a
         #: cluster) are ignored by the bridge handlers.
         self._known_workflows: set[str] = set()
-        self._buses: list[EventBus] = []
 
     def _next_event_id(self) -> str:
         return f"event-{next(self._event_ids):08d}"
 
     # -- bus bridge (the observability spine) --------------------------------------
 
-    def attach(self, bus: EventBus) -> None:
-        """Subscribe this manager to a bus's workflow/task/file events.
+    def handlers(self) -> dict:
+        """The bridge's handler table, for the installation to subscribe.
 
-        Idempotent per bus. The AM publishes
+        The AM publishes
         :class:`~repro.obs.events.WorkflowStarted` /
         :class:`~repro.obs.events.WorkflowFinished` /
         :class:`~repro.obs.events.TaskAttemptFinished` /
         :class:`~repro.obs.events.FileStaged` and this bridge persists
         them through the unchanged recording methods below.
         """
-        if any(existing is bus for existing in self._buses):
-            return
-        self._buses.append(bus)
-        bus.subscribe(obs_events.WorkflowStarted, self._on_workflow_started)
-        bus.subscribe(obs_events.WorkflowFinished, self._on_workflow_finished)
-        bus.subscribe(obs_events.TaskAttemptFinished, self._on_task_finished)
-        bus.subscribe(obs_events.FileStaged, self._on_file_staged)
+        return {
+            obs_events.WorkflowStarted: self._on_workflow_started,
+            obs_events.WorkflowFinished: self._on_workflow_finished,
+            obs_events.TaskAttemptFinished: self._on_task_finished,
+            obs_events.FileStaged: self._on_file_staged,
+        }
 
     def _on_workflow_started(self, event: obs_events.WorkflowStarted) -> None:
         if event.workflow_id in self._known_workflows:

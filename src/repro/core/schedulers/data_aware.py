@@ -46,7 +46,7 @@ class DataAwareScheduler(QueueScheduler):
         self._fraction_cache.clear()
         if context.bus is not None:
             self._crash_subscription = context.bus.subscribe(
-                NodeCrashed, self._on_node_crashed
+                {NodeCrashed: self._on_node_crashed}
             )
 
     def unbind(self) -> None:

@@ -330,9 +330,11 @@ def _run_hiway_concurrent(
             settle(event.t)
             held[tenant] = max(0, held.get(tenant, 0) - 1)
 
-    cluster.bus.subscribe(ContainerRequested, on_requested)
-    cluster.bus.subscribe(ContainerAllocated, on_allocated)
-    cluster.bus.subscribe(ContainerReleased, on_released)
+    cluster.bus.subscribe({
+        ContainerRequested: on_requested,
+        ContainerAllocated: on_allocated,
+        ContainerReleased: on_released,
+    })
     sources, tenants, works = [], [], []
     for k in range(n_workflows):
         samples = config.samples_of(k)

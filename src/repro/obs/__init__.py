@@ -1,18 +1,24 @@
 """repro.obs — the unified observability spine.
 
 One typed :class:`EventBus` per cluster carries every workflow, task,
-file, YARN, HDFS and failure event. The
-:class:`~repro.core.provenance.manager.ProvenanceManager`,
-:class:`~repro.sim.metrics.MetricRecorder` (and its
-:class:`MetricsRegistry`) are always subscribed; an
-:class:`EventJournal` or a :class:`LiveMonitor` attaches the same way,
-by passing it the bus. Every single-workflow view is a pure fold over
-a recorded event list, identical live or decoded from a journal:
-:func:`trace_records` (Chrome trace), :func:`analyze` (critical path)
-and :func:`repro.obs.decisions.explain` (decision audit). Each declares
-the event types it reads (``TRACE_EVENTS``, ``ANALYSIS_EVENTS``,
-``DECISION_EVENTS``). See the README "Observability" section for the
-topic map and CLI usage.
+file, YARN, HDFS and failure event. A subscriber is a handler table, a
+mapping from event class to handler, subscribed in one call whose
+:class:`Subscription` cancels the whole table. The stateful observers
+each declare theirs as ``handlers()``: the
+:class:`~repro.core.provenance.manager.ProvenanceManager`, the
+:class:`MetricsRegistry` and its :class:`~repro.sim.metrics.MetricRecorder`
+(subscribed by whoever builds the installation), an
+:class:`EventJournal` and a :class:`LiveMonitor`. Replaying a journal
+is a plain loop that looks each decoded event's handler up in the same
+table. Every single-workflow view is a pure fold over a recorded event
+list, identical live or decoded from a journal: :func:`trace_records`
+(Chrome trace), :func:`analyze` (critical path),
+:func:`repro.obs.decisions.explain` (decision audit) and
+:func:`render_timeline` (text Gantt chart). Each declares the event
+types it reads (``TRACE_EVENTS``, ``ANALYSIS_EVENTS``,
+``DECISION_EVENTS``, ``TIMELINE_EVENTS``); record them with
+``bus.subscribe(dict.fromkeys(TRACE_EVENTS, events.append))``. See the
+README "Observability" section for CLI usage.
 """
 
 from repro.obs.analysis import (
@@ -45,7 +51,6 @@ from repro.obs.events import (
     TaskAttemptFinished,
     TaskDispatched,
     TaskRetried,
-    TOPICS,
     WorkflowFinished,
     WorkflowStarted,
     WorkflowSubmitted,
@@ -57,7 +62,6 @@ from repro.obs.journal import (
     load_registry,
     load_service_report,
     read_journal,
-    replay,
 )
 from repro.obs.live import (
     Alert,
@@ -75,6 +79,7 @@ from repro.obs.spans import (
     render_submission,
     to_chrome_trace,
 )
+from repro.obs.timeline import TIMELINE_EVENTS, render_timeline
 from repro.obs.tracer import TRACE_EVENTS, trace_records
 
 __all__ = [
@@ -82,6 +87,8 @@ __all__ = [
     "Subscription",
     "TRACE_EVENTS",
     "trace_records",
+    "TIMELINE_EVENTS",
+    "render_timeline",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -97,7 +104,6 @@ __all__ = [
     "JournalError",
     "iter_events",
     "read_journal",
-    "replay",
     "load_registry",
     "load_service_report",
     "LiveMonitor",
@@ -112,7 +118,6 @@ __all__ = [
     "render_submission",
     "to_chrome_trace",
     "ObsEvent",
-    "TOPICS",
     "SchedulingDecision",
     "ServiceSample",
     "SubmissionFinished",

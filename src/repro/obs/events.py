@@ -1,25 +1,27 @@
 """Typed events published on the observability bus.
 
-Every event class carries a ``topic`` (the coarse layer it originates
-from) so subscribers can listen to a whole layer without enumerating
-classes. The bus stamps ``t`` (simulated time, ``env.now``) and ``seq``
-(a global, strictly increasing sequence number) at emit time, which is
-what makes the recorded stream totally ordered and reproducible under
-identical seeds.
+Subscribers select events by class (see :mod:`repro.obs.bus`). The bus
+stamps ``t`` (simulated time, ``env.now``) and ``seq`` (a global,
+strictly increasing sequence number) at emit time, which is what makes
+the recorded stream totally ordered and reproducible under identical
+seeds.
 
-Topics map onto the paper's Sec. 3.5 granularities and extend them to
-the infrastructure below the AM:
+For orientation only, the classes group onto the paper's Sec. 3.5
+granularities and extend them to the infrastructure below the AM (the
+grouping is documentation; nothing dispatches on it):
 
 =========  =============================================================
-topic      events
+group      events
 =========  =============================================================
-workflow   :class:`WorkflowStarted`, :class:`WorkflowFinished`
+workflow   :class:`WorkflowSubmitted`, :class:`WorkflowStarted`,
+           :class:`WorkflowFinished`, :class:`SubmissionFinished`,
+           :class:`ServiceSample`
 task       :class:`TaskDispatched`, :class:`TaskRetried`,
            :class:`TaskAttemptFinished`
 file       :class:`FileStaged`
 scheduler  :class:`SchedulingDecision`
-yarn       application registration, container request/allocate/launch/
-           finish/release, :class:`NodeCrashed`
+yarn       admission, application registration, container request/
+           allocate/launch/finish/release, :class:`NodeCrashed`
 hdfs       :class:`BlocksPlaced`, :class:`HdfsRead`, :class:`HdfsWrite`
 cluster    :class:`FaultInjected`
 =========  =============================================================
@@ -28,7 +30,7 @@ cluster    :class:`FaultInjected`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hdfs.filesystem import FileTransferReport
@@ -59,10 +61,7 @@ __all__ = [
     "HdfsRead",
     "HdfsWrite",
     "FaultInjected",
-    "TOPICS",
 ]
-
-TOPICS = ("workflow", "task", "file", "scheduler", "yarn", "hdfs", "cluster")
 
 
 class ObsEvent:
@@ -74,12 +73,11 @@ class ObsEvent:
     their own payload.
     """
 
-    topic: ClassVar[str] = "obs"
     t: float = 0.0
     seq: int = -1
 
 
-# -- workflow topic (Sec. 3.5 workflow granularity) ---------------------------
+# -- workflow events (Sec. 3.5 workflow granularity) --------------------------
 
 
 @dataclass
@@ -92,7 +90,6 @@ class WorkflowSubmitted(ObsEvent):
     between the two is the admission queue wait.
     """
 
-    topic: ClassVar[str] = "workflow"
     name: str = ""
     tenant: str = ""
     #: Workload family the submission was drawn from (e.g. "snv").
@@ -101,14 +98,12 @@ class WorkflowSubmitted(ObsEvent):
 
 @dataclass
 class WorkflowStarted(ObsEvent):
-    topic: ClassVar[str] = "workflow"
     workflow_id: str = ""
     name: str = ""
 
 
 @dataclass
 class WorkflowFinished(ObsEvent):
-    topic: ClassVar[str] = "workflow"
     workflow_id: str = ""
     name: str = ""
     runtime_seconds: float = 0.0
@@ -125,7 +120,6 @@ class SubmissionFinished(ObsEvent):
     ``rejected`` (admission refused it), success, or failure.
     """
 
-    topic: ClassVar[str] = "workflow"
     name: str = ""
     tenant: str = ""
     workload: str = ""
@@ -143,7 +137,6 @@ class ServiceSample(ObsEvent):
     epoch (``t`` stays absolute simulated time).
     """
 
-    topic: ClassVar[str] = "workflow"
     rel_t: float = 0.0
     backlog: float = 0.0
     queue_depth: float = 0.0
@@ -151,14 +144,13 @@ class ServiceSample(ObsEvent):
     pending_containers: float = 0.0
 
 
-# -- task topic (Sec. 3.5 task granularity) -----------------------------------
+# -- task events (Sec. 3.5 task granularity) ----------------------------------
 
 
 @dataclass
 class TaskDispatched(ObsEvent):
     """The AM released a task whose inputs became available."""
 
-    topic: ClassVar[str] = "task"
     workflow_id: str = ""
     task_id: str = ""
     tool: str = ""
@@ -169,7 +161,6 @@ class TaskDispatched(ObsEvent):
 class TaskRetried(ObsEvent):
     """A failed attempt is being re-tried on a different node (Sec. 3.1)."""
 
-    topic: ClassVar[str] = "task"
     workflow_id: str = ""
     task_id: str = ""
     attempt: int = 1
@@ -184,7 +175,6 @@ class TaskAttemptFinished(ObsEvent):
     provenance subscribers can persist the re-executable record.
     """
 
-    topic: ClassVar[str] = "task"
     workflow_id: str = ""
     task: Optional["TaskSpec"] = None
     node_id: str = ""
@@ -195,20 +185,19 @@ class TaskAttemptFinished(ObsEvent):
     stderr: str = ""
 
 
-# -- file topic (Sec. 3.5 file granularity) -----------------------------------
+# -- file events (Sec. 3.5 file granularity) ----------------------------------
 
 
 @dataclass
 class FileStaged(ObsEvent):
     """One file moved between HDFS and a container (stage-in/out)."""
 
-    topic: ClassVar[str] = "file"
     workflow_id: str = ""
     task: Optional["TaskSpec"] = None
     report: Optional["FileTransferReport"] = None
 
 
-# -- scheduler topic (Sec. 3.4 placement decisions) ---------------------------
+# -- scheduler events (Sec. 3.4 placement decisions) --------------------------
 
 
 @dataclass
@@ -229,7 +218,6 @@ class SchedulingDecision(ObsEvent):
     placement after the fact.
     """
 
-    topic: ClassVar[str] = "scheduler"
     workflow_id: str = ""
     policy: str = ""
     #: Decision flavour: "queue-bind" (task chosen for an allocated
@@ -250,14 +238,13 @@ class SchedulingDecision(ObsEvent):
     tenant: str = ""
 
 
-# -- yarn topic (RM / NM infrastructure) --------------------------------------
+# -- yarn events (RM / NM infrastructure) -------------------------------------
 
 
 @dataclass
 class AdmissionDecision(ObsEvent):
     """The RM's admission controller ruled on one application submission."""
 
-    topic: ClassVar[str] = "yarn"
     name: str = ""
     tenant: str = ""
     #: "admit", "queue" or "reject".
@@ -266,7 +253,6 @@ class AdmissionDecision(ObsEvent):
 
 @dataclass
 class ApplicationRegistered(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
     name: str = ""
     #: YARN-queue identity the application submits under.
@@ -275,13 +261,11 @@ class ApplicationRegistered(ObsEvent):
 
 @dataclass
 class ApplicationUnregistered(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
 
 
 @dataclass
 class ContainerRequested(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
     request_id: int = -1
     vcores: int = 1
@@ -293,7 +277,6 @@ class ContainerRequested(ObsEvent):
 
 @dataclass
 class ContainerAllocated(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
     request_id: int = -1
     container_id: str = ""
@@ -306,7 +289,6 @@ class ContainerAllocated(ObsEvent):
 
 @dataclass
 class ContainerLaunched(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
     container_id: str = ""
     node_id: str = ""
@@ -314,7 +296,6 @@ class ContainerLaunched(ObsEvent):
 
 @dataclass
 class ContainerFinished(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
     container_id: str = ""
     node_id: str = ""
@@ -324,7 +305,6 @@ class ContainerFinished(ObsEvent):
 
 @dataclass
 class ContainerReleased(ObsEvent):
-    topic: ClassVar[str] = "yarn"
     app_id: str = ""
     container_id: str = ""
     node_id: str = ""
@@ -334,19 +314,17 @@ class ContainerReleased(ObsEvent):
 class NodeCrashed(ObsEvent):
     """A worker died; its containers were reported failed to the AMs."""
 
-    topic: ClassVar[str] = "yarn"
     node_id: str = ""
     containers_lost: int = 0
 
 
-# -- hdfs topic ---------------------------------------------------------------
+# -- hdfs events --------------------------------------------------------------
 
 
 @dataclass
 class BlocksPlaced(ObsEvent):
     """The NameNode placed the replicas of a newly created file."""
 
-    topic: ClassVar[str] = "hdfs"
     path: str = ""
     size_mb: float = 0.0
     #: One tuple of replica node ids per block, in block order.
@@ -357,7 +335,6 @@ class BlocksPlaced(ObsEvent):
 class HdfsRead(ObsEvent):
     """One file staged onto a node; quantifies the locality hit/miss."""
 
-    topic: ClassVar[str] = "hdfs"
     path: str = ""
     node_id: str = ""
     size_mb: float = 0.0
@@ -372,7 +349,6 @@ class HdfsRead(ObsEvent):
 class HdfsWrite(ObsEvent):
     """One file written from a node (pipeline to remote replicas)."""
 
-    topic: ClassVar[str] = "hdfs"
     path: str = ""
     node_id: str = ""
     size_mb: float = 0.0
@@ -383,13 +359,12 @@ class HdfsWrite(ObsEvent):
     external: bool = False
 
 
-# -- cluster topic ------------------------------------------------------------
+# -- cluster events -----------------------------------------------------------
 
 
 @dataclass
 class FaultInjected(ObsEvent):
     """The failure injector executed one planned crash."""
 
-    topic: ClassVar[str] = "cluster"
     node_id: str = ""
     planned_at: float = 0.0

@@ -1,23 +1,25 @@
 """Durable event journal: append-only JSONL over the observability bus.
 
 The bus makes a run observable *while it happens*; this module makes it
-observable *afterwards*. An :class:`EventJournal` subscribes to every
-event of a bus and appends one JSON line per event to a file, preceded
-by a schema-versioned header line carrying run metadata. The resulting
+observable *afterwards*. An :class:`EventJournal`'s handler table maps
+every event class of :data:`EVENT_TYPES` to :meth:`EventJournal.record`,
+which appends one JSON line per event to a file, preceded by a
+schema-versioned header line carrying run metadata. The resulting
 journal is the durable record the provenance literature asks of
 workflow systems — a totally ordered, replayable stream — and the
 substrate for the offline tooling:
 
 * :func:`read_journal` / :func:`iter_events` — decode the stream back
   into the original ``repro.obs.events`` dataclasses (``t``/``seq``
-  preserved);
-* :func:`replay` — deliver recorded events into a fresh bus via
-  :meth:`~repro.obs.bus.EventBus.deliver`, so a bus subscriber
+  preserved). Replay needs no bus: a stateful observer
   (:class:`~repro.obs.registry.MetricsRegistry`,
-  :class:`~repro.obs.live.LiveMonitor`) works offline; the folds over
-  an event list (:func:`~repro.obs.analysis.analyze`,
+  :class:`~repro.obs.live.LiveMonitor`) is fed by looking each decoded
+  event's handler up in the table it subscribes live, and the folds
+  over an event list (:func:`~repro.obs.analysis.analyze`,
   :func:`~repro.obs.tracer.trace_records`,
-  :func:`~repro.obs.decisions.explain`) take the decoded list as is;
+  :func:`~repro.obs.decisions.explain`,
+  :func:`~repro.obs.timeline.render_timeline`) take the decoded list
+  as is;
 * :func:`load_registry` / :func:`replay_registry` — rebuild a metrics
   registry from a journal;
 * :func:`load_service_report` — rebuild the ``serve-sim`` report with
@@ -39,7 +41,6 @@ import json
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from repro.obs import events as ev
-from repro.obs.bus import EventBus, Subscription
 
 __all__ = [
     "SCHEMA",
@@ -50,7 +51,6 @@ __all__ = [
     "iter_events",
     "read_journal",
     "read_meta",
-    "replay",
     "replay_registry",
     "load_registry",
     "load_service_report",
@@ -176,7 +176,7 @@ def event_from_dict(record: dict) -> Optional[ev.ObsEvent]:
 
 
 class EventJournal:
-    """Bus subscriber appending every event to a JSONL stream.
+    """Event sink appending every event to a JSONL stream.
 
     The header line is written on :meth:`write_header` (explicit
     metadata) or lazily before the first event (empty metadata). The
@@ -192,7 +192,6 @@ class EventJournal:
             self._handle = destination
             self._owns_handle = False
         self._header_written = False
-        self._subscription: Optional[Subscription] = None
         self.events_written = 0
 
     def write_header(self, meta: Optional[dict] = None) -> None:
@@ -205,20 +204,12 @@ class EventJournal:
         self._handle.write("\n")
         self._header_written = True
 
-    def attach(self, bus: EventBus) -> None:
-        """Start journalling every event ``bus`` delivers."""
-        if self._subscription is not None:
-            raise JournalError("journal already attached to a bus")
-        self._subscription = bus.subscribe("*", self.record)
-
-    def detach(self) -> None:
-        """Stop journalling (the file stays open until :meth:`close`)."""
-        if self._subscription is not None:
-            self._subscription.cancel()
-            self._subscription = None
+    def handlers(self) -> dict:
+        """Handler table journalling every event class."""
+        return dict.fromkeys(EVENT_TYPES.values(), self.record)
 
     def record(self, event: ev.ObsEvent) -> None:
-        """Append one event (also usable as a plain bus handler)."""
+        """Append one event."""
         if not self._header_written:
             self.write_header()
         self._handle.write(json.dumps(event_to_dict(event), sort_keys=True))
@@ -226,8 +217,7 @@ class EventJournal:
         self.events_written += 1
 
     def close(self) -> None:
-        """Detach, flush, and close an owned file handle (idempotent)."""
-        self.detach()
+        """Flush and close an owned file handle (idempotent)."""
         if not self._header_written:
             self.write_header()
         self._handle.flush()
@@ -314,16 +304,6 @@ def read_journal(source: Union[str, TextIO]) -> tuple[dict, list[ev.ObsEvent]]:
             handle.close()
 
 
-def replay(events: Iterable[ev.ObsEvent], bus: EventBus) -> int:
-    """Deliver decoded events into ``bus`` (timestamps preserved);
-    returns the number of events delivered."""
-    count = 0
-    for event in events:
-        bus.deliver(event)
-        count += 1
-    return count
-
-
 # -- offline rebuilds ---------------------------------------------------------
 
 
@@ -337,10 +317,11 @@ def replay_registry(meta: dict, events: Iterable[ev.ObsEvent]):
     service = meta.get("service")
     if service:
         registry.service_series(service.get("max_series_points"))
-    bus = EventBus()
-    registry.attach(bus)
-    replay(events, bus)
-    registry.detach()
+    handlers = registry.handlers()
+    for event in events:
+        handler = handlers.get(type(event))
+        if handler is not None:
+            handler(event)
     return registry
 
 

@@ -2,8 +2,9 @@
 
 The end-of-run :class:`~repro.service.slo.ServiceReport` answers "did we
 meet the SLO"; this module answers "are we meeting it *right now*". A
-:class:`LiveMonitor` subscribes to the observability bus (live, or fed
-from a journal replay) and maintains three things incrementally:
+:class:`LiveMonitor`'s handler table is subscribed to the observability
+bus (or fed the decoded events of a journal) and maintains three things
+incrementally:
 
 * **Tumbling windows** — per fixed ``window_s`` bucket of event time,
   the finished-submission latencies and their p50/p95/p99, throughput
@@ -34,7 +35,6 @@ from typing import Optional, Sequence
 
 from repro.stats import percentile
 from repro.obs import events as ev
-from repro.obs.bus import EventBus, Subscription
 
 __all__ = [
     "BurnRateRule",
@@ -196,23 +196,14 @@ class LiveMonitor:
         )
         self._active_rules: set[str] = set()
         self._tool_durations: dict[str, list[float]] = {}
-        self._subscriptions: list[Subscription] = []
 
-    # -- bus wiring -------------------------------------------------------------
-
-    def attach(self, bus: EventBus) -> None:
-        """Subscribe to the three event types the monitor consumes."""
-        for event_type, handler in (
-            (ev.WorkflowSubmitted, self.on_submitted),
-            (ev.SubmissionFinished, self.on_finished),
-            (ev.TaskAttemptFinished, self.on_attempt),
-        ):
-            self._subscriptions.append(bus.subscribe(event_type, handler))
-
-    def detach(self) -> None:
-        for subscription in self._subscriptions:
-            subscription.cancel()
-        self._subscriptions.clear()
+    def handlers(self) -> dict:
+        """Handler table of the three event types the monitor consumes."""
+        return {
+            ev.WorkflowSubmitted: self.on_submitted,
+            ev.SubmissionFinished: self.on_finished,
+            ev.TaskAttemptFinished: self.on_attempt,
+        }
 
     # -- window bookkeeping -----------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 Three instrument kinds in the Prometheus mould — monotonic
 :class:`Counter`, settable :class:`Gauge`, fixed-bucket
-:class:`Histogram` — live in a :class:`MetricsRegistry` that can
-subscribe to a cluster's :class:`~repro.obs.bus.EventBus` and aggregate
-the standard Hi-WAY execution metrics: task runtimes and scheduler
-waits, container allocate latency and lifetime, HDFS bytes split
-local/remote, retries, crashes and fault injections. Exports are
-deterministic (names and label sets sorted) in two formats: a JSON
-document and the Prometheus text exposition format.
+:class:`Histogram` — live in a :class:`MetricsRegistry` whose handler
+table (:meth:`MetricsRegistry.handlers`) folds the event stream, live
+on a cluster's :class:`~repro.obs.bus.EventBus` or replayed from a
+journal, into the standard Hi-WAY execution metrics: task runtimes
+and scheduler waits, container allocate latency and lifetime, HDFS
+bytes split local/remote, retries, crashes and fault injections.
+Exports are deterministic (names and label sets sorted) in two
+formats: a JSON document and the Prometheus text exposition format.
 
 Instruments support labels via :meth:`_Instrument.labels`, e.g.::
 
@@ -16,7 +17,7 @@ Instruments support labels via :meth:`_Instrument.labels`, e.g.::
     reads.labels(locality="local").inc(64.0)
 
 The registry holds plain python floats and is cheap enough to stay
-attached for every run (it replaces the ad-hoc counter dict the
+subscribed for every run (it replaces the ad-hoc counter dict the
 :class:`~repro.sim.metrics.MetricRecorder` used to keep).
 """
 
@@ -26,7 +27,6 @@ import json
 from typing import Optional, Sequence
 
 from repro.obs import events as ev
-from repro.obs.bus import EventBus, Subscription
 
 __all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry",
            "RUNTIME_BUCKETS", "LATENCY_BUCKETS", "SERVICE_SERIES"]
@@ -247,8 +247,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: dict[str, _Instrument] = {}
-        self._subscriptions: list[Subscription] = []
-        self._attached_buses: list[EventBus] = []
         #: container_id -> allocation time (for lifetime histograms).
         self._container_alloc_t: dict[str, float] = {}
         #: (workflow_id, task_id) -> dispatch time (for scheduler wait).
@@ -310,21 +308,19 @@ class MetricsRegistry:
             return child.value if child is not None else 0.0
         return getattr(instrument, "value", 0.0)
 
-    # -- standard bus aggregation ------------------------------------------------
+    # -- standard event aggregation -------------------------------------------
 
-    def attach(self, bus: EventBus) -> None:
-        """Subscribe the standard Hi-WAY aggregations to ``bus``.
+    def handlers(self) -> dict:
+        """The standard Hi-WAY aggregations as an event handler table.
 
-        Idempotent per bus. Everything the paper's evaluation quotes
-        per-run lands here: task attempts/runtimes (per tool), scheduler
-        wait (dispatch -> attempt start), container allocate latency and
-        lifetime, HDFS read/write MB split local/remote, retries,
-        crashes, injected faults and workflow outcomes.
+        Registers the instruments and returns ``event class -> handler``
+        for ``bus.subscribe`` or a replay loop; subscribe it once.
+        Everything the paper's evaluation quotes per-run lands here:
+        task attempts/runtimes (per tool), scheduler wait (dispatch ->
+        attempt start), container allocate latency and lifetime, HDFS
+        read/write MB split local/remote, retries, crashes, injected
+        faults and workflow outcomes.
         """
-        if any(existing is bus for existing in self._attached_buses):
-            return
-        self._attached_buses.append(bus)
-
         tasks = self.counter("hiway_task_attempts_total",
                              "Task attempts by outcome", ("outcome",))
         runtimes = self.histogram("hiway_task_runtime_seconds", RUNTIME_BUCKETS,
@@ -462,31 +458,23 @@ class MetricsRegistry:
             for attr, series in self.service_series().items():
                 series.record(event.rel_t, getattr(event, attr))
 
-        for event_type, handler in [
-            (ev.WorkflowSubmitted, on_submitted),
-            (ev.TaskDispatched, on_dispatched),
-            (ev.TaskAttemptFinished, on_task),
-            (ev.TaskRetried, on_retry),
-            (ev.ContainerAllocated, on_allocated),
-            (ev.AdmissionDecision, on_admission),
-            (ev.ContainerReleased, on_released),
-            (ev.ContainerLaunched, on_launched),
-            (ev.ContainerFinished, on_finished),
-            (ev.HdfsRead, on_hdfs),
-            (ev.HdfsWrite, on_hdfs),
-            (ev.NodeCrashed, on_crash),
-            (ev.FaultInjected, on_fault),
-            (ev.WorkflowFinished, on_workflow),
-            (ev.ServiceSample, on_service_sample),
-        ]:
-            self._subscriptions.append(bus.subscribe(event_type, handler))
-
-    def detach(self) -> None:
-        """Cancel all bus subscriptions (recorded values stay readable)."""
-        for subscription in self._subscriptions:
-            subscription.cancel()
-        self._subscriptions.clear()
-        self._attached_buses.clear()
+        return {
+            ev.WorkflowSubmitted: on_submitted,
+            ev.TaskDispatched: on_dispatched,
+            ev.TaskAttemptFinished: on_task,
+            ev.TaskRetried: on_retry,
+            ev.ContainerAllocated: on_allocated,
+            ev.AdmissionDecision: on_admission,
+            ev.ContainerReleased: on_released,
+            ev.ContainerLaunched: on_launched,
+            ev.ContainerFinished: on_finished,
+            ev.HdfsRead: on_hdfs,
+            ev.HdfsWrite: on_hdfs,
+            ev.NodeCrashed: on_crash,
+            ev.FaultInjected: on_fault,
+            ev.WorkflowFinished: on_workflow,
+            ev.ServiceSample: on_service_sample,
+        }
 
     # -- derived quantities -------------------------------------------------------
 

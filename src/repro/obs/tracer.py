@@ -14,7 +14,7 @@ Point-in-time occurrences (task dispatch/retry, fault injections, node
 crashes) become instant events. The result exports as Chrome
 ``trace_event`` JSON — loadable in ``chrome://tracing`` or Perfetto.
 Counts and latency aggregates are not kept here: they live in the
-:class:`~repro.obs.registry.MetricsRegistry` attached to the same bus.
+:class:`~repro.obs.registry.MetricsRegistry` subscribed to the same bus.
 
 :func:`chrome_trace_records` and :func:`dump_chrome_trace` are the one
 Chrome formatter of the package; the per-submission span trees of

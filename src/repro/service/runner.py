@@ -282,7 +282,7 @@ class ServiceRunner:
             yield self.env.timeout(self.config.sample_period_s)
 
     def _sample(self) -> None:
-        # Published as an event (not recorded directly): the attached
+        # Published as an event (not recorded directly): the subscribed
         # registry folds it into the hiway_service_* series, and the
         # same handler reproduces them from a journal replay.
         self.bus.emit(ev.ServiceSample(
@@ -322,10 +322,10 @@ class ServiceRunner:
         and in-flight submissions stay unfinished in the report.
 
         ``journal`` (an :class:`~repro.obs.journal.EventJournal`) gets
-        the run's header metadata written and is attached to the bus
-        for the duration of the run — the caller closes it.
-        ``monitor`` (a :class:`~repro.obs.live.LiveMonitor`) is
-        attached likewise with its epoch set to the run start; with
+        the run's header metadata written and its handler table
+        subscribed to the bus for the duration of the run — the caller
+        closes it. ``monitor`` (a :class:`~repro.obs.live.LiveMonitor`)
+        is subscribed likewise with its epoch set to the run start; with
         ``snapshot_every_s`` and ``on_snapshot``, a sampler process
         hands the callback a rendered snapshot each period.
         """
@@ -346,42 +346,45 @@ class ServiceRunner:
                 for spec in schedule
             ],
         }
-        if journal is not None:
-            # Attached before staging so the journal carries the whole
-            # event stream the live registry saw.
-            journal.write_header({"service": meta})
-            journal.attach(self.bus)
-        self._stage({spec.kind for spec in schedule})
-        self._t0 = self.env.now
-        if monitor is not None:
-            monitor.epoch = self._t0
-            if monitor.targets is None:
-                monitor.targets = targets
-            monitor.attach(self.bus)
-            if snapshot_every_s is not None and on_snapshot is not None:
-                self.env.process(
-                    self._snapshot_loop(monitor, snapshot_every_s, on_snapshot)
-                )
-        self.registry.service_series(self.config.max_series_points)
-        events: list[ev.ObsEvent] = []
-        subscriptions = [
-            self.bus.subscribe(kind, events.append) for kind in REPORT_EVENTS
-        ]
-        processes = [self.env.process(self._drive(spec)) for spec in schedule]
-        self.env.process(self._sampler())
-        if processes:
-            if self.config.drain:
-                self.env.run(until=self.env.all_of(processes))
-            else:
-                # A time stop, not `until=self.env.timeout(...)`: Timeouts
-                # are born triggered, which would stop the run at the
-                # first processed event instead of the horizon.
-                self.env.run(until=self._t0 + horizon_s)
-        self._sample()
-        for subscription in subscriptions:
-            subscription.cancel()
+        subscriptions = []
+        try:
+            if journal is not None:
+                # Subscribed before staging so the journal carries the
+                # whole event stream the live registry saw.
+                journal.write_header({"service": meta})
+                subscriptions.append(self.bus.subscribe(journal.handlers()))
+            self._stage({spec.kind for spec in schedule})
+            self._t0 = self.env.now
+            if monitor is not None:
+                monitor.epoch = self._t0
+                if monitor.targets is None:
+                    monitor.targets = targets
+                subscriptions.append(self.bus.subscribe(monitor.handlers()))
+                if snapshot_every_s is not None and on_snapshot is not None:
+                    self.env.process(self._snapshot_loop(
+                        monitor, snapshot_every_s, on_snapshot
+                    ))
+            self.registry.service_series(self.config.max_series_points)
+            events: list[ev.ObsEvent] = []
+            subscriptions.append(
+                self.bus.subscribe(dict.fromkeys(REPORT_EVENTS, events.append))
+            )
+            processes = [
+                self.env.process(self._drive(spec)) for spec in schedule
+            ]
+            self.env.process(self._sampler())
+            if processes:
+                if self.config.drain:
+                    self.env.run(until=self.env.all_of(processes))
+                else:
+                    # A time stop, not `until=self.env.timeout(...)`:
+                    # Timeouts are born triggered, which would stop the run
+                    # at the first processed event instead of the horizon.
+                    self.env.run(until=self._t0 + horizon_s)
+            self._sample()
+        finally:
+            for subscription in subscriptions:
+                subscription.cancel()
         if monitor is not None:
             monitor.close()
-        if journal is not None:
-            journal.detach()
         return ServiceReport.from_events(meta, events, self.registry)

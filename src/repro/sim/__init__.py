@@ -2,11 +2,9 @@
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Process,
-    ScheduledCall,
     Timeout,
 )
 from repro.sim.flows import SOLVER_VERSION, Flow, FlowNetwork, Resource
@@ -14,11 +12,9 @@ from repro.sim.metrics import MetricRecorder, ResourceUsage
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Process",
-    "ScheduledCall",
     "Timeout",
     "Flow",
     "FlowNetwork",

@@ -46,8 +46,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "ScheduledCall",
 ]
 
 #: Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -168,42 +166,6 @@ class _Deferred:
         self._fn(self._arg)
 
 
-class ScheduledCall:
-    """A cancellable timer: ``fn()`` runs at the scheduled time unless
-    :meth:`cancel` was called first.
-
-    This is the cancellation hook for subsystems that schedule plain
-    callbacks. Unlike a :class:`Timeout` plus version counter, a
-    cancelled call does no work when popped. A cancelled record stays in
-    the heap until its time arrives, but it is inert — callers that
-    re-aim a single rolling wake-up on every state change should use
-    :meth:`Environment.set_wake` instead, which replaces its target in
-    place and leaves no records behind.
-    """
-
-    __slots__ = ("_fn", "_cancelled")
-
-    _ok = True
-    _defused = False
-
-    def __init__(self, fn: Callable[[], None]):
-        self._fn = fn
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Prevent the callback from running; idempotent."""
-        self._cancelled = True
-
-    def _process(self) -> None:
-        if not self._cancelled:
-            self._fn()
-
-
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
@@ -309,8 +271,8 @@ class Process(Event):
         next_event._add_callback(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every constituent event has fired; fails fast on failure."""
 
     __slots__ = ("_events", "_pending")
 
@@ -338,15 +300,6 @@ class _Condition(Event):
             if event._ok is not None
         }
 
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired; fails fast on failure."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
@@ -357,21 +310,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed(self._results())
-
-
-class AnyOf(_Condition):
-    """Fires when the first constituent event fires."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._ok is not None:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)  # type: ignore[arg-type]
-            return
-        self.succeed(self._results())
 
 
 class Environment:
@@ -418,35 +356,6 @@ class Environment:
         """Register ``generator`` as a process and start it."""
         return Process(self, generator)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> ScheduledCall:
-        """Schedule ``fn()`` to run ``delay`` seconds from now.
-
-        Returns a :class:`ScheduledCall` whose :meth:`ScheduledCall.cancel`
-        turns the queued record into a no-op. Cheaper than a
-        :class:`Timeout` with a callback when the caller may re-aim the
-        timer before it fires.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative call_later delay: {delay}")
-        call = ScheduledCall(fn)
-        heappush(self._queue, (self._now + delay, 1, next(self._eids), call))
-        return call
-
-    def call_at(self, time: float, fn: Callable[[], None]) -> ScheduledCall:
-        """Schedule ``fn()`` to run at absolute simulated ``time``.
-
-        Unlike :meth:`call_later`, the target is taken verbatim — no
-        ``now + delay`` rounding — so a caller that re-arms a rolling
-        timer can hit a previously computed instant bit-for-bit. A time
-        in the past runs on the next step without rewinding the clock.
-        """
-        call = ScheduledCall(fn)
-        heappush(
-            self._queue,
-            (time if time > self._now else self._now, 1, next(self._eids), call),
-        )
-        return call
-
     def set_wake(self, time: float, fn: Callable[[], None]) -> None:
         """Aim the environment's single *external wake* at ``time``.
 
@@ -482,10 +391,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing once all of ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing once any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 
@@ -599,31 +504,3 @@ class Environment:
         if stop_time is not None:
             self._now = stop_time
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event (including the external
-        wake), or ``inf`` if none."""
-        head = self._queue[0][0] if self._queue else math.inf
-        wake = self._wake_time
-        return wake if wake < head else head
-
-    def step(self) -> None:
-        """Process exactly one queued event (mainly for tests)."""
-        queue = self._queue
-        wake = self._wake_time
-        if queue:
-            item = queue[0]
-            if wake <= item[0] and (
-                wake < item[0]
-                or item[1] > 1
-                or (item[1] == 1 and self._wake_eid < item[2])
-            ):
-                self._fire_wake()
-                return
-            heapq.heappop(queue)
-            self._now = item[0]
-            item[3]._process()  # type: ignore[union-attr]
-        elif wake < math.inf:
-            self._fire_wake()
-        else:
-            raise SimulationError("no scheduled events")

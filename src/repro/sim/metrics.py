@@ -11,13 +11,11 @@ an optional step series for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
+from repro.obs import events as obs_events
 from repro.obs.registry import MetricsRegistry
 from repro.sim.flows import FlowNetwork, Resource
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.bus import EventBus
 
 __all__ = ["ResourceUsage", "MetricRecorder"]
 
@@ -68,11 +66,10 @@ class MetricRecorder:
         self._last_time = network.env.now
         self.usages: dict[str, ResourceUsage] = {}
         self.started_at = network.env.now
-        #: Typed event aggregations (counters/gauges/histograms) fed by
-        #: the observability bus once :meth:`attach` is called.
+        #: Typed event aggregations (counters/gauges/histograms), fed
+        #: once whoever builds the installation subscribes
+        #: ``registry.handlers()`` to the observability bus.
         self.registry = MetricsRegistry()
-        self._subscriptions: list = []
-        self._attached_buses: list = []
         network.set_recorder(self)
         self.snapshot(network.env.now)
 
@@ -139,37 +136,11 @@ class MetricRecorder:
 
     # -- observability bus ------------------------------------------------------
 
-    def attach(self, bus: "EventBus") -> None:
-        """Feed the :attr:`registry` from the cluster's event bus.
-
-        Complements the exact flow integrals with the typed event
-        aggregations the paper reports alongside them (see
-        :meth:`MetricsRegistry.attach` for the full set). Also
-        auto-finishes the recorder when a workflow completes, so step
-        series are closed without the caller having to remember
-        :meth:`finish`. Idempotent per bus.
-        """
-        if any(existing is bus for existing in self._attached_buses):
-            return
-        self._attached_buses.append(bus)
-        from repro.obs import events as obs_events
-
-        self.registry.attach(bus)
-
-        def on_workflow_finished(event: obs_events.WorkflowFinished) -> None:
-            self.finish()
-
-        self._subscriptions.append(
-            bus.subscribe(obs_events.WorkflowFinished, on_workflow_finished)
-        )
-
-    def detach(self) -> None:
-        """Cancel all bus subscriptions made by :meth:`attach`."""
-        for subscription in self._subscriptions:
-            subscription.cancel()
-        self._subscriptions.clear()
-        self._attached_buses.clear()
-        self.registry.detach()
+    def handlers(self) -> dict:
+        """Handler table finishing the recorder when a workflow completes,
+        so step series are closed without the caller having to remember
+        :meth:`finish`. Subscribed after :attr:`registry`'s table."""
+        return {obs_events.WorkflowFinished: lambda event: self.finish()}
 
     # -- report helpers ----------------------------------------------------
 

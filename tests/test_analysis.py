@@ -17,8 +17,7 @@ def _run_diamond(seed=0):
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
     hiway = HiWay(cluster)
     events = []
-    for event_type in ANALYSIS_EVENTS:
-        hiway.bus.subscribe(event_type, events.append)
+    hiway.bus.subscribe(dict.fromkeys(ANALYSIS_EVENTS, events.append))
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")

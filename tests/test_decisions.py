@@ -26,8 +26,7 @@ def _run_audited(policy, seed=0):
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
     hiway = HiWay(cluster)
     decisions = []
-    for event_type in DECISION_EVENTS:
-        hiway.bus.subscribe(event_type, decisions.append)
+    hiway.bus.subscribe(dict.fromkeys(DECISION_EVENTS, decisions.append))
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")
@@ -107,7 +106,7 @@ def test_retry_fallback_is_audited():
     env = Environment()
     bus = EventBus(env)
     decisions = []
-    bus.subscribe(SchedulingDecision, decisions.append)
+    bus.subscribe({SchedulingDecision: decisions.append})
     scheduler = RoundRobinScheduler()
     scheduler.bind(SchedulerContext(
         worker_ids=["worker-0", "worker-1"], bus=bus, workflow_id="wf-1"

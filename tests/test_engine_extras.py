@@ -6,29 +6,6 @@ from repro.errors import Interrupt, SimulationError
 from repro.sim import Environment, FlowNetwork
 
 
-def test_any_of_failure_propagates():
-    env = Environment()
-
-    def failing(env):
-        yield env.timeout(1.0)
-        raise ValueError("first to finish fails")
-
-    def slow(env):
-        yield env.timeout(10.0)
-
-    caught = []
-
-    def waiter(env):
-        try:
-            yield env.any_of([env.process(failing(env)), env.process(slow(env))])
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    env.process(waiter(env))
-    env.run()
-    assert caught == ["first to finish fails"]
-
-
 def test_all_of_fails_fast():
     env = Environment()
     finish_time = []
@@ -96,18 +73,6 @@ def test_run_until_in_the_past_rejected():
     env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=1.0)
-
-
-def test_step_advances_exactly_one_event():
-    env = Environment()
-    env.timeout(1.0)
-    env.timeout(2.0)
-    env.step()
-    assert env.now == 1.0
-    env.step()
-    assert env.now == 2.0
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_interrupt_before_first_step_fails_the_process():
@@ -206,20 +171,6 @@ def test_condition_results_computed_once_with_many_events():
     # One snapshot at trigger time, not one per constituent event.
     assert len(calls) == 1
     assert condition.value == {gate: i for i, gate in enumerate(gates)}
-
-
-def test_any_of_many_events_returns_first_only():
-    env = Environment()
-    gates = [env.event() for _ in range(150)]
-    condition = env.any_of(gates)
-
-    def firer(env):
-        yield env.timeout(2.0)
-        gates[37].succeed("winner")
-
-    env.process(firer(env))
-    env.run(until=condition)
-    assert condition.value == {gates[37]: "winner"}
 
 
 def test_flow_rate_read_forces_pending_rebalance():

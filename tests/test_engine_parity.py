@@ -14,6 +14,7 @@ from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
 from repro.hdfs import HdfsClient
 from repro.obs.analysis import analyze
+from repro.obs.journal import EVENT_TYPES
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import build_submission_spans
 from repro.sim import Environment
@@ -44,11 +45,11 @@ def _diamond():
 
 
 def _instrument(bus):
-    """Attach a registry and a raw event log to ``bus``."""
+    """Subscribe a registry and a raw event log to ``bus``."""
     registry = MetricsRegistry()
-    registry.attach(bus)
+    bus.subscribe(registry.handlers())
     seen = []
-    bus.subscribe("*", seen.append)
+    bus.subscribe(dict.fromkeys(EVENT_TYPES.values(), seen.append))
     return registry, seen
 
 

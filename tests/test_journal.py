@@ -25,7 +25,6 @@ from repro.obs.journal import (
     load_service_report,
     read_journal,
     read_meta,
-    replay,
 )
 from repro.service import ServiceConfig, ServiceRunner, SloTargets, make_arrivals
 from repro.workflow.model import TaskSpec
@@ -99,30 +98,43 @@ def test_schema_mismatch_and_garbage_raise_journal_error():
         list(iter_events(bad_line))
 
 
+def _feed(handlers, events):
+    """Replay: hand each event to its handler in ``handlers``, if any."""
+    for event in events:
+        handler = handlers.get(type(event))
+        if handler is not None:
+            handler(event)
+
+
 def test_journal_attach_records_bus_traffic_and_replay_preserves_stamps():
-    bus = EventBus()
+    from repro.sim import Environment
+
+    env = Environment()
+    bus = EventBus(env)
     buffer = io.StringIO()
     journal = EventJournal(buffer)
     journal.write_header({"run": "unit"})
-    journal.attach(bus)
-    event = SubmissionFinished(name="j", tenant="t", workload="w",
-                               success=False, rejected=True)
-    event.t, event.seq = 42.0, 3
-    bus.deliver(event)
+    subscription = bus.subscribe(journal.handlers())
+    env.run(until=42.0)
+    bus.emit(WorkflowSubmitted(name="j", tenant="t", workload="w"))
+    bus.emit(SubmissionFinished(name="j", tenant="t", workload="w",
+                                success=False, rejected=True))
+    subscription.cancel()
+    bus.emit(WorkflowSubmitted(name="late", tenant="t", workload="w"))
     journal.close()
 
     meta, events = read_journal(io.StringIO(buffer.getvalue()))
     assert meta == {"run": "unit"}
-    assert len(events) == 1
-    assert events[0].t == 42.0 and events[0].seq == 3
-    assert events[0].rejected is True
+    assert [(type(e), e.t, e.seq) for e in events] == [
+        (WorkflowSubmitted, 42.0, 0), (SubmissionFinished, 42.0, 1),
+    ]
+    assert events[1].rejected is True
 
-    # Replay delivers without re-stamping.
+    # Replay hands the decoded events over without re-stamping.
     seen = []
-    sink = EventBus()
-    sink.subscribe(SubmissionFinished, seen.append)
-    assert replay(events, sink) == 1
-    assert seen[0].t == 42.0 and seen[0].seq == 3
+    _feed({SubmissionFinished: seen.append}, events)
+    assert seen == [events[1]]
+    assert seen[0].t == 42.0 and seen[0].seq == 1
 
 
 def test_event_type_table_covers_the_whole_vocabulary():
@@ -135,7 +147,7 @@ def test_event_type_table_covers_the_whole_vocabulary():
             assert name in EVENT_TYPES
 
 
-def _serve(journal=None, **config):
+def _serve(journal=None, monitor=None, **config):
     runner = ServiceRunner(ServiceConfig(
         workers=2, max_concurrent_apps=2, sample_period_s=120.0, seed=0,
         **config,
@@ -145,15 +157,16 @@ def _serve(journal=None, **config):
         horizon_s=3600.0,
         targets=SloTargets(p99_s=4000.0),
         journal=journal,
+        monitor=monitor,
     )
     return runner, report
 
 
-def _journalled(**config):
+def _journalled(monitor=None, **config):
     """(runner, live report, journal text) of one service run."""
     buffer = io.StringIO()
     journal = EventJournal(buffer)
-    runner, live = _serve(journal=journal, **config)
+    runner, live = _serve(journal=journal, monitor=monitor, **config)
     journal.close()
     return runner, live, buffer.getvalue()
 
@@ -185,6 +198,28 @@ def test_load_registry_matches_the_live_registry(max_series_points):
     offline = load_registry(io.StringIO(text))
     assert offline.to_json() == runner.registry.to_json()
     assert offline.to_prometheus() == runner.registry.to_prometheus()
+
+
+def test_live_monitor_matches_a_monitor_fed_the_decoded_journal():
+    """Live = replay for the streaming monitor: the one a service run
+    feeds and one fed the run's decoded journal (what ``slo-watch``
+    does) close the same windows and print the same summary."""
+    from repro.obs.live import LiveMonitor
+    from repro.service.slo import run_epoch, slo_targets
+
+    live = LiveMonitor(window_s=600.0)
+    _, _, text = _journalled(monitor=live)
+    meta, events = read_journal(io.StringIO(text))
+    replayed = LiveMonitor(window_s=600.0,
+                           targets=slo_targets(meta["service"]),
+                           epoch=run_epoch(events))
+    _feed(replayed.handlers(), events)
+    replayed.close()
+
+    lines = [window.line() for window in live.all_windows()]
+    assert len(lines) > 1
+    assert [window.line() for window in replayed.all_windows()] == lines
+    assert replayed.summary() == live.summary()
 
 
 def test_load_service_report_requires_service_metadata():
@@ -221,12 +256,12 @@ def _journalled_montage(engine, scheduler):
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
     registry = MetricsRegistry()
-    registry.attach(cluster.bus)
+    cluster.bus.subscribe(registry.handlers())
     live = []
-    cluster.bus.subscribe("*", live.append)
+    cluster.bus.subscribe(dict.fromkeys(EVENT_TYPES.values(), live.append))
     buffer = io.StringIO()
     journal = EventJournal(buffer)
-    journal.attach(cluster.bus)
+    cluster.bus.subscribe(journal.handlers())
     tools = default_registry()
     for node in cluster.all_nodes():
         node.install(*tools.names())
@@ -260,15 +295,16 @@ def _journalled_montage(engine, scheduler):
 ], ids=["hiway-data-aware", "hiway-heft", "tez", "cloudman"])
 def test_single_workflow_views_match_journal_replay(engine, scheduler):
     """The journal is the record every single-workflow view rebuilds
-    from: the Chrome trace, the critical-path report and every task's
-    decision account come out the same from the decoded events as from
-    the live ones, and the same again from just the event types each
-    view declares (what the CLI records)."""
+    from: the Chrome trace, the critical-path report, every task's
+    decision account and the timeline come out the same from the
+    decoded events as from the live ones, and the same again from just
+    the event types each view declares (what the CLI records)."""
     from repro.obs.analysis import (
         ANALYSIS_EVENTS, analyze, latest_finished, render_report,
     )
     from repro.obs.decisions import DECISION_EVENTS, explain, task_ids
     from repro.obs.journal import replay_registry
+    from repro.obs.timeline import TIMELINE_EVENTS, render_timeline
     from repro.obs.tracer import TRACE_EVENTS, trace_records
 
     now, live, registry, text = _journalled_montage(engine, scheduler)
@@ -298,3 +334,8 @@ def test_single_workflow_views_match_journal_replay(engine, scheduler):
         account = explain(live, task_id)
         assert explain(decoded, task_id) == account
         assert explain(declared(DECISION_EVENTS), task_id) == account
+
+    timeline = render_timeline(live)
+    assert timeline.startswith("timeline: 17 task attempt(s)")
+    assert render_timeline(decoded) == timeline
+    assert render_timeline(declared(TIMELINE_EVENTS)) == timeline

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.bus import EventBus
 from repro.obs.events import (
     SubmissionFinished,
     TaskAttemptFinished,
@@ -14,34 +13,32 @@ from repro.stats import percentile
 from repro.workflow.model import TaskSpec
 
 
-def _submit(bus, name, t, tenant="t"):
+def _submit(handlers, name, t, tenant="t"):
     event = WorkflowSubmitted(name=name, tenant=tenant, workload="w")
     event.t = t
-    bus.deliver(event)
+    handlers[type(event)](event)
 
 
-def _finish(bus, name, t, success=True, rejected=False, tenant="t"):
+def _finish(handlers, name, t, success=True, rejected=False, tenant="t"):
     event = SubmissionFinished(name=name, tenant=tenant, workload="w",
                                success=success, rejected=rejected)
     event.t = t
-    bus.deliver(event)
+    handlers[type(event)](event)
 
 
-def _attempt(bus, task_id, tool, t, makespan, success=True):
+def _attempt(handlers, task_id, tool, t, makespan, success=True):
     event = TaskAttemptFinished(
         workflow_id="wf", node_id="worker-0", success=success,
         makespan_seconds=makespan,
         task=TaskSpec(tool=tool, inputs=[], outputs=[], task_id=task_id),
     )
     event.t = t
-    bus.deliver(event)
+    handlers[type(event)](event)
 
 
 def _monitored(window_s=300.0, **kwargs):
     monitor = LiveMonitor(window_s=window_s, **kwargs)
-    bus = EventBus()
-    monitor.attach(bus)
-    return monitor, bus
+    return monitor, monitor.handlers()
 
 
 # -- windowed percentiles vs the offline reference ----------------------------
@@ -66,14 +63,14 @@ def test_streaming_windows_match_offline_recomputation(jobs, window_s):
     full lists — the streaming monitor must agree exactly, since both
     use :func:`repro.stats.percentile`.
     """
-    monitor, bus = _monitored(window_s=window_s)
+    monitor, handlers = _monitored(window_s=window_s)
     finishes = []
     for index, (submit_t, latency) in enumerate(jobs):
         finishes.append((submit_t + latency, f"job-{index}", submit_t))
     for index, (submit_t, _) in enumerate(jobs):
-        _submit(bus, f"job-{index}", submit_t)
+        _submit(handlers, f"job-{index}", submit_t)
     for finish_t, name, _ in sorted(finishes):
-        _finish(bus, name, finish_t)
+        _finish(handlers, name, finish_t)
     monitor.close()
 
     offline: dict[int, list[float]] = {}
@@ -94,11 +91,11 @@ def test_streaming_windows_match_offline_recomputation(jobs, window_s):
 
 
 def test_windows_are_tumbling_and_sparse():
-    monitor, bus = _monitored(window_s=100.0)
-    _submit(bus, "a", 10.0)
-    _finish(bus, "a", 50.0)
-    _submit(bus, "b", 20.0)
-    _finish(bus, "b", 950.0)  # long gap: windows 1..8 never materialise
+    monitor, handlers = _monitored(window_s=100.0)
+    _submit(handlers, "a", 10.0)
+    _finish(handlers, "a", 50.0)
+    _submit(handlers, "b", 20.0)
+    _finish(handlers, "b", 950.0)  # long gap: windows 1..8 never materialise
     monitor.close()
     assert [w.index for w in monitor.windows] == [0, 9]
     assert monitor.windows[0].start == 0.0
@@ -107,9 +104,9 @@ def test_windows_are_tumbling_and_sparse():
 
 
 def test_epoch_shifts_the_window_grid():
-    monitor, bus = _monitored(window_s=100.0, epoch=1000.0)
-    _submit(bus, "a", 1010.0)
-    _finish(bus, "a", 1050.0)
+    monitor, handlers = _monitored(window_s=100.0, epoch=1000.0)
+    _submit(handlers, "a", 1010.0)
+    _finish(handlers, "a", 1050.0)
     monitor.close()
     assert [w.index for w in monitor.windows] == [0]
     assert monitor.windows[0].latencies == [40.0]
@@ -125,17 +122,17 @@ def _burn_monitor():
 
 
 def test_burn_rate_alert_fires_once_and_resets():
-    monitor, bus = _burn_monitor()
+    monitor, handlers = _burn_monitor()
     # 20 good submissions, then a solid run of failures: burn hits 100x.
     for index in range(20):
         t = index * 10.0
-        _submit(bus, f"ok-{index}", t)
-        _finish(bus, f"ok-{index}", t + 1.0)
+        _submit(handlers, f"ok-{index}", t)
+        _finish(handlers, f"ok-{index}", t + 1.0)
     assert monitor.alerts == []
     for index in range(20):
         t = 200.0 + index * 10.0
-        _submit(bus, f"bad-{index}", t)
-        _finish(bus, f"bad-{index}", t + 1.0, success=False)
+        _submit(handlers, f"bad-{index}", t)
+        _finish(handlers, f"bad-{index}", t + 1.0, success=False)
     assert len(monitor.alerts) == 1  # deduplicated while it keeps firing
     alert = monitor.alerts[0]
     assert isinstance(alert, Alert) and alert.rule == "test"
@@ -144,25 +141,25 @@ def test_burn_rate_alert_fires_once_and_resets():
     # A long stretch of good traffic clears the rule...
     for index in range(60):
         t = 500.0 + index * 20.0
-        _submit(bus, f"heal-{index}", t)
-        _finish(bus, f"heal-{index}", t + 1.0)
+        _submit(handlers, f"heal-{index}", t)
+        _finish(handlers, f"heal-{index}", t + 1.0)
     assert monitor.active_alerts() == []
     # ...and a second incident raises a second alert.
     for index in range(30):
         t = 2000.0 + index * 10.0
-        _submit(bus, f"again-{index}", t)
-        _finish(bus, f"again-{index}", t + 1.0, success=False)
+        _submit(handlers, f"again-{index}", t)
+        _finish(handlers, f"again-{index}", t + 1.0, success=False)
     assert len(monitor.alerts) == 2
 
 
 def test_short_window_alone_does_not_fire():
-    monitor, bus = _burn_monitor()
+    monitor, handlers = _burn_monitor()
     # One bad submission in otherwise good traffic: the short window
     # spikes but the long window stays calm -> no alert.
     for index in range(100):
         t = index * 10.0
-        _submit(bus, f"j-{index}", t)
-        _finish(bus, f"j-{index}", t + 1.0, success=(index != 99))
+        _submit(handlers, f"j-{index}", t)
+        _finish(handlers, f"j-{index}", t + 1.0, success=(index != 99))
     assert monitor.alerts == []
 
 
@@ -170,12 +167,12 @@ def test_rejections_and_latency_breaches_count_as_bad():
     from repro.service import SloTargets
 
     rule = BurnRateRule("test", 1000.0, 100.0, threshold=1.0, budget=0.5)
-    monitor, bus = _monitored(window_s=100.0, rules=(rule,),
+    monitor, handlers = _monitored(window_s=100.0, rules=(rule,),
                               targets=SloTargets(p99_s=50.0))
-    _submit(bus, "slow", 0.0)
-    _finish(bus, "slow", 500.0)   # 500s latency > 50s target -> bad
-    _submit(bus, "rej", 510.0)
-    _finish(bus, "rej", 511.0, success=False, rejected=True)
+    _submit(handlers, "slow", 0.0)
+    _finish(handlers, "slow", 500.0)   # 500s latency > 50s target -> bad
+    _submit(handlers, "rej", 510.0)
+    _finish(handlers, "rej", 511.0, success=False, rejected=True)
     assert monitor.alerts  # every submission bad, burn = 1/0.5 = 2x
     window = monitor.all_windows()[-1]
     assert window.rejected == 1
@@ -185,11 +182,11 @@ def test_rejections_and_latency_breaches_count_as_bad():
 
 
 def test_straggler_flagged_against_running_median_of_same_tool():
-    monitor, bus = _monitored(straggler_factor=3.0, straggler_min_samples=3)
+    monitor, handlers = _monitored(straggler_factor=3.0, straggler_min_samples=3)
     for index in range(4):
-        _attempt(bus, f"t{index}", "bwa", t=100.0 + index, makespan=10.0)
+        _attempt(handlers, f"t{index}", "bwa", t=100.0 + index, makespan=10.0)
     assert monitor.stragglers == []
-    _attempt(bus, "t-slow", "bwa", t=200.0, makespan=31.0)  # > 3 x 10s
+    _attempt(handlers, "t-slow", "bwa", t=200.0, makespan=31.0)  # > 3 x 10s
     assert len(monitor.stragglers) == 1
     straggler = monitor.stragglers[0]
     assert isinstance(straggler, StragglerAlert)
@@ -197,17 +194,17 @@ def test_straggler_flagged_against_running_median_of_same_tool():
     assert straggler.ratio == pytest.approx(3.1)
     # Another tool with its own (slower) median is not flagged.
     for index in range(4):
-        _attempt(bus, f"m{index}", "mAdd", t=300.0 + index, makespan=40.0)
+        _attempt(handlers, f"m{index}", "mAdd", t=300.0 + index, makespan=40.0)
     assert len(monitor.stragglers) == 1
 
 
 def test_straggler_needs_min_samples_and_ignores_failures():
-    monitor, bus = _monitored(straggler_min_samples=3)
-    _attempt(bus, "a", "bwa", t=1.0, makespan=1.0)
-    _attempt(bus, "b", "bwa", t=2.0, makespan=1.0)
-    _attempt(bus, "huge", "bwa", t=3.0, makespan=500.0)  # only 2 priors
+    monitor, handlers = _monitored(straggler_min_samples=3)
+    _attempt(handlers, "a", "bwa", t=1.0, makespan=1.0)
+    _attempt(handlers, "b", "bwa", t=2.0, makespan=1.0)
+    _attempt(handlers, "huge", "bwa", t=3.0, makespan=500.0)  # only 2 priors
     assert monitor.stragglers == []
-    _attempt(bus, "fail", "bwa", t=4.0, makespan=900.0, success=False)
+    _attempt(handlers, "fail", "bwa", t=4.0, makespan=900.0, success=False)
     assert monitor.stragglers == []
 
 
@@ -215,9 +212,9 @@ def test_straggler_needs_min_samples_and_ignores_failures():
 
 
 def test_snapshot_and_summary_render():
-    monitor, bus = _monitored(window_s=100.0)
-    _submit(bus, "a", 10.0)
-    _finish(bus, "a", 60.0)
+    monitor, handlers = _monitored(window_s=100.0)
+    _submit(handlers, "a", 10.0)
+    _finish(handlers, "a", 60.0)
     text = monitor.snapshot(now=90.0)
     assert "fin 1" in text and "in flight 0" in text
     summary = monitor.summary()

@@ -6,9 +6,12 @@ import time
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
 from repro.obs import EventBus, trace_records
+from repro.obs.journal import EVENT_TYPES
 from repro.obs.tracer import dump_chrome_trace
 from repro.obs.events import (
     ContainerLaunched,
+    FileStaged,
+    HdfsRead,
     TaskAttemptFinished,
     TaskDispatched,
     WorkflowFinished,
@@ -78,51 +81,54 @@ def test_idle_bus_emit_is_near_free():
 def test_subscribe_selectors_and_delivery_order():
     bus = EventBus(Environment())
     order = []
-    bus.subscribe("yarn", lambda e: order.append("topic-1"))
-    bus.subscribe(ContainerLaunched, lambda e: order.append("type-1"))
-    bus.subscribe("*", lambda e: order.append("wild-1"))
-    bus.subscribe(ContainerLaunched, lambda e: order.append("type-2"))
-    bus.subscribe("yarn", lambda e: order.append("topic-2"))
+    bus.subscribe({ContainerLaunched: lambda e: order.append("first")})
+    bus.subscribe({
+        TaskDispatched: lambda e: order.append("other type"),
+        ContainerLaunched: lambda e: order.append("second"),
+    })
+    bus.subscribe({ContainerLaunched: lambda e: order.append("third")})
     bus.emit(ContainerLaunched(container_id="c1", node_id="worker-0"))
-    # Exact-type first, then topic, then wildcard; subscription order
-    # within each group.
-    assert order == ["type-1", "type-2", "topic-1", "topic-2", "wild-1"]
+    # Exact-type handlers only, in subscription order.
+    assert order == ["first", "second", "third"]
 
 
 def test_wants_is_selector_aware():
     bus = EventBus(Environment())
-    subscription = bus.subscribe(TaskDispatched, lambda e: None)
+    subscription = bus.subscribe({TaskDispatched: lambda e: None})
     assert bus.wants(TaskDispatched)
     assert not bus.wants(ContainerLaunched)
-    bus.subscribe("yarn", lambda e: None)
-    assert bus.wants(ContainerLaunched)  # via its topic
     subscription.cancel()
     assert not bus.wants(TaskDispatched)
 
 
 def test_unsubscribe_restores_idle_fast_path():
     bus = EventBus(Environment())
-    subscription = bus.subscribe("*", lambda e: None)
+    first = bus.subscribe(dict.fromkeys(EVENT_TYPES.values(), lambda e: None))
+    second = bus.subscribe({TaskDispatched: lambda e: None})
     assert bus.active
-    subscription.cancel()
+    first.cancel()
+    # One cancel drops the whole table; the other subscription stays.
+    assert bus.active and bus.wants(TaskDispatched)
+    assert not bus.wants(ContainerLaunched)
+    second.cancel()
     assert not bus.active
-    subscription.cancel()  # idempotent
-    assert bus.subscriber_count() == 0
+    second.cancel()  # idempotent
+    assert not bus.wants(TaskDispatched)
 
 
 def test_bad_selector_raises():
     bus = EventBus(Environment())
     with pytest.raises(TypeError):
-        bus.subscribe(42, lambda e: None)
+        bus.subscribe({42: lambda e: None})
     with pytest.raises(TypeError):
-        bus.subscribe(dict, lambda e: None)
+        bus.subscribe({dict: lambda e: None})
 
 
 def test_emit_stamps_clock_and_sequence():
     env = Environment()
     bus = EventBus(env)
     seen = []
-    bus.subscribe("*", seen.append)
+    bus.subscribe(dict.fromkeys(EVENT_TYPES.values(), seen.append))
 
     def proc(env):
         bus.emit(WorkflowStarted(workflow_id="w", name="a"))
@@ -144,7 +150,7 @@ def _run_diamond(seed=0):
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
     hiway = HiWay(cluster)
     events = []
-    hiway.bus.subscribe("*", events.append)
+    hiway.bus.subscribe(dict.fromkeys(EVENT_TYPES.values(), events.append))
     hiway.install_everywhere("sort", "grep", "cat")
     hiway.stage_inputs({"/in/a": 48.0}, seed=seed)
     graph = WorkflowGraph("diamond")
@@ -161,7 +167,7 @@ def _run_diamond(seed=0):
 
 def _fingerprint(events):
     return [
-        (type(e).__name__, e.topic, round(e.t, 9), e.seq) for e in events
+        (type(e).__name__, round(e.t, 9), e.seq) for e in events
     ]
 
 
@@ -174,8 +180,10 @@ def test_event_stream_deterministic_under_identical_seeds():
 
 def test_every_layer_publishes_onto_the_bus():
     _hiway, _result, events = _run_diamond()
-    topics = {e.topic for e in events}
-    assert {"workflow", "task", "file", "yarn", "hdfs"} <= topics
+    kinds = {type(e) for e in events}
+    # Workflow, task, file, YARN and HDFS granularities all publish.
+    assert {WorkflowStarted, TaskAttemptFinished, FileStaged,
+            ContainerLaunched, HdfsRead} <= kinds
 
 
 def test_metric_recorder_counts_bus_events():
@@ -273,7 +281,7 @@ def test_tracer_exports_dangling_spans_as_incomplete():
     env = Environment()
     bus = EventBus(env)
     recorded = []
-    bus.subscribe("*", recorded.append)
+    bus.subscribe(dict.fromkeys(EVENT_TYPES.values(), recorded.append))
 
     def proc(env):
         bus.emit(WorkflowStarted(workflow_id="w1", name="doomed"))

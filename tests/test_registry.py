@@ -181,18 +181,17 @@ def test_json_and_prometheus_exports_are_well_formed():
     assert "hiway_task_runtime_seconds_count" in text
 
 
-def test_attach_is_idempotent_and_detach_stops_updates():
+def test_handler_table_counts_bus_events_until_cancelled():
     env = Environment()
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=2))
     registry = MetricsRegistry()
-    registry.attach(cluster.bus)
-    registry.attach(cluster.bus)  # no double counting
+    subscription = cluster.bus.subscribe(registry.handlers())
     from repro.obs.events import NodeCrashed
 
     cluster.bus.emit(NodeCrashed(node_id="worker-0", containers_lost=2))
     assert registry.value("hiway_node_crashes_total") == 1
     assert registry.value("hiway_containers_lost_total") == 2
-    registry.detach()
+    subscription.cancel()
     cluster.bus.emit(NodeCrashed(node_id="worker-1", containers_lost=1))
     assert registry.value("hiway_node_crashes_total") == 1
 

@@ -80,8 +80,7 @@ def test_run_many_separates_per_workflow_metrics():
 def test_run_many_separates_scheduling_audits_per_workflow():
     hiway, sources = make_installation()
     decisions = []
-    for event_type in DECISION_EVENTS:
-        hiway.bus.subscribe(event_type, decisions.append)
+    hiway.bus.subscribe(dict.fromkeys(DECISION_EVENTS, decisions.append))
     results = hiway.run_many(sources)
     audited = {decision.workflow_id for decision in decisions}
     assert sorted(audited) == sorted(r.workflow_id for r in results)
@@ -96,8 +95,7 @@ def test_run_many_separates_scheduling_audits_per_workflow():
 def test_run_many_separates_critical_path_analyses():
     hiway, sources = make_installation()
     events = []
-    for event_type in ANALYSIS_EVENTS:
-        hiway.bus.subscribe(event_type, events.append)
+    hiway.bus.subscribe(dict.fromkeys(ANALYSIS_EVENTS, events.append))
     results = hiway.run_many(sources)
     workflows = analyze(events)
     for result, tag in zip(results, "abcd"):

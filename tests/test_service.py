@@ -464,6 +464,16 @@ def test_cli_replayed_metrics_match_the_live_run_byte_for_byte(
     ["serve-sim", "--max-series-points", "1"],
     ["slo-watch", "journal.jsonl", "--window-s", "0"],
     ["slo-watch", "journal.jsonl", "--window-s", "-1"],
+    ["serve-sim", "--amplitude", "2"],
+    ["serve-sim", "--period-s", "0"],
+    ["serve-sim", "--horizon-s", "-5"],
+    ["serve-sim", "--burst-multiplier", "-1"],
+    ["serve-sim", "--burst-at-s", "-1"],
+    ["serve-sim", "--burst-duration-s", "-10"],
+    ["serve-sim", "--users", "-5"],
+    ["serve-sim", "--requests-per-user-hour", "-1"],
+    ["serve-sim", "--max-concurrent-apps", "-1"],
+    ["serve-sim", "--max-submissions", "-1"],
 ])
 def test_cli_rejects_out_of_range_periods_as_usage_errors(argv, capsys):
     from repro.cli import build_parser

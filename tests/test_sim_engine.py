@@ -144,23 +144,6 @@ def test_all_of_waits_for_every_event():
     assert process.value == [1.0, 2.0, 4.0]
 
 
-def test_any_of_fires_on_first_event():
-    env = Environment()
-
-    def sleeper(env, delay):
-        yield env.timeout(delay)
-        return delay
-
-    def waiter(env):
-        procs = [env.process(sleeper(env, d)) for d in (5.0, 1.0)]
-        results = yield env.any_of(procs)
-        return (env.now, list(results.values()))
-
-    process = env.process(waiter(env))
-    env.run()
-    assert process.value == (1.0, [1.0])
-
-
 def test_all_of_empty_fires_immediately():
     env = Environment()
 
@@ -250,75 +233,24 @@ def test_process_value_propagates_through_join():
     assert process.value == 100
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(5.0)
-    assert env.peek() == 5.0
-    env2 = Environment()
-    assert env2.peek() == float("inf")
-
-
-def test_call_later_fires_plain_callback():
-    env = Environment()
-    fired = []
-    env.call_later(3.0, lambda: fired.append(env.now))
-    env.run()
-    assert fired == [3.0]
-
-
-def test_call_later_cancel_suppresses_callback():
-    env = Environment()
-    fired = []
-    call = env.call_later(2.0, lambda: fired.append(env.now))
-    assert not call.cancelled
-    call.cancel()
-    assert call.cancelled
-    env.run()
-    assert fired == []
-    assert env.now == 2.0  # the queue entry still drains the clock
-
-
-def test_call_later_rejects_negative_delay():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.call_later(-0.5, lambda: None)
-
-
-def test_call_later_orders_with_timeouts():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        yield env.timeout(1.0)
-        log.append("timeout")
-
-    env.process(proc(env))
-    env.call_later(1.0, lambda: log.append("call"))
-    env.run()
-    # The ScheduledCall invokes its callback directly when the queue
-    # entry drains, while the timeout's process resumption is deferred —
-    # so the callback observes the timestep before any process does.
-    assert log == ["call", "timeout"]
-
-
-def test_call_at_hits_the_exact_absolute_instant():
+def test_set_wake_hits_the_exact_absolute_instant():
     env = Environment()
     env.timeout(0.1)
     env.run()  # park the clock at a value where now+delta would round
     target = 0.1 + 1 / 3
     fired = []
-    env.call_at(target, lambda: fired.append(env.now))
+    env.set_wake(target, lambda: fired.append(env.now))
     env.run()
     # The target is taken verbatim — no now+delay round trip.
     assert fired == [target]
 
 
-def test_call_at_in_the_past_runs_without_rewinding_the_clock():
+def test_set_wake_in_the_past_runs_without_rewinding_the_clock():
     env = Environment()
     env.timeout(5.0)
     env.run()
     fired = []
-    env.call_at(1.0, lambda: fired.append(env.now))
+    env.set_wake(1.0, lambda: fired.append(env.now))
     env.run()
     assert fired == [5.0]
     assert env.now == 5.0
@@ -396,8 +328,15 @@ def test_run_until_time_respects_a_pending_wake():
     assert fired == [8.0] and env.now == 9.0
 
 
-def test_peek_sees_the_wake_when_it_is_earliest():
+def test_wake_fires_before_a_later_timeout():
     env = Environment()
-    env.timeout(5.0)
-    env.set_wake(2.0, lambda: None)
-    assert env.peek() == 2.0
+    log = []
+
+    def proc(env):
+        yield env.timeout(5.0)
+        log.append(("timeout", env.now))
+
+    env.process(proc(env))
+    env.set_wake(2.0, lambda: log.append(("wake", env.now)))
+    env.run()
+    assert log == [("wake", 2.0), ("timeout", 5.0)]
