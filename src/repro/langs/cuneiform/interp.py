@@ -8,6 +8,22 @@ completes, its future resolves and reduction continues — possibly
 discovering entirely new tasks, which is what enables unbounded loops,
 conditionals and recursion.
 
+Reduction resumes from cached applications. Each task application whose
+port values are concrete is cached by (Apply node, bound environment)
+together with its invocation list (built once, in creation order), the
+index of its first unresolved invocation (it only ever advances) and,
+once every invocation has resolved, its concrete result. An application
+whose ports are still blocked remembers the unresolved invocations its
+port evaluation stopped at, and its ports are not evaluated again until
+one of those resolves. A completion therefore re-walks the targets only
+down to cached or suspended applications, each costing a lookup and an
+index check, instead of re-deriving and re-sorting the key of every
+invocation. Values are monotone — a concrete value never changes once
+the invocations it reads have resolved — so neither cache goes stale.
+An application is cached only when evaluating its ports met no blocked
+task: a ``let`` may discard a pending binding, and evaluating that
+binding again could still discover new tasks.
+
 Evaluation semantics (Cuneiform's data model):
 
 * every value is a flat list of strings;
@@ -81,6 +97,21 @@ class _Invocation:
     values: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
+class _Application:
+    """A task application whose port values are concrete."""
+
+    __slots__ = ("invocations", "first_port", "next_unresolved", "result")
+
+    def __init__(self, invocations: list[_Invocation], first_port: str):
+        #: One invocation per cross-product combination, in creation order.
+        self.invocations = invocations
+        self.first_port = first_port
+        #: Every invocation before this index has resolved.
+        self.next_unresolved = 0
+        #: The concrete value, once every invocation has resolved.
+        self.result: Optional[tuple[str, ...]] = None
+
+
 class CuneiformSource(TaskSource):
     """Parses and incrementally evaluates a Cuneiform script."""
 
@@ -91,6 +122,13 @@ class CuneiformSource(TaskSource):
             raise CuneiformError("script has no target expression")
         self._invocations: dict[tuple, _Invocation] = {}
         self._by_task_id: dict[str, _Invocation] = {}
+        #: Task applications by (id of the Apply node, bound environment).
+        self._applications: dict[tuple, _Application] = {}
+        #: Applications with a blocked port, by the same key: the
+        #: unresolved invocations their port evaluation stopped at.
+        self._suspended: dict[tuple, list[_Invocation]] = {}
+        #: The unresolved invocations met so far in this reduction pass.
+        self._blockers: list[_Invocation] = []
         self._invocation_counter: Counter = Counter()
         self._completed_counter: Counter = Counter()
         self._new_specs: list[TaskSpec] = []
@@ -162,6 +200,7 @@ class CuneiformSource(TaskSource):
     def _reduce_targets(self) -> None:
         if self._target_values is not None:
             return
+        self._blockers = []
         values = []
         for target in self.script.targets:
             value = self._eval(target, {})
@@ -249,6 +288,51 @@ class CuneiformSource(TaskSource):
             self._depth -= 1
 
     def _eval_task(self, expr: Apply, env: dict):
+        # The source holds its AST, so a node's id names that node alone.
+        key = (id(expr), tuple(env.items()))
+        application = self._applications.get(key)
+        if application is None:
+            blockers = self._blockers
+            waits = self._suspended.get(key)
+            if waits is not None:
+                for invocation in waits:
+                    if invocation.resolved:
+                        break
+                else:
+                    # Nothing the ports waited on has resolved: evaluating
+                    # them again would retrace the same path.
+                    blockers.extend(waits)
+                    return PENDING
+            mark = len(blockers)
+            application = self._apply_task(expr, env)
+            if application is None:
+                self._suspended[key] = blockers[mark:]
+                return PENDING
+            if waits is not None:
+                del self._suspended[key]
+            if len(blockers) == mark:
+                self._applications[key] = application
+        result = application.result
+        if result is not None:
+            return result
+        invocations = application.invocations
+        index = application.next_unresolved
+        count = len(invocations)
+        while index < count and invocations[index].resolved:
+            index += 1
+        application.next_unresolved = index
+        if index < count:
+            self._blockers.append(invocations[index])
+            return PENDING
+        first_port = application.first_port
+        result = tuple(itertools.chain.from_iterable(
+            invocation.values[first_port] for invocation in invocations
+        ))
+        application.result = result
+        return result
+
+    def _apply_task(self, expr: Apply, env: dict) -> Optional[_Application]:
+        """Evaluate the ports and create the invocations (None if blocked)."""
         task_def = self.script.tasks[expr.callee]
         port_names = [port.name for port in task_def.inports]
         provided = dict(expr.args)
@@ -262,7 +346,7 @@ class CuneiformSource(TaskSource):
         for port in task_def.inports:
             value = self._eval(provided[port.name], env)
             if isinstance(value, _Pending):
-                return PENDING
+                return None
             values[port.name] = value
 
         # Cross product over scalar ports; aggregate ports pass whole.
@@ -270,19 +354,14 @@ class CuneiformSource(TaskSource):
         aggregate_ports = [p for p in task_def.inports if p.aggregate]
         axes = [[(p.name, (item,)) for item in values[p.name]] for p in scalar_ports]
         combinations = list(itertools.product(*axes)) if axes else [()]
-        result: list[str] = []
-        blocked = False
         first_port = task_def.outports[0].name
+        invocations = []
         for combination in combinations:
             bindings = dict(combination)
             for port in aggregate_ports:
                 bindings[port.name] = values[port.name]
-            invocation = self._invocation_for(task_def, bindings)
-            if invocation.resolved:
-                result.extend(invocation.values[first_port])
-            else:
-                blocked = True
-        return PENDING if blocked else tuple(result)
+            invocations.append(self._invocation_for(task_def, bindings))
+        return _Application(invocations, first_port)
 
     def _invocation_for(self, task_def: TaskDef, bindings: dict) -> _Invocation:
         key = (

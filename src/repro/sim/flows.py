@@ -29,7 +29,11 @@ win on churn-heavy clusters comes from. A component's effective settle
 clock coincides with the global clock at each of its refill instants
 (every mutation settles all finite flows before rates change), which is
 exact for piecewise-constant rates; ``built_at`` stamps the instant the
-component was last assembled.
+component was last assembled. A flow whose resources are all uncontended
+can never be bottlenecked, so it holds no component at all: its rate is
+set to ``min(weight * cap_level, cap)`` when the structure is rebuilt,
+and a contention flip on one of its resources seeds it again like a new
+flow. A flow that finishes or is cancelled reports a rate of zero.
 
 Every emitted table and service report carries the ``SOLVER_VERSION``
 stamp. The per-component fills are checked against a
@@ -236,7 +240,9 @@ class FlowNetwork:
         self._dirty = False
         #: Components whose flow membership (or contention) changed since
         #: the last structural rebuild; they are dissolved and re-flooded.
-        self._dirty_components: dict[_Component, None] = {}
+        #: A component-less flow on a resource whose contention flipped
+        #: is entered here itself.
+        self._dirty_components: dict[_Component | Flow, None] = {}
         #: Resources whose flow set changed; contention is re-derived for
         #: exactly these at rebuild time.
         self._retag: dict[Resource, None] = {}
@@ -340,6 +346,8 @@ class FlowNetwork:
             component.flows.pop(flow, None)
             dirty_components[component] = None
             flow._component = None
+        # A dead flow carries nothing: its rate must not outlive it.
+        flow._rate = 0.0
 
     def _remove(self, flow: Flow, fire: bool) -> None:
         if flow not in self._flows:
@@ -371,7 +379,8 @@ class FlowNetwork:
             for flow in self._finite:
                 rate = flow._rate
                 if rate > 0:
-                    flow.remaining = max(0.0, flow.remaining - rate * elapsed)
+                    remaining = flow.remaining - rate * elapsed
+                    flow.remaining = remaining if remaining > 0.0 else 0.0
                     if flow.remaining <= _EPSILON:
                         if finished is None:
                             finished = []
@@ -437,10 +446,13 @@ class FlowNetwork:
         contended resources. Dirty-marking keeps the seed set closed
         under this traversal: a contended resource crossed by a seed
         flow always belongs to a dirty (dissolved) component, so no
-        clean component is reached.
+        clean component is reached. A seed that crosses no contended
+        resource joins no component: its rate is its cap, set right
+        here.
 
-        Returns the freshly built components — exactly the ones whose
-        flow rates the rebalance must recompute.
+        Returns, in seed order, the freshly built components — exactly
+        the ones whose flow rates the rebalance must recompute — and the
+        component-less flows whose rate was just set.
         """
         dirty_components = self._dirty_components
         retagged = self._retag
@@ -457,12 +469,19 @@ class FlowNetwork:
                         component = flow._component
                         if component is not None:
                             dirty_components[component] = None
+                        elif flow not in new_flows:
+                            # A component-less flow is re-seeded like a
+                            # new one, in the order its resource flipped.
+                            dirty_components[flow] = None
         if dirty_components:
             seeds: dict[Flow, None] = {}
-            for component in dirty_components:
-                seeds.update(component.flows)
-                for resource in component.resources:
-                    if resource._component is component:
+            for entry in dirty_components:
+                if type(entry) is Flow:
+                    seeds[entry] = None
+                    continue
+                seeds.update(entry.flows)
+                for resource in entry.resources:
+                    if resource._component is entry:
                         resource._component = None
             seeds.update(new_flows)
             for flow in seeds:
@@ -472,9 +491,20 @@ class FlowNetwork:
             seeds = new_flows
         now = self.env.now
         stack: list[Flow] = []
-        fresh: list[_Component] = []
+        fresh: list[_Component | Flow] = []
         for seed in seeds:
             if seed._component is not None or seed not in self._flows:
+                continue
+            for resource in seed.resources:
+                if resource._contended:
+                    break
+            else:
+                # Nothing it crosses can bottleneck, so it runs at its cap
+                # (it has one: an uncapped flow contends every resource).
+                rate = seed.weight * seed._cap_level
+                cap = seed.cap
+                seed._rate = cap if cap < rate else rate
+                fresh.append(seed)
                 continue
             component = _Component(now)
             fresh.append(component)
@@ -513,9 +543,13 @@ class FlowNetwork:
         fresh = self._rebuild_components()
         if fresh or retagged:
             touched: dict[Resource, None] = dict.fromkeys(retagged)
-            for component in fresh:
-                self._fill_component(component)
-                for flow in component.flows:
+            for entry in fresh:
+                if type(entry) is Flow:
+                    flows = (entry,)
+                else:
+                    self._fill_component(entry)
+                    flows = entry.flows
+                for flow in flows:
                     for resource in flow.resources:
                         touched[resource] = None
             # An uncontended resource may carry flows from several
@@ -543,12 +577,14 @@ class FlowNetwork:
         crossing a contended resource is in that resource's component,
         so the fill is closed) and uncontended resources are skipped
         outright — ``_classify`` already proved they can never
-        bottleneck. A flow crossing only uncontended resources freezes at
-        its cap (it must have one: an uncapped flow makes every crossed
-        resource contended).
+        bottleneck. A resource whose unfrozen weight is spent leaves the
+        per-round scan for good: freezing only ever lowers that weight,
+        so the scan would skip it in every later round anyway.
         """
-        # Per contended resource: aggregate weight of unfrozen flows and
-        # headroom left after already-frozen flows.
+        epsilon = _EPSILON
+        # Per contended resource with unfrozen weight left (the scan, in
+        # order): aggregate weight of unfrozen flows and headroom left
+        # after already-frozen flows.
         weight_sum: dict[Resource, float] = {}
         room: dict[Resource, float] = {}
         for resource in component.resources:
@@ -560,51 +596,54 @@ class FlowNetwork:
             for resource in flow.resources:
                 if resource in weight_sum:
                     weight_sum[resource] += weight
+        for resource in [r for r, w in weight_sum.items() if w <= epsilon]:
+            del weight_sum[resource]
         unfrozen = dict(component.flows)
         # Capped flows ordered by the level at which their cap binds.
         capped = sorted(
             (f for f in unfrozen if f.cap is not None),
             key=lambda f: f._cap_level,
         )
+        cap_count = len(capped)
         cap_index = 0
         level = 0.0
         while unfrozen:
             # Flows already frozen by a resource bottleneck must not
             # contribute a (stale) cap bound.
-            while cap_index < len(capped) and capped[cap_index] not in unfrozen:
+            while cap_index < cap_count and capped[cap_index] not in unfrozen:
                 cap_index += 1
-            delta = math.inf
+            delta = low = high = math.inf
             bottlenecks: list[Resource] = []
             for resource, active_weight in weight_sum.items():
-                if active_weight <= _EPSILON:
-                    continue
-                candidate = max(
-                    (room[resource] - level * active_weight) / active_weight, 0.0
-                )
-                if candidate < delta - _EPSILON:
+                candidate = (room[resource] - level * active_weight) / active_weight
+                if candidate < 0.0:
+                    candidate = 0.0
+                if candidate < low:
                     delta = candidate
+                    low = delta - epsilon
+                    high = delta + epsilon
                     bottlenecks = [resource]
-                elif candidate <= delta + _EPSILON:
+                elif candidate <= high:
                     bottlenecks.append(resource)
             cap_bound = math.inf
-            if cap_index < len(capped):
+            if cap_index < cap_count:
                 cap_bound = capped[cap_index]._cap_level - level
             newly_frozen: list[Flow] = []
-            if cap_bound < delta - _EPSILON:
-                level += max(cap_bound, 0.0)
+            if cap_bound < low:
+                if cap_bound < 0.0:
+                    cap_bound = 0.0
+                level += cap_bound
             else:
                 if not bottlenecks:
                     raise SimulationError("unconstrained flows in rebalance")
                 level += delta
                 for resource in bottlenecks:
-                    newly_frozen.extend(
-                        f for f in resource.flows if f in unfrozen
-                    )
+                    newly_frozen += [f for f in resource.flows if f in unfrozen]
             # Every capped flow whose binding level has been reached
             # freezes too (this also covers the cap_bound branch above).
             while (
-                cap_index < len(capped)
-                and capped[cap_index]._cap_level <= level + _EPSILON
+                cap_index < cap_count
+                and capped[cap_index]._cap_level <= level + epsilon
             ):
                 flow = capped[cap_index]
                 cap_index += 1
@@ -616,15 +655,21 @@ class FlowNetwork:
             for flow in newly_frozen:
                 if flow not in unfrozen:
                     continue
-                rate = level * flow.weight
-                if flow.cap is not None:
-                    rate = min(rate, flow.cap)
+                weight = flow.weight
+                rate = level * weight
+                cap = flow.cap
+                if cap is not None and cap < rate:
+                    rate = cap
                 flow._rate = rate
-                unfrozen.pop(flow, None)
+                del unfrozen[flow]
                 for resource in flow.resources:
-                    if resource in room:
+                    if resource in weight_sum:
                         room[resource] -= rate
-                        weight_sum[resource] -= flow.weight
+                        active_weight = weight_sum[resource] - weight
+                        if active_weight <= epsilon:
+                            del weight_sum[resource]
+                        else:
+                            weight_sum[resource] = active_weight
 
     def _aim_wake(self) -> None:
         """Aim the environment's wake slot at the earliest completion.
@@ -677,8 +722,9 @@ class FlowNetwork:
     def components(self) -> tuple[_Component, ...]:
         """Snapshot of the contention components (forces pending work).
 
-        Flows crossing only uncontended resources form singleton
-        components; this is an introspection/diagnostics hook.
+        Flows crossing only uncontended resources belong to no component
+        (their rate is their cap); this is an introspection/diagnostics
+        hook.
         """
         self.flush()
         self._rebuild_components()

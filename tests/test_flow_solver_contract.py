@@ -14,7 +14,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import Fig8Config, run_fig8, run_table1
+from repro.experiments import Fig8Config, Table2Config, run_fig8, run_table1
+from repro.experiments.table2 import run_weak_scaling_once
 from repro.sim import SOLVER_VERSION, Environment, FlowNetwork
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
@@ -171,6 +172,14 @@ def test_production_solver_reproduces_committed_tables(name, regenerate):
     assert regenerate().format() + "\n" == recorded
 
 
+def test_table2_run_reproduces_its_runtime_bit_for_bit():
+    """The Cuneiform + HDFS path: one 8-worker Table 2 run exercises
+    incremental reduction, staging and the flow solver together, and
+    its simulated runtime is pinned to the last bit."""
+    runtime, _ = run_weak_scaling_once(Table2Config(), 8, 0)
+    assert runtime == 19713.935602787104
+
+
 # -- component structure against the oracle ---------------------------------
 
 
@@ -221,6 +230,55 @@ def test_contention_flip_agrees_across_solvers():
     _assert_matches_oracle(net)
     assert net.resources["a"]._contended
     assert _partition(net) == {frozenset({0, 1, 2})}
+
+
+def test_component_less_flow_joins_and_leaves_on_contention_flips():
+    """A flow crossing only uncontended resources holds no component and
+    runs at its cap; a flip to contended pulls it into one, and the flip
+    back releases it."""
+    net = _net()
+    lone = net.start_flow(None, ["a", "b"], cap=4.0)
+    _assert_matches_oracle(net)
+    assert _partition(net) == set()
+    assert lone._component is None and lone.rate == 4.0
+
+    pusher = net.start_flow(None, ["a"], cap=8.0)  # 4 + 8 > 10 on "a"
+    _assert_matches_oracle(net)
+    assert _partition(net) == {frozenset({0, 1})}
+
+    pusher.cancel()
+    _assert_matches_oracle(net)
+    assert _partition(net) == set()
+    assert lone._component is None and lone.rate == 4.0
+
+
+def test_component_less_flow_cancelled():
+    net = _net()
+    lone = net.start_flow(None, ["a"], cap=3.0)
+    net.start_flow(None, ["b"])  # uncapped: "b" is contended
+    _assert_matches_oracle(net)
+    assert _partition(net) == {frozenset({1})}
+
+    lone.cancel()
+    _assert_matches_oracle(net)
+    assert _partition(net) == {frozenset({0})}
+    assert lone.rate == 0.0 and net.usage_of("a") == 0.0
+
+
+def test_component_less_flow_drains():
+    env, net = _make_net(["a", "b"], [10.0, 10.0])
+    lone = net.start_flow(6.0, ["a"], cap=3.0)
+    stays = net.start_flow(None, ["a"], cap=4.0)
+    net.start_flow(None, ["b"])
+    _assert_matches_oracle(net)
+    assert _partition(net) == {frozenset({2})}
+
+    env.run(until=lone.done)
+    assert env.now == 2.0
+    _assert_matches_oracle(net)
+    assert _partition(net) == {frozenset({1})}
+    assert lone.rate == 0.0 and stays.rate == 4.0
+    assert net.usage_of("a") == 4.0
 
 
 # -- hypothesis differential: production vs oracle within PARITY_EPSILON ----

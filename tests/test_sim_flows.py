@@ -334,3 +334,20 @@ def test_usage_read_after_completion_sees_resolved_rates():
     # any read observes the re-solved rates.
     assert net.resources["link"].usage == pytest.approx(100.0)
     assert net.usage_of("link") == pytest.approx(100.0)
+
+
+def test_a_dead_flow_reports_zero_rate():
+    """A cancelled or drained flow carries nothing, so its rate reads
+    zero and the live rates add up to the resource's usage."""
+    env, net = make_net(a=10.0)
+    doomed = net.start_flow(100.0, ["a"])
+    net.start_flow(None, ["a"])
+    env.run(until=5.0)
+    doomed.cancel()
+    assert doomed.rate == 0.0
+    assert sum(f.rate for f in net.active_flows) == net.usage_of("a") == 10.0
+
+    drained = net.start_flow(20.0, ["a"])
+    env.run(until=drained.done)
+    assert drained.rate == 0.0
+    assert sum(f.rate for f in net.active_flows) == net.usage_of("a") == 10.0
