@@ -567,9 +567,9 @@ def _execute_workflow(args, event_types=(), provenance_store=None):
         backbone_mb_s=args.backbone_mb_s,
     ))
     if engine != "hiway":
-        # A HiWay installation subscribes the cluster's recorder itself.
+        # A HiWay installation subscribes the recorder's registry itself;
+        # the recorder's resource integrals need no subscription.
         cluster.bus.subscribe(cluster.metrics.registry.handlers())
-        cluster.bus.subscribe(cluster.metrics.handlers())
     events: list = []
     cluster.bus.subscribe(dict.fromkeys(event_types, events.append))
     tools = default_registry()

@@ -27,12 +27,7 @@ class Cluster:
     (a shared network volume, used by the Galaxy CloudMan baseline).
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        spec: ClusterSpec,
-        record_series: bool = False,
-    ):
+    def __init__(self, env: Environment, spec: ClusterSpec):
         self.env = env
         self.spec = spec
         #: The observability spine: every layer running on this cluster
@@ -80,7 +75,7 @@ class Cluster:
             for index in range(spec.master_count)
         ]
         self._nodes = {node.node_id: node for node in self.all_nodes()}
-        self.metrics = MetricRecorder(self.network, keep_series=record_series)
+        self.metrics = MetricRecorder(self.network)
 
     # -- lookup --------------------------------------------------------------
 
@@ -177,20 +172,3 @@ class Cluster:
         """
         minutes = runtime_seconds / 60.0
         return minutes * self.spec.hourly_cost() / 60.0
-
-    def utilization_report(self) -> dict[str, dict[str, float]]:
-        """Aggregate utilisation per resource kind and role (Figure 6)."""
-        self.metrics.finish()
-        report: dict[str, dict[str, float]] = {}
-        for role, prefix in (("worker", "worker-"), ("master", "master-")):
-            for kind, resource_prefix in (
-                ("cpu", "cpu:"),
-                ("disk", "disk:"),
-                ("link", "link:"),
-            ):
-                key = f"{role}_{kind}"
-                report[key] = self.metrics.aggregate(
-                    kind, prefix=f"{resource_prefix}{prefix}"
-                )
-        report["backbone"] = self.metrics.aggregate("backbone")
-        return report

@@ -80,7 +80,6 @@ class HiWay:
         #: ``registry.to_prometheus()``).
         self.registry = self.cluster.metrics.registry
         self.bus.subscribe(self.registry.handlers())
-        self.bus.subscribe(self.cluster.metrics.handlers())
         # The AMs publish workflow/task/file events; the provenance
         # manager records them as a bus subscriber (Sec. 3.5).
         self.bus.subscribe(self.provenance.handlers())

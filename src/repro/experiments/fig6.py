@@ -1,7 +1,8 @@
 """Figure 6: master and worker resource utilisation vs. scale (Sec. 4.1).
 
 Re-runs the weak-scaling experiment and reads the exact usage integrals
-the metric recorder kept for every resource: CPU load (cores), I/O
+of the metric recorder, each the work of the flows that crossed a
+resource, as mean rates over the run: CPU load (cores), I/O
 utilisation (fraction of disk bandwidth) and network throughput (MB/s),
 for the Hadoop master (RM + NameNode), the Hi-WAY AM master, and an
 average worker. The paper's claim to verify: master-side load grows
@@ -50,7 +51,6 @@ def _fig6_unit(weak_config: Table2Config, workers: int, seed: int) -> tuple:
     """
     seconds, hiway = run_weak_scaling_once(weak_config, workers, seed)
     metrics = hiway.cluster.metrics
-    metrics.finish()
     duration = metrics.duration()
     hadoop_cpu = metrics.average_rate("cpu:master-0")
     hiway_cpu = metrics.average_rate("cpu:master-1")

@@ -6,8 +6,9 @@ mapping from event class to handler, subscribed in one call whose
 :class:`Subscription` cancels the whole table. The stateful observers
 each declare theirs as ``handlers()``: the
 :class:`~repro.core.provenance.manager.ProvenanceManager`, the
-:class:`MetricsRegistry` and its :class:`~repro.sim.metrics.MetricRecorder`
-(subscribed by whoever builds the installation), an
+:class:`MetricsRegistry` held by the cluster's
+:class:`~repro.sim.metrics.MetricRecorder` (subscribed by whoever builds
+the installation), an
 :class:`EventJournal` and a :class:`LiveMonitor`. Replaying a journal
 is a plain loop that looks each decoded event's handler up in the same
 table. Every single-workflow view is a pure fold over a recorded event

@@ -17,8 +17,9 @@ Instruments support labels via :meth:`_Instrument.labels`, e.g.::
     reads.labels(locality="local").inc(64.0)
 
 The registry holds plain python floats and is cheap enough to stay
-subscribed for every run (it replaces the ad-hoc counter dict the
-:class:`~repro.sim.metrics.MetricRecorder` used to keep).
+subscribed for every run. The cluster's
+:class:`~repro.sim.metrics.MetricRecorder` holds it next to the
+resource integrals, which it reads off the flows and not off the bus.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ class ClusterDefinition:
     recipes: list[str] = field(default_factory=list)
     hiway_config: Optional[HiWayConfig] = None
     max_containers_per_node: Optional[int] = None
-    record_series: bool = False
 
 
 class Karamel:
@@ -53,7 +52,7 @@ class Karamel:
         the paper it happens before the measured experiment.
         """
         env = env or Environment()
-        cluster = Cluster(env, definition.spec, record_series=definition.record_series)
+        cluster = Cluster(env, definition.spec)
         hiway = HiWay(
             cluster,
             config=definition.hiway_config,

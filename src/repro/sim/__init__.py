@@ -8,7 +8,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.flows import SOLVER_VERSION, Flow, FlowNetwork, Resource
-from repro.sim.metrics import MetricRecorder, ResourceUsage
+from repro.sim.metrics import MetricRecorder
 
 __all__ = [
     "AllOf",
@@ -20,6 +20,5 @@ __all__ = [
     "FlowNetwork",
     "Resource",
     "MetricRecorder",
-    "ResourceUsage",
     "SOLVER_VERSION",
 ]

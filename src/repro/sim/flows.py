@@ -35,6 +35,14 @@ set to ``min(weight * cap_level, cap)`` when the structure is rebuilt,
 and a contention flip on one of its resources seeds it again like a new
 flow. A flow that finishes or is cancelled reports a rate of zero.
 
+A rebalance keeps no utilisation books. A resource's usage is the sum of
+its flows' rates, read on demand, and since a flow crosses each of its
+resources at one rate, a resource's usage integral is the work of the
+flows that crossed it: the network hands every flow it drops to the
+attached recorder (``repro.sim.metrics``). A permanent flow has no
+``size - remaining`` to read, so it banks ``rate * elapsed`` whenever
+the solver resets its rate.
+
 Every emitted table and service report carries the ``SOLVER_VERSION``
 stamp. The per-component fills are checked against a
 from-scratch global progressive fill kept in the test suite as a
@@ -80,7 +88,6 @@ class Resource:
         "capacity",
         "flows",
         "kind",
-        "cached_usage",
         "_network",
         "_contended",
         "_component",
@@ -94,8 +101,6 @@ class Resource:
         self.kind = kind
         # Insertion-ordered (dict-as-set) for deterministic iteration.
         self.flows: dict[Flow, None] = {}
-        #: Aggregate rate, refreshed by the network on every rebalance.
-        self.cached_usage = 0.0
         self._network: Optional["FlowNetwork"] = None
         #: Whether the flows crossing this resource could collectively
         #: exceed its capacity (i.e. it can act as a bottleneck).
@@ -108,12 +113,10 @@ class Resource:
         """Aggregate rate of all flows currently crossing this resource."""
         if self._network is not None:
             self._network.flush()
-        return self.cached_usage
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity currently in use (0..1)."""
-        return self.usage / self.capacity
+        usage = 0.0
+        for flow in self.flows:
+            usage += flow._rate
+        return usage
 
     def __repr__(self) -> str:
         return f"Resource({self.name!r}, cap={self.capacity:g}, kind={self.kind!r})"
@@ -125,17 +128,22 @@ class Flow:
     ``size`` is in the same unit the resource capacities are expressed per
     second (bytes over a network link, core-seconds over a CPU). A flow
     with ``size=None`` never completes; these model permanent background
-    load such as the paper's ``stress`` processes.
+    load such as the paper's ``stress`` processes. Such a flow banks the
+    work it did whenever the solver resets its rate, since it has no
+    ``size - remaining`` to read its work from.
     """
 
     __slots__ = (
         "id",
         "resources",
+        "size",
         "remaining",
         "cap",
         "weight",
         "_cap_level",
         "_rate",
+        "_banked",
+        "_banked_at",
         "done",
         "label",
         "_network",
@@ -156,12 +164,16 @@ class Flow:
     ):
         self.id = next(Flow._ids)
         self.resources = resources
-        self.remaining = None if size is None else float(size)
+        self.size = None if size is None else float(size)
+        self.remaining = self.size
         self.cap = cap
         self.weight = weight
         #: Fill level at which the cap binds; precomputed for the solver.
         self._cap_level = math.inf if cap is None else cap / weight
         self._rate = 0.0
+        #: Work a permanent flow did up to ``_banked_at``.
+        self._banked = 0.0
+        self._banked_at = network.env.now
         self.done = done
         self.label = label
         self._network = network
@@ -174,6 +186,21 @@ class Flow:
         """Current max-min fair rate (forces any pending rebalance)."""
         self._network.flush()
         return self._rate
+
+    @property
+    def work(self) -> float:
+        """Work done so far, in units of ``size``.
+
+        Progress since the network's last settle is computed on the side:
+        settling here would change the float accumulation sequence of
+        every live flow, and with it every completion time.
+        """
+        network = self._network
+        now = network.env.now
+        if self.remaining is None:
+            return self._banked + self._rate * (now - self._banked_at)
+        remaining = self.remaining - self._rate * (now - network._last_settle)
+        return self.size - (remaining if remaining > 0.0 else 0.0)
 
     @property
     def permanent(self) -> bool:
@@ -267,7 +294,7 @@ class FlowNetwork:
         return resource
 
     def set_recorder(self, recorder: "MetricRecorder") -> None:
-        """Attach a metrics recorder notified on every rate change."""
+        """Attach a metrics recorder handed every flow that ends."""
         self._recorder = recorder
 
     # -- flow lifecycle ----------------------------------------------------
@@ -346,6 +373,8 @@ class FlowNetwork:
             component.flows.pop(flow, None)
             dirty_components[component] = None
             flow._component = None
+        if self._recorder is not None:
+            self._recorder.observe(flow)
         # A dead flow carries nothing: its rate must not outlive it.
         flow._rate = 0.0
 
@@ -374,23 +403,25 @@ class FlowNetwork:
         several flows tie exactly, and fires them in flow start order.
         """
         elapsed = self.env.now - self._last_settle
-        if elapsed > 0:
-            finished = None
-            for flow in self._finite:
-                rate = flow._rate
-                if rate > 0:
-                    remaining = flow.remaining - rate * elapsed
-                    flow.remaining = remaining if remaining > 0.0 else 0.0
-                    if flow.remaining <= _EPSILON:
-                        if finished is None:
-                            finished = []
-                        finished.append(flow)
-            if finished:
-                for flow in finished:
-                    self._drop(flow)
-                    if flow.done is not None and not flow.done.triggered:
-                        flow.done.succeed(flow)
+        if elapsed <= 0:
+            return
+        # Before the drops, so a dropped flow's work reads as settled.
         self._last_settle = self.env.now
+        finished = None
+        for flow in self._finite:
+            rate = flow._rate
+            if rate > 0:
+                remaining = flow.remaining - rate * elapsed
+                flow.remaining = remaining if remaining > 0.0 else 0.0
+                if flow.remaining <= _EPSILON:
+                    if finished is None:
+                        finished = []
+                    finished.append(flow)
+        if finished:
+            for flow in finished:
+                self._drop(flow)
+                if flow.done is not None and not flow.done.triggered:
+                    flow.done.succeed(flow)
 
     def _classify(self, resource: Resource) -> bool:
         """Whether ``resource`` can bottleneck: its flows' caps sum past
@@ -451,8 +482,7 @@ class FlowNetwork:
         here.
 
         Returns, in seed order, the freshly built components — exactly
-        the ones whose flow rates the rebalance must recompute — and the
-        component-less flows whose rate was just set.
+        the ones whose flow rates the rebalance must recompute.
         """
         dirty_components = self._dirty_components
         retagged = self._retag
@@ -491,7 +521,7 @@ class FlowNetwork:
             seeds = new_flows
         now = self.env.now
         stack: list[Flow] = []
-        fresh: list[_Component | Flow] = []
+        fresh: list[_Component] = []
         for seed in seeds:
             if seed._component is not None or seed not in self._flows:
                 continue
@@ -501,10 +531,12 @@ class FlowNetwork:
             else:
                 # Nothing it crosses can bottleneck, so it runs at its cap
                 # (it has one: an uncapped flow contends every resource).
+                if seed.remaining is None:
+                    seed._banked += seed._rate * (now - seed._banked_at)
+                    seed._banked_at = now
                 rate = seed.weight * seed._cap_level
                 cap = seed.cap
                 seed._rate = cap if cap < rate else rate
-                fresh.append(seed)
                 continue
             component = _Component(now)
             fresh.append(component)
@@ -539,31 +571,8 @@ class FlowNetwork:
         contention, so their max-min solution is untouched — this is the
         whole point of partitioning.
         """
-        retagged = tuple(self._retag)
-        fresh = self._rebuild_components()
-        if fresh or retagged:
-            touched: dict[Resource, None] = dict.fromkeys(retagged)
-            for entry in fresh:
-                if type(entry) is Flow:
-                    flows = (entry,)
-                else:
-                    self._fill_component(entry)
-                    flows = entry.flows
-                for flow in flows:
-                    for resource in flow.resources:
-                        touched[resource] = None
-            # An uncontended resource may carry flows from several
-            # components, so its usage cannot be read off one fill's
-            # ``room``; re-sum each touched resource from its (few)
-            # flows. Resources that lost their last flow drop to zero.
-            for resource in touched:
-                usage = 0.0
-                for flow in resource.flows:
-                    usage += flow._rate
-                resource.cached_usage = usage
-            recorder = self._recorder
-            if recorder is not None:
-                recorder.observe(self.env.now, touched)
+        for component in self._rebuild_components():
+            self._fill_component(component)
         self._aim_wake()
 
     def _fill_component(self, component: _Component) -> None:
@@ -590,7 +599,11 @@ class FlowNetwork:
         for resource in component.resources:
             weight_sum[resource] = 0.0
             room[resource] = resource.capacity
+        now = self.env.now
         for flow in component.flows:
+            if flow.remaining is None:
+                flow._banked += flow._rate * (now - flow._banked_at)
+                flow._banked_at = now
             flow._rate = 0.0
             weight = flow.weight
             for resource in flow.resources:

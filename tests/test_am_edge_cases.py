@@ -51,9 +51,8 @@ def test_am_node_configurable():
     hiway.stage_inputs({"/in/x": 64.0})
     result = hiway.run(StaticTaskSource(graph))
     assert result.success
-    hiway.cluster.metrics.finish()
     # AM heartbeat + scheduling work landed on master-0.
-    assert hiway.cluster.metrics.usages["cpu:master-0"].integral > 0
+    assert hiway.cluster.metrics.integral("cpu:master-0") > 0
 
 
 def test_stalled_source_fails_with_diagnostic():

@@ -155,11 +155,3 @@ def test_cluster_spec_validation():
         ClusterSpec(worker_spec=M3_LARGE, worker_count=2, worker_speeds=(1.0,))
 
 
-def test_utilization_report_shapes():
-    env, cluster = small_cluster(workers=2)
-    done = cluster.node("worker-0").compute(work=4.0, threads=2)
-    env.run(until=done)
-    report = cluster.utilization_report()
-    assert report["worker_cpu"]["peak_rate"] == pytest.approx(2.0)
-    assert report["master_cpu"]["mean_rate"] == pytest.approx(0.0)
-    assert "backbone" in report

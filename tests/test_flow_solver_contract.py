@@ -133,14 +133,14 @@ def _close(a, b):
 
 
 def _assert_matches_oracle(net):
-    """Every live rate and every resource's cached usage agree with a
+    """Every live rate and every resource's usage agree with a
     from-scratch global fill (resources without flows read zero)."""
     net.flush()
     rates, usage = global_fill(net._flows)
     for flow in net._flows:
         assert _close(flow._rate, rates[flow]), flow
     for resource in net.resources.values():
-        assert _close(resource.cached_usage, usage.get(resource, 0.0)), resource
+        assert _close(resource.usage, usage.get(resource, 0.0)), resource
 
 
 # -- solver_version stamps --------------------------------------------------
@@ -317,7 +317,7 @@ def _chosen(names, mask):
 @settings(max_examples=120, deadline=None)
 def test_solvers_agree_after_every_mutation(resource_caps, script):
     """Arbitrary add/cancel churn: after every mutation each flow rate
-    and each cached usage must agree with the oracle within the declared
+    and each resource usage must agree with the oracle within the declared
     PARITY_EPSILON."""
     names = [f"r{i}" for i in range(len(resource_caps))]
     _, net = _make_net(names, resource_caps)

@@ -215,14 +215,14 @@ def _assert_states_match(net, names, resource_caps):
     for name in names:
         resource = net.resources[name]
         assert math.isclose(
-            resource.cached_usage,
+            resource.usage,
             sum(f._rate for f in resource.flows),
             rel_tol=1e-9,
             abs_tol=1e-9,
         )
         assert math.isclose(
-            resource.cached_usage,
-            ref.resources[name].cached_usage,
+            resource.usage,
+            ref.resources[name].usage,
             rel_tol=1e-9,
             abs_tol=1e-9,
         )

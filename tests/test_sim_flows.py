@@ -153,32 +153,14 @@ def test_invalid_flow_arguments_rejected():
 
 def test_metrics_integrate_usage_exactly():
     env, net = make_net(link=100.0)
-    recorder = MetricRecorder(net, keep_series=True)
+    recorder = MetricRecorder(net)
     flow = net.start_flow(500.0, ["link"])
     env.run(until=flow.done)
     # Idle tail to confirm the integral stops growing.
     env.timeout(5.0)
     env.run()
-    recorder.finish()
-    usage = recorder.usages["link"]
-    assert usage.integral == pytest.approx(500.0)
-    assert usage.peak == pytest.approx(100.0)
+    assert recorder.integral("link") == pytest.approx(500.0)
     assert recorder.average_utilization("link") == pytest.approx(0.5)
-
-
-def test_metrics_aggregate_by_kind():
-    env = Environment()
-    net = FlowNetwork(env)
-    net.add_resource("cpu:n1", 2.0, kind="cpu")
-    net.add_resource("cpu:n2", 2.0, kind="cpu")
-    recorder = MetricRecorder(net)
-    f1 = net.start_flow(10.0, ["cpu:n1"], cap=2.0)
-    env.run(until=f1.done)
-    recorder.finish()
-    summary = recorder.aggregate("cpu", prefix="cpu:")
-    # n1 fully used (2.0), n2 idle (0.0) -> mean rate 1.0.
-    assert summary["mean_rate"] == pytest.approx(1.0)
-    assert summary["peak_rate"] == pytest.approx(2.0)
 
 
 def test_no_livelock_when_completion_delta_is_below_clock_ulp():

@@ -197,9 +197,7 @@ def test_rm_charges_master_cpu():
     for _ in range(4):
         rm.request_container(app, SMALL)
     env.run()
-    cluster.metrics.finish()
-    master_cpu = cluster.metrics.usages["cpu:master-0"]
-    assert master_cpu.integral > 0.0
+    assert cluster.metrics.integral("cpu:master-0") > 0.0
 
 
 def _fair_vs_fifo_setup(mode):
