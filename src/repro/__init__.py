@@ -30,7 +30,6 @@ from repro.core import (
     HiWayApplicationMaster,
     HiWayConfig,
     ProvenanceManager,
-    WorkflowResult,
 )
 from repro.hdfs import HdfsClient
 from repro.sim import Environment
@@ -52,7 +51,6 @@ __all__ = [
     "HiWay",
     "HiWayConfig",
     "HiWayApplicationMaster",
-    "WorkflowResult",
     "ProvenanceManager",
     "TaskSpec",
     "WorkflowGraph",

@@ -1,12 +1,10 @@
 """Baseline systems the paper compares against: Tez and Galaxy CloudMan."""
 
-from repro.baselines.cloudman import CloudManResult, GalaxyCloudMan
-from repro.baselines.tez import TezApplicationMaster, TezResult, from_workflow_graph
+from repro.baselines.cloudman import GalaxyCloudMan
+from repro.baselines.tez import TezApplicationMaster, from_workflow_graph
 
 __all__ = [
     "TezApplicationMaster",
-    "TezResult",
     "from_workflow_graph",
     "GalaxyCloudMan",
-    "CloudManResult",
 ]

@@ -2,7 +2,6 @@
 
 from repro.baselines.cloudman.engine import (
     CLOUDMAN_MAX_NODES,
-    CloudManResult,
     EbsVolume,
     GalaxyCloudMan,
 )
@@ -10,7 +9,6 @@ from repro.baselines.cloudman.slurm import SlurmJob, SlurmScheduler
 
 __all__ = [
     "GalaxyCloudMan",
-    "CloudManResult",
     "EbsVolume",
     "SlurmScheduler",
     "SlurmJob",

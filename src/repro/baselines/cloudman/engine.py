@@ -24,9 +24,9 @@ from repro.baselines.cloudman.slurm import SlurmJob, SlurmScheduler
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core.engine import (
-    CloudManResult,
     ExecutionBackend,
     ExecutionCore,
+    ExecutionResult,
     ReadySetTracker,
     RetryPolicy,
     TaskAttempt,
@@ -38,7 +38,7 @@ from repro.obs.events import FileStaged, SchedulingDecision
 from repro.tools.profile import ToolRegistry
 from repro.workflow.model import WorkflowGraph
 
-__all__ = ["EbsVolume", "CloudManResult", "SlurmQueueBackend", "GalaxyCloudMan"]
+__all__ = ["EbsVolume", "SlurmQueueBackend", "GalaxyCloudMan"]
 
 #: CloudMan's automated setup only supports clusters up to this size.
 CLOUDMAN_MAX_NODES = 20
@@ -157,7 +157,7 @@ class GalaxyCloudMan:
 
     # -- execution --------------------------------------------------------------
 
-    def run(self, graph: WorkflowGraph) -> CloudManResult:
+    def run(self, graph: WorkflowGraph) -> ExecutionResult:
         """Execute ``graph`` and drive the simulation to completion."""
         process = self.env.process(self.execute(graph))
         self.env.run(until=process)
@@ -176,7 +176,6 @@ class GalaxyCloudMan:
             name=graph.name,
             fail_mode="abort",  # Galaxy aborts the run on the first failure
             on_success=self._on_attempt_success,
-            result_cls=CloudManResult,
         )
         self._core = core
         core.begin(f"cloudman-{next(self._workflow_ids):04d}")

@@ -1,6 +1,6 @@
 """Miniature Apache Tez: DAG-of-vertices execution on YARN."""
 
-from repro.baselines.tez.am import TezApplicationMaster, TezResult
+from repro.baselines.tez.am import TezApplicationMaster
 from repro.baselines.tez.dag import (
     Edge,
     ONE_TO_ONE,
@@ -12,7 +12,6 @@ from repro.baselines.tez.dag import (
 
 __all__ = [
     "TezApplicationMaster",
-    "TezResult",
     "TezDag",
     "Vertex",
     "Edge",

@@ -28,10 +28,10 @@ from repro.cluster.cluster import Cluster
 from repro.core.engine import (
     ExecutionBackend,
     ExecutionCore,
+    ExecutionResult,
     ReadySetTracker,
     RetryPolicy,
     TaskAttempt,
-    TezResult,
 )
 from repro.core.execution import run_task_in_container
 from repro.hdfs.filesystem import HdfsClient
@@ -41,7 +41,7 @@ from repro.workflow.model import TaskSpec, WorkflowGraph
 from repro.yarn.records import ContainerResource, ContainerState
 from repro.yarn.resourcemanager import ResourceManager
 
-__all__ = ["TezResult", "TezVertexBackend", "TezApplicationMaster"]
+__all__ = ["TezVertexBackend", "TezApplicationMaster"]
 
 
 class TezVertexBackend(ExecutionBackend):
@@ -212,7 +212,6 @@ class TezApplicationMaster:
             name=self.dag.name,
             fail_mode="drain",
             on_success=self._on_attempt_success,
-            result_cls=TezResult,
         )
         self._app = None
 
@@ -252,7 +251,7 @@ class TezApplicationMaster:
         yield self.core.done
         return self._finish(started)
 
-    def _finish(self, started: float, error: Optional[str] = None) -> TezResult:
+    def _finish(self, started: float, error: Optional[str] = None) -> ExecutionResult:
         if error is not None:
             self.core.fail(error)
         if self._app is not None:

@@ -67,7 +67,7 @@ class Cluster:
         self.masters: list[Node] = [
             Node(
                 f"master-{index}",
-                spec.effective_master_spec,
+                spec.worker_spec,
                 self.network,
                 role="master",
                 rack=0,
@@ -128,10 +128,6 @@ class Cluster:
             label=label or f"xfer:{src}->{dst}",
         )
         return flow.done
-
-    def same_rack(self, a: str, b: str) -> bool:
-        """Whether two nodes share a rack (always true for flat specs)."""
-        return self.node(a).rack == self.node(b).rack
 
     def s3_download(self, dst: str, size_mb: float, label: str = "") -> Event:
         """Stream ``size_mb`` from the external S3 endpoint onto ``dst``.

@@ -46,8 +46,6 @@ class NodeSpec:
     disk_mb_s: float
     #: Network link bandwidth in MB/s.
     link_mb_s: float
-    #: Local disk capacity in MB (bookkeeping only).
-    disk_capacity_mb: float = 1.0e9
     #: On-demand price in dollars per hour (0 for owned hardware).
     cost_per_hour: float = 0.0
 
@@ -64,7 +62,6 @@ M3_LARGE = NodeSpec(
     memory_mb=7_680.0,
     disk_mb_s=150.0,
     link_mb_s=GIGABIT_MB_S,
-    disk_capacity_mb=32_000.0,
     cost_per_hour=0.146,
 )
 
@@ -76,7 +73,6 @@ C3_2XLARGE = NodeSpec(
     memory_mb=15_360.0,
     disk_mb_s=250.0,
     link_mb_s=GIGABIT_MB_S,
-    disk_capacity_mb=160_000.0,
     cost_per_hour=0.42,
 )
 
@@ -89,7 +85,6 @@ XEON_E5_2620 = NodeSpec(
     memory_mb=24_576.0,
     disk_mb_s=180.0,
     link_mb_s=GIGABIT_MB_S,
-    disk_capacity_mb=2_000_000.0,
     cost_per_hour=0.0,
 )
 
@@ -100,11 +95,11 @@ class ClusterSpec:
 
     ``masters`` host Hadoop's ResourceManager/NameNode (and, when
     isolated as in Sec. 4.1, the Hi-WAY AM); ``workers`` run containers.
+    Masters are the worker machine type.
     """
 
     worker_spec: NodeSpec
     worker_count: int
-    master_spec: NodeSpec | None = None
     master_count: int = 1
     #: Aggregate switch capacity in MB/s. The paper's local cluster hangs
     #: off a single one-gigabit switch; EC2 placement gives much more.
@@ -135,19 +130,9 @@ class ClusterSpec:
         """Rack hosting the worker with the given index."""
         return worker_index % self.racks
 
-    @property
-    def effective_master_spec(self) -> NodeSpec:
-        """Masters default to the worker machine type."""
-        return self.master_spec or self.worker_spec
-
-    @property
-    def total_vms(self) -> int:
-        """Total number of machines, used for EC2 cost accounting."""
-        return self.worker_count + self.master_count
-
     def hourly_cost(self) -> float:
         """Aggregate on-demand price of the whole cluster per hour."""
         return (
             self.worker_count * self.worker_spec.cost_per_hour
-            + self.master_count * self.effective_master_spec.cost_per_hour
+            + self.master_count * self.worker_spec.cost_per_hour
         )

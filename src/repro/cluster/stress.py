@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.cluster.cluster import Cluster
 from repro.sim.flows import Flow
 
-__all__ = ["StressProfile", "apply_stress", "PAPER_FIG9_STRESS"]
+__all__ = ["StressProfile", "apply_stress", "paper_fig9_stress"]
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class StressProfile:
     cpu_hogs: dict[str, int] = field(default_factory=dict)
     io_writers: dict[str, int] = field(default_factory=dict)
     weight: float = 1.0
-
-    def is_stressed(self, node_id: str) -> bool:
-        """Whether the profile perturbs ``node_id`` at all."""
-        return bool(self.cpu_hogs.get(node_id) or self.io_writers.get(node_id))
 
 
 def apply_stress(cluster: Cluster, profile: StressProfile) -> list[Flow]:
@@ -76,7 +72,3 @@ def paper_fig9_stress(worker_ids: list[str], weight: float = FIG9_STRESS_WEIGHT)
     cpu = {worker_ids[1 + i]: counts[i] for i in range(5)}
     io = {worker_ids[6 + i]: counts[i] for i in range(5)}
     return StressProfile(cpu_hogs=cpu, io_writers=io, weight=weight)
-
-
-#: Convenience alias used by the experiments module.
-PAPER_FIG9_STRESS = paper_fig9_stress

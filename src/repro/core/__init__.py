@@ -1,6 +1,6 @@
 """Hi-WAY core: client, application master, schedulers, provenance."""
 
-from repro.core.am import HiWayApplicationMaster, WorkflowResult
+from repro.core.am import HiWayApplicationMaster
 from repro.core.client import HiWay
 from repro.core.config import HiWayConfig
 from repro.core.engine import (
@@ -33,7 +33,6 @@ __all__ = [
     "HiWay",
     "HiWayConfig",
     "HiWayApplicationMaster",
-    "WorkflowResult",
     "ExecutionResult",
     "ExecutionCore",
     "ExecutionBackend",

@@ -28,10 +28,10 @@ from repro.core.config import HiWayConfig
 from repro.core.engine import (
     ExecutionBackend,
     ExecutionCore,
+    ExecutionResult,
     ReadySetTracker,
     RetryPolicy,
     TaskAttempt,
-    WorkflowResult,
 )
 from repro.core.execution import TaskResult, run_task_in_container
 from repro.core.provenance.manager import ProvenanceManager
@@ -44,7 +44,13 @@ from repro.workflow.model import TaskSource, TaskSpec
 from repro.yarn.records import ContainerResource
 from repro.yarn.resourcemanager import ResourceManager
 
-__all__ = ["WorkflowResult", "YarnExecutionBackend", "HiWayApplicationMaster"]
+__all__ = ["YarnExecutionBackend", "HiWayApplicationMaster"]
+
+#: CPU work (reference core-seconds) the AM burns per scheduling
+#: decision and per provenance record — the source of the Hi-WAY
+#: master load curve in Figure 6.
+AM_WORK_PER_DECISION = 0.004
+AM_WORK_PER_EVENT = 0.001
 
 
 class YarnExecutionBackend(ExecutionBackend):
@@ -116,7 +122,7 @@ class YarnExecutionBackend(ExecutionBackend):
         if core.workflow_failed:
             am.rm.release_container(container)
             return
-        am._charge(am.config.am_work_per_decision, "am-schedule")
+        am._charge(AM_WORK_PER_DECISION, "am-schedule")
         if bound_task is not None:
             task = bound_task
         else:
@@ -229,7 +235,6 @@ class HiWayApplicationMaster:
             on_failure=self._on_attempt_failure,
             discover=self._discover_tasks,
             more_tasks_expected=lambda: not self.source.is_done(),
-            result_cls=WorkflowResult,
         )
         self._app = None
         self._heartbeat_flow = None
@@ -237,7 +242,7 @@ class HiWayApplicationMaster:
     # -- small helpers -----------------------------------------------------------
 
     def _charge(self, work: float, label: str) -> None:
-        if self._am_host is not None and work > 0:
+        if self._am_host is not None:
             self._am_host.compute(work, threads=1, label=label)
 
     def _resource_for(self, task: TaskSpec) -> ContainerResource:
@@ -319,7 +324,7 @@ class HiWayApplicationMaster:
         yield self.core.done
         return self._finish(started)
 
-    def _finish(self, started: float, error: Optional[str] = None) -> WorkflowResult:
+    def _finish(self, started: float, error: Optional[str] = None) -> ExecutionResult:
         if error is not None:
             self.core.fail(error)
         success = not self.core.workflow_failed
@@ -346,8 +351,8 @@ class HiWayApplicationMaster:
             self.bus.emit(FileStaged(
                 workflow_id=self.core.workflow_id, task=task, report=report
             ))
-            self._charge(self.config.am_work_per_event, "am-provenance")
-        self._charge(self.config.am_work_per_event, "am-provenance")
+            self._charge(AM_WORK_PER_EVENT, "am-provenance")
+        self._charge(AM_WORK_PER_EVENT, "am-provenance")
         self.scheduler.on_task_finished(
             task, result.node_id, result.makespan_seconds, success=True
         )

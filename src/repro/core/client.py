@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.core.am import HiWayApplicationMaster, WorkflowResult
+from repro.core.am import HiWayApplicationMaster
 from repro.errors import WorkflowError
 from repro.core.config import HiWayConfig
+from repro.core.engine import ExecutionResult
 from repro.core.provenance.manager import ProvenanceManager
 from repro.core.provenance.stores import ProvenanceStore
 from repro.core.schedulers import WorkflowScheduler
@@ -94,7 +95,7 @@ class HiWay:
     ) -> Process:
         """Spawn a fresh AM for ``source``; returns its process.
 
-        The process's value is the :class:`WorkflowResult` once it ends.
+        The process's value is the :class:`ExecutionResult` once it ends.
         ``tenant`` names the YARN queue the workflow submits under; the
         default (None) gives each workflow its own tenant.
         """
@@ -119,7 +120,7 @@ class HiWay:
         name: Optional[str] = None,
         config: Optional[HiWayConfig] = None,
         tenant: Optional[str] = None,
-    ) -> WorkflowResult:
+    ) -> ExecutionResult:
         """Submit ``source`` and drive the simulation to its completion."""
         process = self.submit(
             source, scheduler=scheduler, name=name, config=config, tenant=tenant
@@ -173,7 +174,7 @@ class HiWay:
         names: Optional[Sequence[Optional[str]]] = None,
         config: Optional[HiWayConfig] = None,
         tenants: Optional[Sequence[Optional[str]]] = None,
-    ) -> list[WorkflowResult]:
+    ) -> list[ExecutionResult]:
         """Run several workflows concurrently on one RM; results in order.
 
         Every AM gets its own workflow id (threaded through bus events,

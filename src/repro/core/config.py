@@ -32,11 +32,6 @@ class HiWayConfig:
     #: Node hosting the AM. None picks the last master node, modelling
     #: the dedicated-AM setup of the Sec. 4.1 scalability experiment.
     am_node: Optional[str] = None
-    #: CPU work (reference core-seconds) the AM burns per scheduling
-    #: decision and per provenance record — the source of the Hi-WAY
-    #: master load curve in Figure 6.
-    am_work_per_decision: float = 0.004
-    am_work_per_event: float = 0.001
     #: Future-work feature (Sec. 5): size each container to its task's
     #: tool profile instead of the fixed installation-wide capability.
     adaptive_container_sizing: bool = False

@@ -13,17 +13,11 @@ from repro.core.engine.backend import ExecutionBackend
 from repro.core.engine.core import ExecutionCore
 from repro.core.engine.fsm import AttemptState, IllegalTransition, TaskAttempt
 from repro.core.engine.ready import ReadySetTracker
-from repro.core.engine.result import (
-    CloudManResult,
-    ExecutionResult,
-    TezResult,
-    WorkflowResult,
-)
+from repro.core.engine.result import ExecutionResult
 from repro.core.engine.retry import RetryPolicy
 
 __all__ = [
     "AttemptState",
-    "CloudManResult",
     "ExecutionBackend",
     "ExecutionCore",
     "ExecutionResult",
@@ -31,6 +25,4 @@ __all__ = [
     "ReadySetTracker",
     "RetryPolicy",
     "TaskAttempt",
-    "TezResult",
-    "WorkflowResult",
 ]

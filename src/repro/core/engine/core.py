@@ -55,7 +55,6 @@ class ExecutionCore:
         on_failure: Optional[Callable] = None,
         discover: Optional[Callable] = None,
         more_tasks_expected: Optional[Callable[[], bool]] = None,
-        result_cls: type = ExecutionResult,
     ):
         if fail_mode not in ("drain", "abort"):
             raise ValueError(f"unknown fail_mode {fail_mode!r}")
@@ -78,7 +77,6 @@ class ExecutionCore:
         self.on_failure = on_failure
         self.discover = discover
         self.more_tasks_expected = more_tasks_expected
-        self.result_cls = result_cls
 
         #: All registered tasks by id (insertion order = dispatch order).
         self.tasks: dict[str, TaskAttempt] = {}
@@ -247,9 +245,8 @@ class ExecutionCore:
             if self.fail_mode == "abort" or self.running == 0:
                 self.done.succeed()
             return
-        all_completed = bool(self.tasks) and all(
-            attempt.succeeded for attempt in self.tasks.values()
-        )
+        # Outside a failed run, ``completed`` counts the succeeded tasks.
+        all_completed = bool(self.tasks) and self.completed == len(self.tasks)
         if all_completed and self.running == 0 and self.awaiting == 0:
             if self.more_tasks_expected is not None and self.more_tasks_expected():
                 # The language frontend claims more tasks will come but
@@ -291,7 +288,7 @@ class ExecutionCore:
                 runtime_seconds=finished - started,
                 success=success,
             ))
-        return self.result_cls(
+        return ExecutionResult(
             workflow_id=self.workflow_id or "",
             name=self.name,
             scheduler=scheduler,

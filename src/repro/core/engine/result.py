@@ -1,15 +1,10 @@
-"""Unified terminal report of one workflow execution, on any engine.
-
-:class:`ExecutionResult` supersedes the per-engine result types; the
-old names remain as thin aliases so callers (and the paper-facing
-experiment harnesses) keep working unchanged.
-"""
+"""Unified terminal report of one workflow execution, on any engine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ExecutionResult", "WorkflowResult", "TezResult", "CloudManResult"]
+__all__ = ["ExecutionResult"]
 
 
 @dataclass
@@ -32,27 +27,3 @@ class ExecutionResult:
     def runtime_seconds(self) -> float:
         return self.finished_at - self.started_at
 
-
-@dataclass
-class WorkflowResult(ExecutionResult):
-    """Terminal report of one Hi-WAY workflow execution."""
-
-    engine: str = "hiway"
-
-
-@dataclass
-class TezResult(ExecutionResult):
-    """Terminal report of one Tez DAG execution."""
-
-    engine: str = "tez"
-
-    @property
-    def dag_name(self) -> str:
-        return self.name
-
-
-@dataclass
-class CloudManResult(ExecutionResult):
-    """Terminal report of one CloudMan workflow execution."""
-
-    engine: str = "cloudman"

@@ -216,51 +216,6 @@ class ProvenanceManager:
             node_ids
         )
 
-    def workflow_summary(self, workflow_id: str) -> dict:
-        """Aggregate one run's provenance into a report dictionary.
-
-        Per task signature: invocation count, mean/max makespan, nodes
-        used; plus the run's total data moved in and out of HDFS. The
-        kind of query the paper highlights database-backed provenance
-        stores for.
-        """
-        tasks = self.store.records(kind="task", workflow_id=workflow_id)
-        files = self.store.records(kind="file", workflow_id=workflow_id)
-        by_signature: dict[str, dict] = {}
-        for record in tasks:
-            if not record["success"]:
-                continue
-            entry = by_signature.setdefault(record["signature"], {
-                "count": 0, "total_seconds": 0.0, "max_seconds": 0.0,
-                "nodes": set(),
-            })
-            entry["count"] += 1
-            entry["total_seconds"] += record["makespan_seconds"]
-            entry["max_seconds"] = max(
-                entry["max_seconds"], record["makespan_seconds"]
-            )
-            entry["nodes"].add(record["node_id"])
-        for entry in by_signature.values():
-            entry["mean_seconds"] = entry["total_seconds"] / entry["count"]
-            entry["nodes"] = sorted(entry["nodes"])
-        return {
-            "workflow_id": workflow_id,
-            "tasks_succeeded": sum(1 for r in tasks if r["success"]),
-            "tasks_failed": sum(1 for r in tasks if not r["success"]),
-            "signatures": by_signature,
-            "stage_in_mb": sum(
-                r["size_mb"] for r in files if r["direction"] == "in"
-            ),
-            "stage_out_mb": sum(
-                r["size_mb"] for r in files if r["direction"] == "out"
-            ),
-            "remote_in_mb": sum(
-                r["size_mb"] * (1 - r["local_fraction"])
-                for r in files
-                if r["direction"] == "in"
-            ),
-        }
-
     # -- trace export ---------------------------------------------------------------
 
     def trace_jsonl(self) -> str:

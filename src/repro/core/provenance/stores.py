@@ -73,16 +73,6 @@ class ProvenanceStore:
     ) -> Optional[float]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # -- shared conveniences -------------------------------------------------
-
-    def observed_nodes(self, signature: str) -> set[str]:
-        """Nodes on which tasks of ``signature`` have succeeded."""
-        return {
-            record["node_id"]
-            for record in self.records(kind=TASK_EVENT)
-            if record["signature"] == signature and record["success"]
-        }
-
     def clear(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -245,15 +235,6 @@ class SqlProvenanceStore(ProvenanceStore):
     def clear(self) -> None:
         self._conn.execute("DELETE FROM events")
         self._conn.commit()
-
-    def aggregate_mean_runtime(self, signature: str) -> Optional[float]:
-        """Mean successful runtime of a signature across all nodes."""
-        row = self._conn.execute(
-            "SELECT AVG(makespan) FROM events"
-            " WHERE kind = ? AND signature = ? AND success = 1",
-            (TASK_EVENT, signature),
-        ).fetchone()
-        return row[0]
 
 
 class DocumentProvenanceStore(_IndexedStore):

@@ -32,10 +32,6 @@ class HdfsFile:
     size_mb: float
     blocks: list[Block] = field(default_factory=list)
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
 
 def split_into_block_sizes(size_mb: float, block_size_mb: float) -> list[float]:
     """Sizes of the blocks a file of ``size_mb`` splits into."""

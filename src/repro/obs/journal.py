@@ -37,6 +37,7 @@ Unknown event names are skipped on read (forward compatibility), and a
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
@@ -67,9 +68,6 @@ EVENT_TYPES: dict[str, type] = {
     and cls is not ev.ObsEvent
 }
 
-#: Fields holding nested structures that need their own codec.
-_TASK_FIELDS = {"task"}
-_REPORT_FIELDS = {"report"}
 #: Tuple-of-tuples fields that JSON flattens to lists of lists.
 _PAIR_TUPLE_FIELDS = {"candidates", "placements"}
 
@@ -81,62 +79,37 @@ class JournalError(Exception):
 # -- codecs -------------------------------------------------------------------
 
 
-def _task_to_dict(task) -> dict:
-    return {
-        "tool": task.tool,
-        "inputs": list(task.inputs),
-        "outputs": list(task.outputs),
-        "signature": task.signature,
-        "task_id": task.task_id,
-        "command": task.command,
-        "output_size_hints": dict(task.output_size_hints),
-        "threads": task.threads,
-    }
-
-
-def _task_from_dict(payload: dict):
+@functools.cache
+def _nested_types() -> tuple[type, type]:
+    """The classes events carry whole (imported late: their modules emit
+    events themselves)."""
+    from repro.hdfs.filesystem import FileTransferReport
     from repro.workflow.model import TaskSpec
 
-    return TaskSpec(**payload)
+    return TaskSpec, FileTransferReport
 
 
-def _report_to_dict(report) -> dict:
-    return {
-        "path": report.path,
-        "node_id": report.node_id,
-        "size_mb": report.size_mb,
-        "local_mb": report.local_mb,
-        "remote_mb": report.remote_mb,
-        "seconds": report.seconds,
-        "direction": report.direction,
-    }
+def _field_dict(value) -> dict:
+    """Encoder hook: a task or transfer report is written as its fields."""
+    if isinstance(value, _nested_types()):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} cannot be journalled")
 
 
-def _report_from_dict(payload: dict):
-    from repro.hdfs.filesystem import FileTransferReport
+#: Writes a line's keys sorted; tuples come out as JSON lists.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_field_dict)
 
-    return FileTransferReport(**payload)
+
+def _encode(event: ev.ObsEvent) -> str:
+    """The journal line of one event, without its newline."""
+    return _ENCODER.encode(
+        {"e": type(event).__name__, "t": event.t, "seq": event.seq, **vars(event)}
+    )
 
 
 def event_to_dict(event: ev.ObsEvent) -> dict:
-    """One event as a JSON-ready dict (``e``, ``t``, ``seq``, payload)."""
-    record: dict = {"e": type(event).__name__, "t": event.t, "seq": event.seq}
-    for field in dataclasses.fields(event):
-        value = getattr(event, field.name)
-        if value is None:
-            record[field.name] = None
-        elif field.name in _TASK_FIELDS:
-            record[field.name] = _task_to_dict(value)
-        elif field.name in _REPORT_FIELDS:
-            record[field.name] = _report_to_dict(value)
-        elif isinstance(value, tuple):
-            record[field.name] = [
-                list(item) if isinstance(item, tuple) else item
-                for item in value
-            ]
-        else:
-            record[field.name] = value
-    return record
+    """One event as its journal line decodes (``e``, ``t``, ``seq``, payload)."""
+    return json.loads(_encode(event))
 
 
 def event_from_dict(record: dict) -> Optional[ev.ObsEvent]:
@@ -148,6 +121,7 @@ def event_from_dict(record: dict) -> Optional[ev.ObsEvent]:
     cls = EVENT_TYPES.get(record.get("e", ""))
     if cls is None:
         return None
+    task_cls, report_cls = _nested_types()
     kwargs = {}
     for field in dataclasses.fields(cls):
         if field.name not in record:
@@ -155,10 +129,10 @@ def event_from_dict(record: dict) -> Optional[ev.ObsEvent]:
         value = record[field.name]
         if value is None:
             kwargs[field.name] = None
-        elif field.name in _TASK_FIELDS:
-            kwargs[field.name] = _task_from_dict(value)
-        elif field.name in _REPORT_FIELDS:
-            kwargs[field.name] = _report_from_dict(value)
+        elif field.name == "task":
+            kwargs[field.name] = task_cls(**value)
+        elif field.name == "report":
+            kwargs[field.name] = report_cls(**value)
         elif field.name in _PAIR_TUPLE_FIELDS:
             kwargs[field.name] = tuple(
                 tuple(item) if isinstance(item, list) else item
@@ -212,16 +186,18 @@ class EventJournal:
         """Append one event."""
         if not self._header_written:
             self.write_header()
-        self._handle.write(json.dumps(event_to_dict(event), sort_keys=True))
+        self._handle.write(_encode(event))
         self._handle.write("\n")
         self.events_written += 1
 
     def close(self) -> None:
         """Flush and close an owned file handle (idempotent)."""
+        if self._handle.closed:
+            return
         if not self._header_written:
             self.write_header()
         self._handle.flush()
-        if self._owns_handle and not self._handle.closed:
+        if self._owns_handle:
             self._handle.close()
 
     def __enter__(self) -> "EventJournal":

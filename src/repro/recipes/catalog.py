@@ -17,15 +17,10 @@ from repro.workloads.snv import SNV_TOOLS, sample_read_files
 __all__ = ["builtin_recipe_book"]
 
 
-def builtin_recipe_book(
-    snv_samples: int = 2,
-    snv_mb_per_file: float = 1024.0,
-    snv_from_s3: bool = False,
-    rnaseq_mb_per_replicate: float = 1750.0,
-    montage_degree: float = 0.25,
-    kmeans_partitions: int = 4,
-) -> RecipeBook:
-    """The default recipe collection, parameterised like the experiments."""
+def builtin_recipe_book(kmeans_partitions: int = 4) -> RecipeBook:
+    """The default recipe collection: two SNV samples, the full Trapline
+    replicates, a quarter-degree Montage mosaic and ``kmeans_partitions``
+    point partitions."""
     book = RecipeBook()
     book.register(Recipe.build(
         name="hiway-base",
@@ -34,21 +29,19 @@ def builtin_recipe_book(
     book.register(Recipe.build(
         name="snv-calling",
         packages=SNV_TOOLS,
-        data=sample_read_files(
-            snv_samples, mb_per_file=snv_mb_per_file, from_s3=snv_from_s3
-        ),
+        data=sample_read_files(2),
         depends_on=("hiway-base",),
     ))
     book.register(Recipe.build(
         name="trapline",
         packages=RNASEQ_TOOLS,
-        data=trapline_inputs(mb_per_replicate=rnaseq_mb_per_replicate),
+        data=trapline_inputs(),
         depends_on=("hiway-base",),
     ))
     book.register(Recipe.build(
         name="montage",
         packages=MONTAGE_TOOLS,
-        data=montage_inputs(montage_degree),
+        data=montage_inputs(),
         depends_on=("hiway-base",),
     ))
     book.register(Recipe.build(

@@ -17,7 +17,6 @@ from typing import Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.specs import ClusterSpec
 from repro.core.client import HiWay
-from repro.core.config import HiWayConfig
 from repro.recipes.recipe import Recipe, RecipeBook
 from repro.sim.engine import Environment
 
@@ -31,7 +30,6 @@ class ClusterDefinition:
     name: str
     spec: ClusterSpec
     recipes: list[str] = field(default_factory=list)
-    hiway_config: Optional[HiWayConfig] = None
     max_containers_per_node: Optional[int] = None
 
 
@@ -54,9 +52,7 @@ class Karamel:
         env = env or Environment()
         cluster = Cluster(env, definition.spec)
         hiway = HiWay(
-            cluster,
-            config=definition.hiway_config,
-            max_containers_per_node=definition.max_containers_per_node,
+            cluster, max_containers_per_node=definition.max_containers_per_node
         )
         for recipe in self.book.resolve(definition.recipes):
             self.apply(recipe, hiway)

@@ -56,6 +56,13 @@ from repro.workloads import (
 
 __all__ = ["ServiceConfig", "ServiceRunner"]
 
+#: Service-sized input widths, far below the paper's scale.
+_SNV_FILES_PER_SAMPLE = 2
+_SNV_MB_PER_FILE = 64.0
+_KMEANS_MB_PER_PARTITION = 32.0
+_KMEANS_ITERATIONS = 3
+_RNASEQ_MB_PER_REPLICATE = 64.0
+
 #: Diagnostics prefix the AM reports when admission refused it.
 _REJECTED_PREFIX = "admission rejected"
 
@@ -93,13 +100,8 @@ class ServiceConfig:
     drain: bool = True
     #: Workload widths (service-sized, far below the paper's scale).
     snv_samples: int = 2
-    snv_files_per_sample: int = 2
-    snv_mb_per_file: float = 64.0
     montage_degree: float = 0.25
     kmeans_partitions: int = 4
-    kmeans_mb_per_partition: float = 32.0
-    kmeans_iterations: int = 3
-    rnaseq_mb_per_replicate: float = 64.0
     #: Seed for HDFS placement and input staging.
     seed: int = 0
 
@@ -181,17 +183,17 @@ class ServiceRunner:
         if "snv" in kinds:
             inputs.update(sample_read_files(
                 cfg.snv_samples,
-                files_per_sample=cfg.snv_files_per_sample,
-                mb_per_file=cfg.snv_mb_per_file,
+                files_per_sample=_SNV_FILES_PER_SAMPLE,
+                mb_per_file=_SNV_MB_PER_FILE,
             ))
         if "montage" in kinds:
             inputs.update(montage_inputs(cfg.montage_degree))
         if "kmeans" in kinds:
             inputs.update(kmeans_inputs(
-                cfg.kmeans_partitions, cfg.kmeans_mb_per_partition
+                cfg.kmeans_partitions, _KMEANS_MB_PER_PARTITION
             ))
         if "rnaseq" in kinds:
-            inputs.update(trapline_inputs(cfg.rnaseq_mb_per_replicate))
+            inputs.update(trapline_inputs(_RNASEQ_MB_PER_REPLICATE))
         return inputs
 
     def _source_for(self, spec: SubmissionSpec) -> TaskSource:
@@ -207,8 +209,8 @@ class ServiceRunner:
         if spec.kind == "snv":
             inputs = sample_read_files(
                 cfg.snv_samples,
-                files_per_sample=cfg.snv_files_per_sample,
-                mb_per_file=cfg.snv_mb_per_file,
+                files_per_sample=_SNV_FILES_PER_SAMPLE,
+                mb_per_file=_SNV_MB_PER_FILE,
             )
             return CuneiformSource(snv_cuneiform(inputs), name=spec.name)
         if spec.kind == "montage":
@@ -220,7 +222,7 @@ class ServiceRunner:
             return CuneiformSource(
                 kmeans_cuneiform(
                     cfg.kmeans_partitions,
-                    iterations_until_convergence=cfg.kmeans_iterations,
+                    iterations_until_convergence=_KMEANS_ITERATIONS,
                 ),
                 name=spec.name,
             )

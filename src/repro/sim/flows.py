@@ -469,7 +469,7 @@ class FlowNetwork:
         Mutations only accumulate marks (`_retag`, `_dirty_components`,
         `_new_flows`); the dissolve/flood rebuild runs when the
         network rebalances or when introspection asks
-        (:meth:`components`, :meth:`component_count`).
+        (:meth:`components`).
         Classification is re-derived only for resources whose
         membership changed; a contention flip drags the affected
         resource's flows (and their components) into the dirty region,
@@ -728,10 +728,6 @@ class FlowNetwork:
         """Snapshot of the currently active flows."""
         return tuple(self._flows)
 
-    def usage_of(self, name: str) -> float:
-        """Current aggregate rate through resource ``name``."""
-        return self.resources[name].usage
-
     def components(self) -> tuple[_Component, ...]:
         """Snapshot of the contention components (forces pending work).
 
@@ -747,7 +743,3 @@ class FlowNetwork:
             if component is not None:
                 seen[id(component)] = component
         return tuple(seen.values())
-
-    def component_count(self) -> int:
-        """Number of contention components (forces pending work)."""
-        return len(self.components())

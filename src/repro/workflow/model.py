@@ -133,39 +133,6 @@ class WorkflowGraph:
         """Check the graph is executable (acyclic, inputs well-formed)."""
         self.topological_order()
 
-    def critical_path_length(self, runtime=lambda task: 1.0) -> float:
-        """Length of the longest chain under the given runtime model."""
-        longest: dict[str, float] = {}
-        for task in self.topological_order():
-            deps = self.dependencies_of(task)
-            start = max((longest[d] for d in deps), default=0.0)
-            longest[task.task_id] = start + runtime(task)
-        return max(longest.values(), default=0.0)
-
-    def to_dot(self) -> str:
-        """Graphviz rendering of the DAG (tasks as boxes, files as edges).
-
-        Handy for eyeballing generated workflows::
-
-            python -c "..." | dot -Tpng > workflow.png
-        """
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;",
-                 "  node [shape=box, fontsize=10];"]
-        for task in self.tasks.values():
-            lines.append(
-                f'  "{task.task_id}" [label="{task.tool}\\n{task.task_id}"];'
-            )
-        for task in self.tasks.values():
-            for path in task.inputs:
-                producer = self._producers.get(path)
-                if producer is not None:
-                    lines.append(
-                        f'  "{producer}" -> "{task.task_id}" '
-                        f'[label="{path}", fontsize=8];'
-                    )
-        lines.append("}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self.tasks)
 

@@ -9,14 +9,10 @@ import pytest
 
 from repro.core.engine import (
     AttemptState,
-    CloudManResult,
-    ExecutionResult,
     IllegalTransition,
     ReadySetTracker,
     RetryPolicy,
     TaskAttempt,
-    TezResult,
-    WorkflowResult,
 )
 from repro.workflow import TaskSpec
 
@@ -189,18 +185,42 @@ def test_tracker_gate_blocks_ready_tasks():
     assert [a.task.task_id for a in tracker.take_ready()] == ["t1"]
 
 
-# -- ExecutionResult and its engine aliases ---------------------------------------
+# -- completion bookkeeping -------------------------------------------------------
 
 
-def test_result_aliases_share_the_unified_shape():
-    for cls, engine in ((WorkflowResult, "hiway"), (TezResult, "tez"),
-                        (CloudManResult, "cloudman")):
-        result = cls(name="w", success=True, started_at=1.0, finished_at=3.5)
-        assert isinstance(result, ExecutionResult)
-        assert result.engine == engine
-        assert result.runtime_seconds == 2.5
+def _succeeded_reads_per_task(monkeypatch, width):
+    """Run a ``width``-wide fan-out on Hi-WAY, counting how often any
+    task's ``succeeded`` flag is read."""
+    from repro.cluster import Cluster, ClusterSpec, M3_LARGE
+    from repro.core import HiWay
+    from repro.sim import Environment
+    from repro.workflow import StaticTaskSource, WorkflowGraph
+
+    reads = 0
+    state_of = TaskAttempt.succeeded.fget
+
+    def counted(attempt):
+        nonlocal reads
+        reads += 1
+        return state_of(attempt)
+
+    monkeypatch.setattr(TaskAttempt, "succeeded", property(counted))
+    graph = WorkflowGraph("fan-out")
+    for index in range(width):
+        graph.add_task(TaskSpec(tool="sort", inputs=["/in/a"],
+                                outputs=[f"/out/{index}"],
+                                task_id=f"t{index:03d}"))
+    env = Environment()
+    hiway = HiWay(Cluster(env, ClusterSpec(worker_spec=M3_LARGE,
+                                           worker_count=4)))
+    hiway.install_everywhere("sort")
+    hiway.stage_inputs({"/in/a": 4.0})
+    result = hiway.run(StaticTaskSource(graph))
+    assert result.success and result.tasks_completed == width
+    return reads / width
 
 
-def test_tez_result_keeps_dag_name_alias():
-    result = TezResult(name="montage")
-    assert result.dag_name == "montage"
+def test_done_check_work_per_task_stays_flat_as_the_workflow_widens(monkeypatch):
+    narrow = _succeeded_reads_per_task(monkeypatch, 16)
+    wide = _succeeded_reads_per_task(monkeypatch, 64)
+    assert wide <= narrow + 1.0

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines.cloudman import GalaxyCloudMan
 from repro.baselines.tez import TezApplicationMaster
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
-from repro.core import HiWay
+from repro.core import ExecutionResult, HiWay
 from repro.hdfs import HdfsClient
 from repro.obs.analysis import analyze
 from repro.obs.journal import EVENT_TYPES
@@ -62,7 +62,7 @@ def _run_hiway():
     hiway.stage_inputs({"/in/a": 48.0})
     result = hiway.run(StaticTaskSource(_diamond()))
     assert result.success, result.diagnostics
-    return instruments
+    return (*instruments, result)
 
 
 def _run_tez():
@@ -80,7 +80,7 @@ def _run_tez():
     run = env.process(am.run())
     env.run(until=run)
     assert run.value.success, run.value.diagnostics
-    return instruments
+    return (*instruments, run.value)
 
 
 def _run_cloudman():
@@ -93,7 +93,7 @@ def _run_cloudman():
     engine.stage_inputs({"/in/a": 48.0})
     result = engine.run(_diamond())
     assert result.success, result.diagnostics
-    return instruments
+    return (*instruments, result)
 
 
 ENGINES = {
@@ -103,9 +103,19 @@ ENGINES = {
 }
 
 
+def test_every_engine_returns_an_execution_result():
+    """One result type for every engine, stamped with the engine's name."""
+    for engine, run in ENGINES.items():
+        _, _, result = run()
+        assert type(result) is ExecutionResult
+        assert result.engine == engine
+        assert result.tasks_completed == 3
+        assert result.runtime_seconds == result.finished_at - result.started_at > 0
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engine_emits_the_core_vocabulary(engine):
-    _, seen = ENGINES[engine]()
+    _, seen, _ = ENGINES[engine]()
     names = {type(event).__name__ for event in seen}
     missing = CORE_VOCABULARY - names
     assert not missing, f"{engine} never emitted {sorted(missing)}"
@@ -113,7 +123,7 @@ def test_engine_emits_the_core_vocabulary(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_critical_path_is_non_empty_on_every_engine(engine):
-    _, seen = ENGINES[engine]()
+    _, seen, _ = ENGINES[engine]()
     (analysis,) = analyze(seen).values()
     assert analysis.critical_path, f"{engine}: empty critical path"
     assert analysis.critical_path_seconds() > 0
@@ -124,7 +134,7 @@ def test_critical_path_is_non_empty_on_every_engine(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_registry_counts_tasks_on_every_engine(engine):
-    registry, _ = ENGINES[engine]()
+    registry, _, _ = ENGINES[engine]()
     assert registry.value("hiway_task_attempts_total", outcome="success") == 3
     runtimes = registry.get("hiway_task_runtime_seconds")
     assert sum(child.count for _key, child in runtimes.series()) == 3
@@ -132,7 +142,7 @@ def test_registry_counts_tasks_on_every_engine(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_span_trees_build_on_every_engine(engine):
-    _, seen = ENGINES[engine]()
+    _, seen, _ = ENGINES[engine]()
     spans = build_submission_spans(seen)
     (span,) = spans
     assert span.outcome == "SUCCEEDED"

@@ -262,7 +262,7 @@ def test_component_less_flow_cancelled():
     lone.cancel()
     _assert_matches_oracle(net)
     assert _partition(net) == {frozenset({0})}
-    assert lone.rate == 0.0 and net.usage_of("a") == 0.0
+    assert lone.rate == 0.0 and net.resources["a"].usage == 0.0
 
 
 def test_component_less_flow_drains():
@@ -278,7 +278,7 @@ def test_component_less_flow_drains():
     _assert_matches_oracle(net)
     assert _partition(net) == {frozenset({1})}
     assert lone.rate == 0.0 and stays.rate == 4.0
-    assert net.usage_of("a") == 4.0
+    assert net.resources["a"].usage == 4.0
 
 
 # -- hypothesis differential: production vs oracle within PARITY_EPSILON ----

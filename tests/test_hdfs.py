@@ -32,7 +32,7 @@ def test_write_creates_replicated_blocks():
     env, cluster, hdfs = make_hdfs(replication=3)
     run_proc(env, hdfs.write("/data/a.fastq", 300.0, "worker-0"))
     entry = hdfs.namenode.lookup("/data/a.fastq")
-    assert entry.block_count == 3
+    assert len(entry.blocks) == 3
     for block in entry.blocks:
         assert len(block.replicas) == 3
         assert "worker-0" in block.replicas  # writer-local first replica

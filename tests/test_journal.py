@@ -147,6 +147,109 @@ def test_event_type_table_covers_the_whole_vocabulary():
             assert name in EVENT_TYPES
 
 
+def _one_of_each_event():
+    """One stamped instance of every event class, each field off its
+    default: nested task and transfer report, tuple-of-pairs fields, a
+    ``None``, a non-ASCII string and floats that need full ``repr``."""
+    from repro.hdfs.filesystem import FileTransferReport
+    from repro.obs import events as ev
+
+    task = TaskSpec(tool="bwa", inputs=["/in/r1", "/in/r2"],
+                    outputs=["/out/sam"], task_id="t-7", threads=4,
+                    output_size_hints={"/out/sam": 12.5})
+    report = FileTransferReport(path="/in/r1", node_id="worker-1",
+                                size_mb=0.1 + 0.2, local_mb=0.25,
+                                remote_mb=0.05, seconds=1 / 3, direction="in")
+    samples = [
+        ev.WorkflowSubmitted(name="job-0", tenant="génomique", workload="snv"),
+        ev.WorkflowStarted(workflow_id="wf-1", name="job-0"),
+        ev.WorkflowFinished(workflow_id="wf-1", name="job-0",
+                            runtime_seconds=123.456, success=False),
+        ev.SubmissionFinished(name="job-0", tenant="t", workload="snv",
+                              success=False, rejected=True),
+        ev.ServiceSample(rel_t=60.0, backlog=2.5, queue_depth=1.0,
+                         running_apps=3.0, pending_containers=4.0),
+        ev.TaskDispatched(workflow_id="wf-1", task_id="t-7", tool="bwa",
+                          attempt=2),
+        ev.TaskRetried(workflow_id="wf-1", task_id="t-7", attempt=2,
+                       excluded_node="worker-2"),
+        ev.TaskAttemptFinished(workflow_id="wf-1", task=task,
+                               node_id="worker-1", makespan_seconds=12.25,
+                               output_sizes={"/out/sam": 12.5}, success=False,
+                               attempt=2, stderr="RuntimeError('boom')"),
+        ev.FileStaged(workflow_id="wf-1", task=task, report=report),
+        ev.SchedulingDecision(workflow_id="wf-1", policy="heft", kind="plan",
+                              task_id="t-7", node_id="worker-1",
+                              candidate_kind="node",
+                              candidates=(("worker-1", 3.5), ("worker-0", 7.0)),
+                              score_name="eft", better="min",
+                              reason="earliest finish", tenant="t"),
+        ev.AdmissionDecision(name="job-0", tenant="t", outcome="queued"),
+        ev.ApplicationRegistered(app_id="app-1", name="job-0", tenant="t"),
+        ev.ApplicationUnregistered(app_id="app-1"),
+        ev.ContainerRequested(app_id="app-1", request_id=5, vcores=2,
+                              memory_mb=1024.0, preferred_node=None,
+                              strict=True, tenant="t"),
+        ev.ContainerAllocated(app_id="app-1", request_id=5,
+                              container_id="c-9", node_id="worker-1",
+                              wait_seconds=0.75, tenant="t"),
+        ev.ContainerLaunched(app_id="app-1", container_id="c-9",
+                             node_id="worker-1"),
+        ev.ContainerFinished(app_id="app-1", container_id="c-9",
+                             node_id="worker-1", success=False,
+                             state="killed"),
+        ev.ContainerReleased(app_id="app-1", container_id="c-9",
+                             node_id="worker-1"),
+        ev.NodeCrashed(node_id="worker-2", containers_lost=3),
+        ev.BlocksPlaced(path="/in/r1", size_mb=300.0,
+                        placements=(("worker-0", "worker-1"), ("worker-2",))),
+        ev.HdfsRead(path="/in/r1", node_id="worker-1", size_mb=300.0,
+                    local_mb=128.0, remote_mb=172.0, seconds=2.5,
+                    external=True),
+        ev.HdfsWrite(path="/out/sam", node_id="worker-1", size_mb=12.5,
+                     local_mb=12.5, remote_mb=25.0, seconds=0.125),
+        ev.FaultInjected(node_id="worker-2", planned_at=90.0),
+    ]
+    return [_stamp(event, 10.0 + 0.1 * seq, seq)
+            for seq, event in enumerate(samples)]
+
+
+def test_journal_lines_match_the_pinned_format_byte_for_byte():
+    """The bytes ``record`` writes for every event class are frozen in
+    ``golden/journal_format.jsonl``; a codec rewrite must keep them."""
+    import pathlib
+
+    from repro.obs import events as ev
+
+    samples = _one_of_each_event()
+    assert {type(e).__name__ for e in samples} == set(ev.__all__) - {"ObsEvent"}
+    buffer = io.StringIO()
+    journal = EventJournal(buffer)
+    journal.write_header({"run": "pin"})
+    for event in samples:
+        journal.record(event)
+    journal.close()
+    golden = pathlib.Path(__file__).parent / "golden" / "journal_format.jsonl"
+    assert buffer.getvalue() == golden.read_text(encoding="utf-8")
+
+
+def test_close_is_idempotent_on_owned_and_borrowed_handles(tmp_path):
+    path = str(tmp_path / "j.jsonl")
+    with EventJournal(path) as journal:
+        journal.record(_stamp(WorkflowSubmitted(name="j"), 1.0, 0))
+        journal.close()
+    journal.close()
+    meta, events = read_journal(path)
+    assert meta == {} and len(events) == 1
+
+    buffer = io.StringIO()
+    journal = EventJournal(buffer)
+    journal.close()
+    journal.close()
+    assert not buffer.closed
+    assert buffer.getvalue().count("\n") == 1  # the header, once
+
+
 def _serve(journal=None, monitor=None, **config):
     runner = ServiceRunner(ServiceConfig(
         workers=2, max_concurrent_apps=2, sample_period_s=120.0, seed=0,

@@ -49,7 +49,9 @@ def test_store_roundtrip_and_queries(store_cls):
     assert store.latest_task_runtime("align", "worker-0") == 30.0
     assert store.latest_task_runtime("align", "worker-1") == 99.0
     assert store.latest_task_runtime("align", "worker-9") is None
-    assert store.observed_nodes("align") == {"worker-0", "worker-1"}
+    assert {r["node_id"] for r in store.records(kind="task")} == {
+        "worker-0", "worker-1"
+    }
     store.clear()
     assert store.records() == []
     assert store.latest_task_runtime("align", "worker-0") is None
@@ -297,14 +299,6 @@ def test_event_from_dict_roundtrip():
     assert restored == event
 
 
-def test_sql_store_aggregation():
-    store = SqlProvenanceStore()
-    store.append(sample_task_event(runtime=10.0, timestamp=1.0))
-    store.append(sample_task_event(node="worker-1", runtime=30.0, timestamp=2.0))
-    assert store.aggregate_mean_runtime("align") == pytest.approx(20.0)
-    assert store.aggregate_mean_runtime("missing") is None
-
-
 def test_document_store_rejects_unknown_kind():
     store = DocumentProvenanceStore()
 
@@ -350,30 +344,3 @@ def test_manager_with_sql_backend_serves_scheduler_queries():
     manager.task_finished(workflow_id, task, "worker-3", 7.5, {},
                           success=True, attempt=1)
     assert manager.runtime_estimate("sort", "worker-3") == 7.5
-
-
-def test_workflow_summary_aggregates_run():
-    env = Environment()
-    manager = ProvenanceManager(env)
-    workflow_id = manager.workflow_started("demo")
-    for node, runtime in (("worker-0", 10.0), ("worker-1", 30.0)):
-        task = TaskSpec(tool="sort", inputs=["/in"], outputs=[f"/out-{node}"])
-        manager.task_finished(workflow_id, task, node, runtime, {},
-                              success=True, attempt=1)
-        manager.file_moved(workflow_id, task, FileTransferReport(
-            path="/in", node_id=node, size_mb=100.0, local_mb=50.0,
-            remote_mb=50.0, seconds=1.0, direction="in",
-        ))
-    failed = TaskSpec(tool="grep", inputs=["/in"], outputs=["/fail"])
-    manager.task_finished(workflow_id, failed, "worker-0", 0.0, {},
-                          success=False, attempt=1)
-    summary = manager.workflow_summary(workflow_id)
-    assert summary["tasks_succeeded"] == 2
-    assert summary["tasks_failed"] == 1
-    sort_stats = summary["signatures"]["sort"]
-    assert sort_stats["count"] == 2
-    assert sort_stats["mean_seconds"] == 20.0
-    assert sort_stats["max_seconds"] == 30.0
-    assert sort_stats["nodes"] == ["worker-0", "worker-1"]
-    assert summary["stage_in_mb"] == 200.0
-    assert summary["remote_in_mb"] == 100.0

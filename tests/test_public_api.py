@@ -58,13 +58,15 @@ def test_every_public_symbol_has_a_docstring():
 
 
 def test_node_spec_helpers():
-    from repro.cluster import ClusterSpec, M3_LARGE, NodeSpec
+    from repro.cluster import Cluster, ClusterSpec, M3_LARGE, NodeSpec
+    from repro.sim import Environment
 
     faster = M3_LARGE.scaled(2.0)
     assert isinstance(faster, NodeSpec)
     assert faster.speed == 2.0
     assert faster.cores == M3_LARGE.cores
     spec = ClusterSpec(worker_spec=M3_LARGE, worker_count=3, master_count=2)
-    assert spec.total_vms == 5
     assert spec.hourly_cost() == pytest.approx(5 * 0.146)
-    assert spec.effective_master_spec is M3_LARGE
+    # Masters are the worker machine type.
+    masters = Cluster(Environment(), spec).masters
+    assert [node.spec for node in masters] == [spec.worker_spec] * 2

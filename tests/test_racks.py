@@ -21,14 +21,14 @@ def test_workers_spread_over_racks_round_robin():
     env, cluster = rack_cluster(workers=6, racks=3)
     assert [node.rack for node in cluster.workers] == [0, 1, 2, 0, 1, 2]
     assert len(cluster.rack_switches) == 3
-    assert cluster.same_rack("worker-0", "worker-3")
-    assert not cluster.same_rack("worker-0", "worker-1")
+    assert cluster.node("worker-0").rack == cluster.node("worker-3").rack
+    assert cluster.node("worker-0").rack != cluster.node("worker-1").rack
 
 
 def test_flat_cluster_has_no_rack_switches():
     env, cluster = rack_cluster(workers=4, racks=1)
     assert cluster.rack_switches == []
-    assert cluster.same_rack("worker-0", "worker-3")
+    assert {node.rack for node in cluster.all_nodes()} == {0}
 
 
 def test_rack_local_transfer_skips_core_backbone():

@@ -205,12 +205,12 @@ def test_components_merge_when_a_flow_bridges_them():
     right = net.start_flow(None, ["b"])
     net.components()
     assert left._component is not right._component
-    assert net.component_count() == 2
+    assert len(net.components()) == 2
     bridge = net.start_flow(None, ["a", "b"])
     net.components()
     assert left._component is right._component
     assert bridge._component is left._component
-    assert net.component_count() == 1
+    assert len(net.components()) == 1
     # Fair share across the merged component: the bridge competes on
     # both resources, so each side splits evenly with it.
     assert left.rate == pytest.approx(5.0)
@@ -315,7 +315,6 @@ def test_usage_read_after_completion_sees_resolved_rates():
     # rebalance hands the freed bandwidth to the background flow, and
     # any read observes the re-solved rates.
     assert net.resources["link"].usage == pytest.approx(100.0)
-    assert net.usage_of("link") == pytest.approx(100.0)
 
 
 def test_a_dead_flow_reports_zero_rate():
@@ -327,9 +326,9 @@ def test_a_dead_flow_reports_zero_rate():
     env.run(until=5.0)
     doomed.cancel()
     assert doomed.rate == 0.0
-    assert sum(f.rate for f in net.active_flows) == net.usage_of("a") == 10.0
+    assert sum(f.rate for f in net.active_flows) == net.resources["a"].usage == 10.0
 
     drained = net.start_flow(20.0, ["a"])
     env.run(until=drained.done)
     assert drained.rate == 0.0
-    assert sum(f.rate for f in net.active_flows) == net.usage_of("a") == 10.0
+    assert sum(f.rate for f in net.active_flows) == net.resources["a"].usage == 10.0

@@ -65,16 +65,6 @@ def test_topological_order_respects_dependencies():
     assert order == ["early", "late"]
 
 
-def test_critical_path_length():
-    graph = WorkflowGraph()
-    graph.add_task(TaskSpec(tool="a", inputs=["/in"], outputs=["/m1"], task_id="a"))
-    graph.add_task(TaskSpec(tool="b", inputs=["/m1"], outputs=["/m2"], task_id="b"))
-    graph.add_task(TaskSpec(tool="c", inputs=["/in"], outputs=["/other"],
-                            task_id="c"))
-    assert graph.critical_path_length() == 2.0
-    assert graph.critical_path_length(lambda t: 5.0) == 10.0
-
-
 def test_static_source_protocol():
     graph = linear_chain("c", ["sort"])
     source = StaticTaskSource(graph)
@@ -92,15 +82,3 @@ def test_static_source_validates_graph():
     graph.add_task(TaskSpec(tool="b", inputs=["/l1"], outputs=["/l2"], task_id="y"))
     with pytest.raises(WorkflowError):
         StaticTaskSource(graph)
-
-
-def test_to_dot_renders_nodes_and_edges():
-    graph = linear_chain("dotty", ["sort", "grep"], first_input="/in/raw")
-    dot = graph.to_dot()
-    assert dot.startswith('digraph "dotty"')
-    assert dot.rstrip().endswith("}")
-    task_ids = list(graph.tasks)
-    assert all(f'"{task_id}"' in dot for task_id in task_ids)
-    # One dependency edge, labelled with the connecting file.
-    assert f'"{task_ids[0]}" -> "{task_ids[1]}"' in dot
-    assert "/dotty/stage-0.out" in dot
