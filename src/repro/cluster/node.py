@@ -84,6 +84,11 @@ class Node:
         )
         return flow.done
 
+    def charge(self, work: float) -> None:
+        """Burn ``work`` reference core-seconds on one core, unawaited
+        (control-plane bookkeeping; see :meth:`FlowNetwork.burn`)."""
+        self._network.burn(self.cpu, work / self.speed)
+
     def disk_io(self, size_mb: float, label: str = "") -> "Event":
         """Read or write ``size_mb`` on the local disk."""
         flow = self._network.start_flow(
@@ -94,17 +99,19 @@ class Node:
         return flow.done
 
     def start_background_cpu(
-        self, label: str = "stress-cpu", weight: float = 1.0, count: int = 1
+        self, label: str = "stress-cpu", weight: float = 1.0, count: int = 1,
+        cores: float = 1.0,
     ) -> Flow:
-        """Pin ``count`` cores' worth of permanent load (``stress -c N``).
+        """Pin ``count`` hogs of ``cores`` each as permanent load
+        (``stress -c N``, or one daemon's per-node load).
 
         ``weight`` < 1 models nodes whose cgroups prioritise YARN
         containers over unprivileged background processes.
 
         The ``count`` identical hogs are modelled as a single aggregate
-        flow with cap ``count`` and weight ``count * weight``: under
-        weighted max-min each individual hog would receive
-        ``min(1, weight * level)``, so the aggregate receives exactly
+        flow with cap ``count * cores`` and weight ``count * weight``:
+        under weighted max-min each individual hog would receive
+        ``min(cores, weight * level)``, so the aggregate receives exactly
         ``count`` times that at every fill level. This keeps the solver's
         per-rebalance cost independent of the hog count (Fig. 9 runs 682
         stress processes).
@@ -114,7 +121,7 @@ class Node:
         return self._network.start_flow(
             size=None,
             resources=[self.cpu],
-            cap=float(count),
+            cap=count * cores,
             label=label,
             weight=count * weight,
         )

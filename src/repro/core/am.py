@@ -122,7 +122,7 @@ class YarnExecutionBackend(ExecutionBackend):
         if core.workflow_failed:
             am.rm.release_container(container)
             return
-        am._charge(AM_WORK_PER_DECISION, "am-schedule")
+        am._charge(AM_WORK_PER_DECISION)
         if bound_task is not None:
             task = bound_task
         else:
@@ -241,9 +241,9 @@ class HiWayApplicationMaster:
 
     # -- small helpers -----------------------------------------------------------
 
-    def _charge(self, work: float, label: str) -> None:
+    def _charge(self, work: float) -> None:
         if self._am_host is not None:
-            self._am_host.compute(work, threads=1, label=label)
+            self._am_host.charge(work)
 
     def _resource_for(self, task: TaskSpec) -> ContainerResource:
         if self.config.adaptive_container_sizing:
@@ -351,8 +351,8 @@ class HiWayApplicationMaster:
             self.bus.emit(FileStaged(
                 workflow_id=self.core.workflow_id, task=task, report=report
             ))
-            self._charge(AM_WORK_PER_EVENT, "am-provenance")
-        self._charge(AM_WORK_PER_EVENT, "am-provenance")
+            self._charge(AM_WORK_PER_EVENT)
+        self._charge(AM_WORK_PER_EVENT)
         self.scheduler.on_task_finished(
             task, result.node_id, result.makespan_seconds, success=True
         )

@@ -62,23 +62,25 @@ class NameNode:
         }
         #: Number of metadata RPCs served (create/lookup/delete).
         self.ops = 0
-        self._report_flows = {}
-        if host is not None:
-            for node_id in self._datanodes:
-                self._report_flows[node_id] = host._network.start_flow(
-                    size=None,
-                    resources=[host.cpu],
-                    cap=BLOCK_REPORT_LOAD_PER_DN,
-                    label=f"nn-blockreport:{node_id}",
-                )
+        self._start_block_reports()
 
     # -- bookkeeping ---------------------------------------------------------
+
+    def _start_block_reports(self) -> None:
+        """One permanent flow for every live DataNode's block reports."""
+        self._report_flow = None
+        if self._host is not None and self._datanodes:
+            self._report_flow = self._host.start_background_cpu(
+                "nn-blockreport",
+                count=len(self._datanodes),
+                cores=BLOCK_REPORT_LOAD_PER_DN,
+            )
 
     def _charge(self) -> None:
         self.ops += 1
         if self._host is not None:
             # Fire-and-forget: metadata work contends with other master load.
-            self._host.compute(METADATA_OP_WORK, threads=1, label="nn-op")
+            self._host.charge(METADATA_OP_WORK)
 
     @property
     def datanodes(self) -> list[str]:
@@ -94,10 +96,10 @@ class NameNode:
         """
         if node_id in self._datanodes:
             self._datanodes.remove(node_id)
+            if self._report_flow is not None:
+                self._report_flow.cancel()
+                self._start_block_reports()
         self._local_index.pop(node_id, None)
-        report_flow = self._report_flows.pop(node_id, None)
-        if report_flow is not None:
-            report_flow.cancel()
         for hdfs_file in self._files.values():
             for index, block in enumerate(hdfs_file.blocks):
                 if node_id in block.replicas:

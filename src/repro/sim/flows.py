@@ -15,8 +15,13 @@ are handled by the same solver:
   uniformly until some resource saturates (or a flow hits its cap), freeze
   the affected flows, repeat.
 
-Whenever a flow starts or finishes, elapsed progress is settled and rates
-are recomputed by the *partitioned* solver (version ``partitioned-v2``).
+Whenever a flow starts or finishes, elapsed progress is settled; rates
+are re-solved once per instant, by the flush that ends it, with the
+*partitioned* solver (version ``partitioned-v2``). Work nobody waits
+for is a *burn*: an instant's equal burns start at its flush as one
+flow of ``count`` times the size, cap and weight, which weighted
+max-min drains exactly like its separate members.
+
 Resources whose flows could collectively exceed capacity are *contended*,
 and contended resources partition into connected components (a flow links
 every contended resource it crosses). Components are rebuilt eagerly for
@@ -275,6 +280,9 @@ class FlowNetwork:
         self._retag: dict[Resource, None] = {}
         #: Flows added since the last rebuild (not yet in any component).
         self._new_flows: dict[Flow, None] = {}
+        #: Burns of this instant not yet started: count per
+        #: ``(resource, size)``.
+        self._burns: dict[tuple[Resource, float], int] = {}
         # Pre-bound callbacks: scheduled on every rebalance and wake, so
         # avoid allocating a fresh bound method each time. The completion
         # timer itself is the environment's external wake slot (re-aimed
@@ -341,20 +349,40 @@ class FlowNetwork:
             flow.remaining = 0.0
             done.succeed(flow)
             return flow
+        self._insert(flow)
+        self._mark_dirty()
+        return flow
+
+    def burn(self, resource: Resource, size: float) -> None:
+        """Drain ``size`` units through ``resource`` at up to one unit
+        per second, with nobody waiting.
+
+        Equal burns of one instant are counted until its flush, which
+        starts each group as one flow of ``count`` times the size, cap
+        and weight and no ``done`` event: each member would get
+        ``min(1, level)``, the group exactly ``count`` times that.
+        """
+        if size <= _EPSILON:
+            return
+        key = (resource, size)
+        burns = self._burns
+        burns[key] = burns.get(key, 0) + 1
+        self._mark_dirty()
+
+    def _insert(self, flow: Flow) -> None:
+        """Enter ``flow`` into the bookkeeping (the caller has settled)."""
         self._flows[flow] = None
-        if size is not None:
+        if flow.remaining is not None:
             self._finite[flow] = None
         retag = self._retag
         dirty_components = self._dirty_components
-        for resource in resolved:
+        for resource in flow.resources:
             resource.flows[flow] = None
             retag[resource] = None
             component = resource._component
             if component is not None:
                 dirty_components[component] = None
         self._new_flows[flow] = None
-        self._mark_dirty()
-        return flow
 
     def _drop(self, flow: Flow) -> None:
         """Detach ``flow`` from all bookkeeping (no settle, no event)."""
@@ -452,14 +480,23 @@ class FlowNetwork:
     def flush(self, _arg: object = None) -> None:
         """Apply any deferred rebalance immediately.
 
-        Progress was already settled at the instant the network went
-        dirty (every mutation settles before marking, and the deferred
-        flush runs within the same timestep), so this only refreshes the
+        Every mutation but :meth:`burn` settles before marking, and the
+        deferred flush runs within the same timestep, so this settles
+        only when burns are pending, starts them, then refreshes the
         contention structure and re-solves.
         """
         if not self._dirty:
             return
         self._dirty = False
+        burns = self._burns
+        if burns:
+            self._burns = {}
+            self._settle()
+            for (resource, size), count in burns.items():
+                self._insert(Flow(
+                    self, (resource,), count * size, float(count), None,
+                    "burn", weight=count,
+                ))
         self._rebalance_partitioned()
 
     def _rebuild_components(self) -> list[_Component]:
@@ -710,16 +747,16 @@ class FlowNetwork:
 
     def _on_wake(self) -> None:
         """The completion timer: settle everyone (firing the flows that
-        drained), then rebalance unconditionally — even a min-tick wake
-        that completed nothing recomputes from the just-settled
-        remainders."""
+        drained), then mark dirty unconditionally, so the instant's flush
+        solves the completions with the flows started in reaction to
+        them (and a min-tick wake that completed nothing re-aims)."""
         self._settle()
         done = [f for f in self._finite if f.remaining <= _EPSILON]
         for flow in done:
             self._drop(flow)
             if flow.done is not None and not flow.done.triggered:
                 flow.done.succeed(flow)
-        self._rebalance_partitioned()
+        self._mark_dirty()
 
     # -- introspection -----------------------------------------------------
 

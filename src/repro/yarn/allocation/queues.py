@@ -17,7 +17,7 @@ the pass, exactly like a YARN queue at capacity.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
@@ -60,6 +60,7 @@ class TenantQueue:
         "memory_mb_held",
         "_items",
         "_passed",
+        "sizes",
     )
 
     def __init__(self, tenant: str, spec: Optional[TenantSpec] = None):
@@ -72,6 +73,9 @@ class TenantQueue:
         #: Requests visited but not placed during the current serve pass,
         #: in arrival order; spliced back in front at :meth:`end_scan`.
         self._passed: list[tuple["ContainerRequest", "Event"]] = []
+        #: Pending requests per container size; a cancelled one counts
+        #: until :meth:`current` drains it.
+        self.sizes: Counter["ContainerResource"] = Counter()
 
     @property
     def weight(self) -> float:
@@ -81,6 +85,7 @@ class TenantQueue:
 
     def append(self, request: "ContainerRequest", event: "Event") -> None:
         self._items.append((request, event))
+        self.sizes[request.resource] += 1
 
     def charge(self, resource: "ContainerResource") -> None:
         """Account one allocated container against this tenant."""
@@ -116,6 +121,7 @@ class TenantQueue:
             entry = items[0]
             if entry[0].cancelled:
                 items.popleft()
+                self.sizes[entry[0].resource] -= 1
                 continue
             return entry
         return None
@@ -126,7 +132,9 @@ class TenantQueue:
 
     def take(self) -> tuple["ContainerRequest", "Event"]:
         """Remove and return the candidate (it is being granted)."""
-        return self._items.popleft()
+        entry = self._items.popleft()
+        self.sizes[entry[0].resource] -= 1
+        return entry
 
     def end_scan(self) -> None:
         """Splice skipped requests back in front, restoring arrival order."""

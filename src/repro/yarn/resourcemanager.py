@@ -119,15 +119,15 @@ class ResourceManager:
         self._host = cluster.masters[0] if cluster.masters else None
         #: Total allocations served (bookkeeping for reports/tests).
         self.allocations = 0
-        self._heartbeat_flows = {}
-        if self._host is not None:
-            for node_id in self.node_managers:
-                self._heartbeat_flows[node_id] = cluster.network.start_flow(
-                    size=None,
-                    resources=[self._host.cpu],
-                    cap=HEARTBEAT_LOAD_PER_NM,
-                    label=f"rm-heartbeat:{node_id}",
-                )
+        self._start_heartbeats(len(self.node_managers))
+
+    def _start_heartbeats(self, count: int) -> None:
+        """One permanent flow for ``count`` NodeManagers' heartbeats."""
+        self._heartbeat_flow = None
+        if self._host is not None and count:
+            self._heartbeat_flow = self._host.start_background_cpu(
+                "rm-heartbeat", count=count, cores=HEARTBEAT_LOAD_PER_NM
+            )
 
     # -- tenants ---------------------------------------------------------------
 
@@ -225,7 +225,7 @@ class ResourceManager:
         # configured quotas apply from the first request.
         self._pool.queue_for(app.tenant)
         if self._host is not None:
-            self._host.compute(REGISTRATION_WORK, threads=1, label="rm-register")
+            self._host.charge(REGISTRATION_WORK)
         if self.bus.wants(ApplicationRegistered):
             self.bus.emit(ApplicationRegistered(
                 app_id=app.app_id, name=name, tenant=app.tenant
@@ -407,10 +407,22 @@ class ResourceManager:
             if entry is not None:
                 scanned.append(queue)
                 heappush(heap, (rank(entry[0], queue, share), queue.tenant, queue))
-        # Once a relaxed request of some size found no node, every later
-        # relaxed request of the same size is hopeless too; skipping them
-        # keeps the scan linear under heavy backlog.
-        exhausted_sizes: set[tuple[int, float]] = set()
+        # A relaxed miss means no live node fits that size for the rest of
+        # the pass (grants only take capacity), so later requests of it are
+        # skipped, strict ones too. The pass ends once every size pending
+        # in a queue still in play is exhausted: advancing would keep order.
+        exhausted: set[ContainerResource] = set()
+        blocked: set = set()
+
+        def spent() -> bool:
+            return all(
+                size in exhausted
+                for queue in scanned
+                if queue not in blocked
+                for size, count in queue.sizes.items()
+                if count
+            )
+
         while heap:
             _, _, queue = heappop(heap)
             entry = queue.current()
@@ -421,15 +433,19 @@ class ResourceManager:
             if queue.quota_blocks(resource):
                 # Tenant at its cap: its whole queue sits out this pass
                 # (head-of-line at quota, like a YARN queue at capacity).
+                blocked.add(queue)
+                if exhausted and spent():
+                    break
                 continue
-            size = (resource.vcores, resource.memory_mb)
-            if not request.strict and size in exhausted_sizes:
+            if resource in exhausted:
                 queue.advance()
             else:
                 manager = self._choose_node(request)
                 if manager is None:
                     if not request.strict:
-                        exhausted_sizes.add(size)
+                        exhausted.add(resource)
+                        if spent():
+                            break
                     queue.advance()
                 else:
                     queue.take()
@@ -456,7 +472,7 @@ class ResourceManager:
         queue.charge(request.resource)
         self._live_containers.add(container.container_id)
         if self._host is not None:
-            self._host.compute(ALLOCATION_WORK, threads=1, label="rm-alloc")
+            self._host.charge(ALLOCATION_WORK)
         if self.bus.wants(ContainerAllocated):
             self.bus.emit(ContainerAllocated(
                 app_id=request.app_id,
@@ -475,10 +491,13 @@ class ResourceManager:
         manager = self.node_managers.get(node_id)
         if manager is None:
             raise YarnError(f"unknown node {node_id!r}")
-        heartbeat = self._heartbeat_flows.pop(node_id, None)
-        if heartbeat is not None:
-            heartbeat.cancel()
+        was_alive = manager.node.alive
         casualties = manager.crash()
+        if was_alive and self._heartbeat_flow is not None:
+            self._heartbeat_flow.cancel()
+            self._start_heartbeats(
+                sum(nm.node.alive for nm in self.node_managers.values())
+            )
         if self.bus.wants(NodeCrashed):
             self.bus.emit(NodeCrashed(
                 node_id=node_id, containers_lost=len(casualties)

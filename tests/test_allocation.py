@@ -7,6 +7,8 @@ fixes (per-instance app ids, cancelled-request draining, held-container
 retirement).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
@@ -263,6 +265,93 @@ def test_exhausted_size_skip_keeps_smaller_requests_flowing():
     env.run()
     assert wide_one.triggered  # and arrival order held within the size
     assert not wide_two.triggered
+
+
+def test_tenant_queue_counts_pending_requests_by_size():
+    queue = TenantQueue("t")
+    requests = [ContainerRequest(app_id="a", resource=size)
+                for size in (SMALL, WIDE, SMALL)]
+    for request in requests:
+        queue.append(request, None)
+    assert queue.sizes == Counter({SMALL: 2, WIDE: 1})
+    queue.take()
+    assert queue.sizes == Counter({SMALL: 1, WIDE: 1})
+    requests[1].cancel()
+    queue.current()  # drains the cancelled wide request
+    assert queue.sizes == Counter({SMALL: 1})
+    queue.advance()  # skipped, still pending
+    assert queue.sizes == Counter({SMALL: 1})
+
+
+def test_a_pass_ended_early_keeps_arrival_order(monkeypatch):
+    env, cluster, rm = make_rm(workers=1)  # one m3.large: 2 vcores
+    app = rm.register_application("wf")
+    holder = rm.request_container(app, SMALL)
+    env.run()
+    node = holder.value.node_id
+    advanced = []
+    advance = TenantQueue.advance
+    monkeypatch.setattr(TenantQueue, "advance",
+                        lambda queue: advanced.append(advance(queue)))
+    wide = [rm.request_container(app, WIDE) for _ in range(2)]
+    # Each pass ends at the first wide miss: the granted size no
+    # longer counts as pending.
+    assert advanced == []
+    monkeypatch.undo()
+    pinned = rm.request_container(app, WIDE, preferred_node=node, strict=True)
+    narrow = [rm.request_container(app, SMALL) for _ in range(2)]
+    env.run()
+    # The first narrow request takes the free vcore; every size is then
+    # exhausted and the pass ends with the rest in arrival order.
+    assert narrow[0].triggered
+    assert not any(e.triggered for e in wide + [pinned, narrow[1]])
+    queue = rm._pool.get(app.tenant)
+    assert [r.resource for r, _ in queue._items] == [WIDE] * 3 + [SMALL]
+    assert queue.sizes == Counter({WIDE: 3, SMALL: 1})
+    rm.release_container(holder.value)
+    env.run()
+    assert narrow[1].triggered and not wide[0].triggered
+    rm.release_container(narrow[0].value)
+    rm.release_container(narrow[1].value)
+    env.run()
+    assert wide[0].triggered and not wide[1].triggered
+
+
+def _advances_per_task(monkeypatch, workers):
+    """Run one FCFS fan-out four tasks per worker wide, counting the RM
+    pass's ``TenantQueue.advance`` calls."""
+    from repro.core import HiWay
+    from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
+
+    calls = 0
+    advance = TenantQueue.advance
+
+    def counted(queue):
+        nonlocal calls
+        calls += 1
+        advance(queue)
+
+    monkeypatch.setattr(TenantQueue, "advance", counted)
+    width = 4 * workers
+    graph = WorkflowGraph("fan-out")
+    for index in range(width):
+        graph.add_task(TaskSpec(tool="sort", inputs=["/in/a"],
+                                outputs=[f"/out/{index}"],
+                                task_id=f"t{index:03d}"))
+    env = Environment()
+    hiway = HiWay(Cluster(env, ClusterSpec(worker_spec=M3_LARGE,
+                                           worker_count=workers)))
+    hiway.install_everywhere("sort")
+    hiway.stage_inputs({"/in/a": 4.0})
+    result = hiway.run(StaticTaskSource(graph), scheduler="fcfs")
+    assert result.success and result.tasks_completed == width
+    return calls / width
+
+
+def test_rm_pass_work_per_task_stays_flat_as_the_cluster_grows(monkeypatch):
+    narrow = _advances_per_task(monkeypatch, 16)
+    wide = _advances_per_task(monkeypatch, 32)
+    assert wide <= 1.1 * narrow
 
 
 def test_unregister_drains_cancelled_requests():

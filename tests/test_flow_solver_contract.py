@@ -43,7 +43,9 @@ def global_fill(flows):
     resource whose flows' caps cannot exceed its capacity never
     bottlenecks and is left out of the candidate scan. Returns
     ``(rates, usage)``: rate per flow and aggregate rate per crossed
-    resource. Reads the flows and resources, mutates nothing.
+    resource. Reads the flows and resources, mutates nothing; a flow
+    needs only ``resources``, ``cap`` and ``weight``, so a burn group
+    can be checked as its separate members.
 
     This is the solver the simulator shipped before the partitioned
     solve (``results/v1/`` was recorded under it). Its float-operation
@@ -54,9 +56,11 @@ def global_fill(flows):
     weight_sum = {}
     room = {}
     cap_sum = {}
+    crossing = {}
     for flow in flows:
         flow_cap = math.inf if flow.cap is None else flow.cap
         for resource in flow.resources:
+            crossing.setdefault(resource, []).append(flow)
             weight_sum[resource] = weight_sum.get(resource, 0.0) + flow.weight
             room.setdefault(resource, resource.capacity)
             cap_sum[resource] = cap_sum.get(resource, 0.0) + flow_cap
@@ -98,7 +102,7 @@ def global_fill(flows):
             assert bottlenecks, "unconstrained flows in the oracle fill"
             level += delta
             for resource in bottlenecks:
-                newly_frozen.extend(f for f in resource.flows if f in unfrozen)
+                newly_frozen.extend(f for f in crossing[resource] if f in unfrozen)
         while (
             cap_index < len(capped)
             and cap_level(capped[cap_index]) <= level + _EPSILON
@@ -132,13 +136,32 @@ def _close(a, b):
     return math.isclose(a, b, rel_tol=PARITY_EPSILON, abs_tol=PARITY_EPSILON)
 
 
+class _Member:
+    """One of the ``count`` equal burns a burn group stands for: each
+    drains at up to one unit per second."""
+
+    def __init__(self, group):
+        self.resources = group.resources
+        self.cap = 1.0
+        self.weight = 1.0
+
+
 def _assert_matches_oracle(net):
     """Every live rate and every resource's usage agree with a
-    from-scratch global fill (resources without flows read zero)."""
+    from-scratch global fill (resources without flows read zero). The
+    oracle sees each burn group as its separate members, and the
+    group's rate must be their sum."""
     net.flush()
-    rates, usage = global_fill(net._flows)
-    for flow in net._flows:
-        assert _close(flow._rate, rates[flow]), flow
+    members = {
+        flow: (
+            [_Member(flow) for _ in range(int(flow.weight))]
+            if flow.label == "burn" else [flow]
+        )
+        for flow in net._flows
+    }
+    rates, usage = global_fill(m for group in members.values() for m in group)
+    for flow, group in members.items():
+        assert _close(flow._rate, sum(rates[m] for m in group)), flow
     for resource in net.resources.values():
         assert _close(resource.usage, usage.get(resource, 0.0)), resource
 
@@ -289,7 +312,7 @@ caps = st.one_of(st.none(), st.floats(min_value=0.1, max_value=50.0))
 weights = st.floats(min_value=0.05, max_value=4.0)
 
 op_entries = st.tuples(
-    st.integers(0, 3),  # 0-2: start a flow, 3: cancel a live one
+    st.integers(0, 4),  # 0-2: start a flow, 3: cancel a live one, 4: burn
     st.integers(0, 31),  # resource bitmask / removal index
     st.one_of(st.none(), sizes),  # size (None = permanent)
     caps,
@@ -310,20 +333,29 @@ def _chosen(names, mask):
     return chosen or [names[mask % len(names)]]
 
 
+def _burn(net, names, mask, size):
+    """One to three equal burns of this instant on one resource."""
+    resource = net.resources[names[mask % len(names)]]
+    for _ in range(1 + mask % 3):
+        net.burn(resource, 1.0 if size is None else size)
+
+
 @given(
     st.lists(capacities, min_size=1, max_size=5),
     st.lists(op_entries, min_size=1, max_size=25),
 )
 @settings(max_examples=120, deadline=None)
 def test_solvers_agree_after_every_mutation(resource_caps, script):
-    """Arbitrary add/cancel churn: after every mutation each flow rate
-    and each resource usage must agree with the oracle within the declared
-    PARITY_EPSILON."""
+    """Arbitrary add/cancel/burn churn: after every mutation each flow
+    rate and each resource usage must agree with the oracle within the
+    declared PARITY_EPSILON."""
     names = [f"r{i}" for i in range(len(resource_caps))]
     _, net = _make_net(names, resource_caps)
     live = []
     for kind, mask, size, cap, weight in script:
-        if kind == 3 and live:
+        if kind == 4:
+            _burn(net, names, mask, size)
+        elif kind == 3 and live:
             live.pop(mask % len(live)).cancel()
         else:
             live.append(
@@ -350,7 +382,9 @@ def test_solvers_agree_after_drains(resource_caps, script, step):
         live = []
         for kind, mask, size, cap, weight in script:
             live = [f for f in live if f in net._flows]
-            if kind == 3 and live:
+            if kind == 4:
+                _burn(net, names, mask, size)
+            elif kind == 3 and live:
                 live.pop(mask % len(live)).cancel()
             else:
                 live.append(

@@ -311,9 +311,9 @@ def test_usage_read_after_completion_sees_resolved_rates():
     net.start_flow(None, ["link"], weight=0.1, label="bg")
     transfer = net.start_flow(50.0, ["link"])
     env.run(until=transfer.done)
-    # The completion left only permanent flows behind; the wake's
-    # rebalance hands the freed bandwidth to the background flow, and
-    # any read observes the re-solved rates.
+    # The completion left only permanent flows behind; the instant's
+    # flush hands the freed bandwidth to the background flow, and any
+    # read observes the re-solved rates.
     assert net.resources["link"].usage == pytest.approx(100.0)
 
 
@@ -332,3 +332,92 @@ def test_a_dead_flow_reports_zero_rate():
     env.run(until=drained.done)
     assert drained.rate == 0.0
     assert sum(f.rate for f in net.active_flows) == net.resources["a"].usage == 10.0
+
+
+# -- coalesced burns and one solve per instant --------------------------------
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12)
+
+
+def _burn_run(burn, k, cores, task_size):
+    """``k`` equal unawaited 0.5-core-second charges on a ``cores``-core
+    CPU beside an awaited two-thread task (none when ``task_size`` is
+    0), as burns or as ``k`` separate flows. Returns the task's
+    completion instant, the instant the network went quiet, the CPU's
+    usage integral and the flows left."""
+    env, net = make_net(cpu=cores)
+    recorder = MetricRecorder(net)
+    cpu = net.resources["cpu"]
+    task = net.start_flow(task_size, [cpu], cap=2.0)
+    for _ in range(k):
+        if burn:
+            net.burn(cpu, 0.5)
+        else:
+            net.start_flow(0.5, [cpu], cap=1.0)
+    env.run(until=task.done)
+    task_done = env.now
+    env.run()
+    return task_done, env.now, recorder.integral("cpu"), net.active_flows
+
+
+@pytest.mark.parametrize("k, cores, task_size", [
+    (3, 4.0, 0.0),  # uncontended: the caps sum to 3 of 4 cores
+    (3, 4.0, 6.0),
+    (7, 2.0, 0.0),  # contended: more charges than cores
+    (7, 2.0, 6.0),
+    (7, 2.0, 0.3),  # the task finishes while the burns still drain
+])
+def test_equal_burns_drain_like_separate_flows(k, cores, task_size):
+    separate = _burn_run(False, k, cores, task_size)
+    burned = _burn_run(True, k, cores, task_size)
+    for a, b in zip(separate[:3], burned[:3]):
+        assert _close(a, b), (separate, burned)
+    assert _close(burned[2], k * 0.5 + task_size)
+    assert burned[3] == ()
+
+
+def test_equal_burns_of_one_instant_start_one_flow():
+    env, net = make_net(cpu=2.0)
+    cpu = net.resources["cpu"]
+    for _ in range(5):
+        net.burn(cpu, 0.5)
+    net.burn(cpu, 0.25)
+    # Nothing starts before the instant's flush.
+    assert net.active_flows == ()
+    net.flush()
+    groups = sorted((f.size, f.cap, f.weight) for f in net.active_flows)
+    assert groups == [(0.25, 1.0, 1), (2.5, 5.0, 5)]
+    assert all(f.done is None for f in net.active_flows)
+
+
+def test_a_zero_burn_starts_nothing():
+    env, net = make_net(cpu=2.0)
+    net.burn(net.resources["cpu"], 0.0)
+    assert not net._dirty
+    net.flush()
+    env.run()
+    assert net.active_flows == () and env.now == 0.0
+
+
+def test_a_completion_and_its_reaction_are_solved_by_one_flush(monkeypatch):
+    """A completion wakes a process that starts its next flow at the
+    same instant; one rebalance solves both."""
+    env, net = make_net(link=10.0)
+    instants = []
+    solve = FlowNetwork._rebalance_partitioned
+
+    def counted(self):
+        instants.append(self.env.now)
+        solve(self)
+
+    monkeypatch.setattr(FlowNetwork, "_rebalance_partitioned", counted)
+
+    def chain(env):
+        for _ in range(3):
+            yield net.start_flow(10.0, ["link"]).done
+
+    env.process(chain(env))
+    env.run()
+    assert instants == [0.0, 1.0, 2.0, 3.0]

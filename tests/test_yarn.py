@@ -1,5 +1,7 @@
 """Unit tests for the simulated YARN layer."""
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
@@ -263,3 +265,59 @@ def test_unknown_scheduling_mode_rejected():
     cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=1))
     with pytest.raises(YarnError, match="allocation policy"):
         ResourceManager(env, cluster, policy="lottery")
+
+
+# -- daemon load on the master --------------------------------------------------
+
+
+def _master_load(aggregated):
+    """The master's CPU integral and a contending task's completion
+    instant, with every worker's RM heartbeats and NameNode block
+    reports either as the daemons' own flows (``aggregated``) or as one
+    flow per worker; ``worker-2`` crashes at t=10."""
+    from repro.hdfs.namenode import BLOCK_REPORT_LOAD_PER_DN, NameNode
+    from repro.yarn.resourcemanager import HEARTBEAT_LOAD_PER_NM
+
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=6))
+    master = cluster.masters[0]
+    net = cluster.network
+    # A two-thread task contends the master's two cores with the daemons
+    # until it finishes.
+    task = master.compute(30.0, threads=2)
+    if aggregated:
+        rm = ResourceManager(env, cluster)
+        namenode = NameNode(cluster.worker_ids, host=master)
+    else:
+        per_node = {
+            worker: [
+                net.start_flow(None, [master.cpu], cap=HEARTBEAT_LOAD_PER_NM),
+                net.start_flow(None, [master.cpu], cap=BLOCK_REPORT_LOAD_PER_DN),
+            ]
+            for worker in cluster.worker_ids
+        }
+
+    def crash(env):
+        yield env.timeout(10.0)
+        if aggregated:
+            rm.crash_node("worker-2")
+            namenode.remove_datanode("worker-2")
+        else:
+            for flow in per_node["worker-2"]:
+                flow.cancel()
+
+    env.process(crash(env))
+    env.run(until=task)
+    done_at = env.now
+    env.run(until=50.0)
+    return done_at, cluster.metrics.integral(master.cpu.name), len(master.cpu.flows)
+
+
+def test_daemon_load_is_one_flow_per_daemon_and_exact():
+    per_node = _master_load(aggregated=False)
+    aggregated = _master_load(aggregated=True)
+    for a, b in zip(per_node[:2], aggregated[:2]):
+        assert math.isclose(a, b, rel_tol=1e-12), (per_node, aggregated)
+    # RM heartbeats and block reports: two flows, not two per worker.
+    assert aggregated[2] == 2
+    assert per_node[2] == 2 * 5
