@@ -23,22 +23,20 @@ flow of ``count`` times the size, cap and weight, which weighted
 max-min drains exactly like its separate members.
 
 Resources whose flows could collectively exceed capacity are *contended*,
-and contended resources partition into connected components (a flow links
-every contended resource it crosses). Components are rebuilt eagerly for
-just the dirty region at each rebalance, and only the components whose
-membership or contention changed are re-solved, each by an independent
-progressive fill over its own flows and contended resources. Untouched
-components keep their rates: their constraint set did not change, so
-re-solving them would be pure waste — this is where the order-of-magnitude
-win on churn-heavy clusters comes from. A component's effective settle
-clock coincides with the global clock at each of its refill instants
-(every mutation settles all finite flows before rates change), which is
-exact for piecewise-constant rates; ``built_at`` stamps the instant the
-component was last assembled. A flow whose resources are all uncontended
-can never be bottlenecked, so it holds no component at all: its rate is
-set to ``min(weight * cap_level, cap)`` when the structure is rebuilt,
-and a contention flip on one of its resources seeds it again like a new
-flow. A flow that finishes or is cancelled reports a rate of zero.
+and a flow links every contended resource it crosses into one contention
+group. Nothing about the groups is stored: a flush re-derives contention
+for the resources whose flow set changed, floods a group across contended
+resources from each of their flows (and each new flow), and re-solves
+just those groups, each by an independent progressive fill over its own
+flows and contended resources. A group no flood reaches kept its members
+and its contention, so it keeps its rates — this is where the
+order-of-magnitude win on churn-heavy clusters comes from. Every mutation
+settles all finite flows before rates change, so each fill starts from
+the global settle clock, which is exact for piecewise-constant rates. A
+flow whose resources are all uncontended can never be bottlenecked: it
+belongs to no group, and a flood that starts from it sets its rate to
+``min(weight * cap_level, cap)``. A flow that finishes or is cancelled
+reports a rate of zero.
 
 A rebalance keeps no utilisation books. A resource's usage is the sum of
 its flows' rates, read on demand, and since a flow crosses each of its
@@ -49,7 +47,7 @@ attached recorder (``repro.sim.metrics``). A permanent flow has no
 the solver resets its rate.
 
 Every emitted table and service report carries the ``SOLVER_VERSION``
-stamp. The per-component fills are checked against a
+stamp. The per-group fills are checked against a
 from-scratch global progressive fill kept in the test suite as a
 reference oracle (see DESIGN.md). Tables recorded under the retired
 global solver stay in ``results/v1/``, next to the commit that
@@ -95,7 +93,6 @@ class Resource:
         "kind",
         "_network",
         "_contended",
-        "_component",
     )
 
     def __init__(self, name: str, capacity: float, kind: str = "generic"):
@@ -107,11 +104,10 @@ class Resource:
         # Insertion-ordered (dict-as-set) for deterministic iteration.
         self.flows: dict[Flow, None] = {}
         self._network: Optional["FlowNetwork"] = None
-        #: Whether the flows crossing this resource could collectively
-        #: exceed its capacity (i.e. it can act as a bottleneck).
+        #: Whether the flows crossing this resource at the last solve
+        #: could collectively exceed its capacity (i.e. it can act as a
+        #: bottleneck).
         self._contended = False
-        #: The contention component this resource belongs to, when contended.
-        self._component: Optional["_Component"] = None
 
     @property
     def usage(self) -> float:
@@ -152,7 +148,6 @@ class Flow:
         "done",
         "label",
         "_network",
-        "_component",
     )
 
     _ids = itertools.count()
@@ -182,9 +177,6 @@ class Flow:
         self.done = done
         self.label = label
         self._network = network
-        #: The contention component this flow belongs to (None until the
-        #: first flush, or when every crossed resource is uncontended).
-        self._component: Optional["_Component"] = None
 
     @property
     def rate(self) -> float:
@@ -223,36 +215,10 @@ class Flow:
         return f"Flow({self.label!r}, rate={self._rate:g}, remaining={self.remaining})"
 
 
-class _Component:
-    """A connected component of contended resources and their flows.
-
-    Components answer "which flows transitively share a bottleneck?" and
-    are rebuilt for just the dirty region when membership or contention
-    changes. They are the unit of the solve: each fresh component is
-    re-filled independently while untouched components keep their rates.
-    ``built_at`` stamps the instant this component was assembled;
-    unrelated churn elsewhere in the network never rebuilds it (the
-    isolation a regression test asserts directly), which also makes it
-    the component's effective settle clock: rates within the component
-    have been constant since then.
-    """
-
-    __slots__ = ("flows", "resources", "built_at")
-
-    def __init__(self, now: float):
-        # Insertion-ordered (dict-as-set), sorted by flow id at build time
-        # so introspection order is independent of traversal order.
-        self.flows: dict[Flow, None] = {}
-        #: The contended resources linking these flows.
-        self.resources: dict[Resource, None] = {}
-        self.built_at = now
-
-
 class FlowNetwork:
     """Max-min fair allocator over a set of shared resources.
 
-    Rates are re-solved per contention component; see the module
-    docstring.
+    Rates are re-solved per contention group; see the module docstring.
     """
 
     def __init__(self, env: Environment):
@@ -270,15 +236,10 @@ class FlowNetwork:
         self._last_settle = env.now
         self._recorder: Optional["MetricRecorder"] = None
         self._dirty = False
-        #: Components whose flow membership (or contention) changed since
-        #: the last structural rebuild; they are dissolved and re-flooded.
-        #: A component-less flow on a resource whose contention flipped
-        #: is entered here itself.
-        self._dirty_components: dict[_Component | Flow, None] = {}
-        #: Resources whose flow set changed; contention is re-derived for
-        #: exactly these at rebuild time.
+        #: Resources whose flow set changed since the last solve; the next
+        #: one re-derives contention for exactly these.
         self._retag: dict[Resource, None] = {}
-        #: Flows added since the last rebuild (not yet in any component).
+        #: Flows started since the last solve.
         self._new_flows: dict[Flow, None] = {}
         #: Burns of this instant not yet started: count per
         #: ``(resource, size)``.
@@ -375,13 +336,9 @@ class FlowNetwork:
         if flow.remaining is not None:
             self._finite[flow] = None
         retag = self._retag
-        dirty_components = self._dirty_components
         for resource in flow.resources:
             resource.flows[flow] = None
             retag[resource] = None
-            component = resource._component
-            if component is not None:
-                dirty_components[component] = None
         self._new_flows[flow] = None
 
     def _drop(self, flow: Flow) -> None:
@@ -390,17 +347,9 @@ class FlowNetwork:
         self._finite.pop(flow, None)
         self._new_flows.pop(flow, None)
         retag = self._retag
-        dirty_components = self._dirty_components
         for resource in flow.resources:
             resource.flows.pop(flow, None)
             retag[resource] = None
-            if resource._component is not None:
-                dirty_components[resource._component] = None
-        component = flow._component
-        if component is not None:
-            component.flows.pop(flow, None)
-            dirty_components[component] = None
-            flow._component = None
         if self._recorder is not None:
             self._recorder.observe(flow)
         # A dead flow carries nothing: its rate must not outlive it.
@@ -429,6 +378,10 @@ class FlowNetwork:
         experiment tables — bit for bit. Completions are normally
         handled by the wake timer; settling can still observe them when
         several flows tie exactly, and fires them in flow start order.
+
+        Invariant: every live finite flow has ``remaining > _EPSILON``.
+        Only this method lowers ``remaining``, and it drops a flow the
+        moment it drains; a zero-sized flow is never inserted.
         """
         elapsed = self.env.now - self._last_settle
         if elapsed <= 0:
@@ -482,8 +435,8 @@ class FlowNetwork:
 
         Every mutation but :meth:`burn` settles before marking, and the
         deferred flush runs within the same timestep, so this settles
-        only when burns are pending, starts them, then refreshes the
-        contention structure and re-solves.
+        only when burns are pending, starts them, then re-solves the
+        contention groups that changed.
         """
         if not self._dirty:
             return
@@ -499,129 +452,75 @@ class FlowNetwork:
                 ))
         self._rebalance_partitioned()
 
-    def _rebuild_components(self) -> list[_Component]:
-        """Bring the contention structure up to date for the dirty region.
+    def _rebalance_partitioned(self) -> None:
+        """Re-solve the contention groups whose constraints changed.
 
-        Pure bookkeeping — no float arithmetic, no event scheduling.
-        Mutations only accumulate marks (`_retag`, `_dirty_components`,
-        `_new_flows`); the dissolve/flood rebuild runs when the
-        network rebalances or when introspection asks
-        (:meth:`components`).
-        Classification is re-derived only for resources whose
-        membership changed; a contention flip drags the affected
-        resource's flows (and their components) into the dirty region,
-        which is then dissolved and re-partitioned by flooding across
-        contended resources. Dirty-marking keeps the seed set closed
-        under this traversal: a contended resource crossed by a seed
-        flow always belongs to a dirty (dissolved) component, so no
-        clean component is reached. A seed that crosses no contended
-        resource joins no component: its rate is its cap, set right
-        here.
-
-        Returns, in seed order, the freshly built components — exactly
-        the ones whose flow rates the rebalance must recompute.
+        Contention is re-derived for each resource whose flow set
+        changed. The flows on such a resource that is contended now or
+        was before, then the new flows, seed the solve: each seed floods
+        its group across contended resources, and the group is filled
+        with its flows in id order. Every other group kept its flows and
+        the contention of its resources, so its max-min solution is
+        unchanged: a flood from a seed never reaches it, and its rates
+        stand — this is the whole point of partitioning. A seed that
+        crosses no contended resource belongs to no group and runs at
+        its cap (it has one: an uncapped flow contends every resource).
         """
-        dirty_components = self._dirty_components
         retagged = self._retag
-        new_flows = self._new_flows
-        if not (retagged or dirty_components or new_flows):
-            return []
         if retagged:
             self._retag = {}
+            seeds: dict[Flow, None] = {}
             for resource in retagged:
                 contended = self._classify(resource)
-                if resource._contended != contended:
+                if contended or resource._contended:
                     resource._contended = contended
-                    for flow in resource.flows:
-                        component = flow._component
-                        if component is not None:
-                            dirty_components[component] = None
-                        elif flow not in new_flows:
-                            # A component-less flow is re-seeded like a
-                            # new one, in the order its resource flipped.
-                            dirty_components[flow] = None
-        if dirty_components:
-            seeds: dict[Flow, None] = {}
-            for entry in dirty_components:
-                if type(entry) is Flow:
-                    seeds[entry] = None
+                    seeds.update(resource.flows)
+            seeds.update(self._new_flows)
+            self._new_flows = {}
+            now = self.env.now
+            grouped: set[Flow] = set()
+            for seed in seeds:
+                if seed in grouped:
                     continue
-                seeds.update(entry.flows)
-                for resource in entry.resources:
-                    if resource._component is entry:
-                        resource._component = None
-            seeds.update(new_flows)
-            for flow in seeds:
-                flow._component = None
-        else:
-            # Pure additions: new flows have no component yet.
-            seeds = new_flows
-        now = self.env.now
-        stack: list[Flow] = []
-        fresh: list[_Component] = []
-        for seed in seeds:
-            if seed._component is not None or seed not in self._flows:
-                continue
-            for resource in seed.resources:
-                if resource._contended:
-                    break
-            else:
-                # Nothing it crosses can bottleneck, so it runs at its cap
-                # (it has one: an uncapped flow contends every resource).
-                if seed.remaining is None:
-                    seed._banked += seed._rate * (now - seed._banked_at)
-                    seed._banked_at = now
-                rate = seed.weight * seed._cap_level
-                cap = seed.cap
-                seed._rate = cap if cap < rate else rate
-                continue
-            component = _Component(now)
-            fresh.append(component)
-            seed._component = component
-            component.flows[seed] = None
-            stack.append(seed)
-            while stack:
-                flow = stack.pop()
-                for resource in flow.resources:
-                    if resource._contended and resource._component is not component:
-                        resource._component = component
-                        component.resources[resource] = None
-                        for other in resource.flows:
-                            if other._component is not component:
-                                other._component = component
-                                component.flows[other] = None
-                                stack.append(other)
-            if len(component.flows) > 1:
-                ordered = sorted(component.flows, key=lambda f: f.id)
-                component.flows = dict.fromkeys(ordered)
-        dirty_components.clear()
-        self._new_flows = {}
-        return fresh
-
-    def _rebalance_partitioned(self) -> None:
-        """Re-solve only the contention components that changed.
-
-        The structural rebuild runs eagerly (it is pure bookkeeping and
-        already incremental), then each freshly built component is
-        filled independently. Flows outside the fresh components keep
-        their rates: no resource they cross changed membership or
-        contention, so their max-min solution is untouched — this is the
-        whole point of partitioning.
-        """
-        for component in self._rebuild_components():
-            self._fill_component(component)
+                for resource in seed.resources:
+                    if resource._contended:
+                        break
+                else:
+                    if seed.remaining is None:
+                        seed._banked += seed._rate * (now - seed._banked_at)
+                        seed._banked_at = now
+                    rate = seed.weight * seed._cap_level
+                    cap = seed.cap
+                    seed._rate = cap if cap < rate else rate
+                    continue
+                flows = {seed: None}
+                resources: dict[Resource, None] = {}
+                stack = [seed]
+                while stack:
+                    for resource in stack.pop().resources:
+                        if resource._contended and resource not in resources:
+                            resources[resource] = None
+                            for other in resource.flows:
+                                if other not in flows:
+                                    flows[other] = None
+                                    stack.append(other)
+                grouped.update(flows)
+                self._fill_component(sorted(flows, key=lambda f: f.id), resources)
         self._aim_wake()
 
-    def _fill_component(self, component: _Component) -> None:
-        """One progressive fill restricted to ``component``.
+    def _fill_component(
+        self, flows: list[Flow], resources: dict[Resource, None]
+    ) -> None:
+        """One progressive fill over a contention group: its ``flows``,
+        in id order, and the contended ``resources`` linking them.
 
         Raises every unfrozen flow's fill level uniformly until a
         resource saturates or a flow's cap binds, freezes those flows and
         repeats; a flow's rate at level ``lam`` is
         ``min(cap, weight * lam)`` (weighted max-min). The candidate
-        resources are just the component's contended ones (every flow
-        crossing a contended resource is in that resource's component,
-        so the fill is closed) and uncontended resources are skipped
+        resources are just the group's contended ones (every flow
+        crossing a contended resource is in that resource's group, so
+        the fill is closed) and uncontended resources are skipped
         outright — ``_classify`` already proved they can never
         bottleneck. A resource whose unfrozen weight is spent leaves the
         per-round scan for good: freezing only ever lowers that weight,
@@ -633,11 +532,11 @@ class FlowNetwork:
         # after already-frozen flows.
         weight_sum: dict[Resource, float] = {}
         room: dict[Resource, float] = {}
-        for resource in component.resources:
+        for resource in resources:
             weight_sum[resource] = 0.0
             room[resource] = resource.capacity
         now = self.env.now
-        for flow in component.flows:
+        for flow in flows:
             if flow.remaining is None:
                 flow._banked += flow._rate * (now - flow._banked_at)
                 flow._banked_at = now
@@ -648,7 +547,7 @@ class FlowNetwork:
                     weight_sum[resource] += weight
         for resource in [r for r, w in weight_sum.items() if w <= epsilon]:
             del weight_sum[resource]
-        unfrozen = dict(component.flows)
+        unfrozen = dict.fromkeys(flows)
         # Capped flows ordered by the level at which their cap binds.
         capped = sorted(
             (f for f in unfrozen if f.cap is not None),
@@ -742,8 +641,7 @@ class FlowNetwork:
             self.env.clear_wake()
             return
         min_tick = max(1.0, abs(self.env.now)) * 1e-12
-        next_in = max(next_in, min_tick)
-        self.env.set_wake(self.env.now + max(next_in, 0.0), self._wake_cb)
+        self.env.set_wake(self.env.now + max(next_in, min_tick), self._wake_cb)
 
     def _on_wake(self) -> None:
         """The completion timer: settle everyone (firing the flows that
@@ -751,11 +649,6 @@ class FlowNetwork:
         solves the completions with the flows started in reaction to
         them (and a min-tick wake that completed nothing re-aims)."""
         self._settle()
-        done = [f for f in self._finite if f.remaining <= _EPSILON]
-        for flow in done:
-            self._drop(flow)
-            if flow.done is not None and not flow.done.triggered:
-                flow.done.succeed(flow)
         self._mark_dirty()
 
     # -- introspection -----------------------------------------------------
@@ -764,19 +657,3 @@ class FlowNetwork:
     def active_flows(self) -> tuple[Flow, ...]:
         """Snapshot of the currently active flows."""
         return tuple(self._flows)
-
-    def components(self) -> tuple[_Component, ...]:
-        """Snapshot of the contention components (forces pending work).
-
-        Flows crossing only uncontended resources belong to no component
-        (their rate is their cap); this is an introspection/diagnostics
-        hook.
-        """
-        self.flush()
-        self._rebuild_components()
-        seen: dict[int, _Component] = {}
-        for flow in self._flows:
-            component = flow._component
-            if component is not None:
-                seen[id(component)] = component
-        return tuple(seen.values())

@@ -1,6 +1,6 @@
 """The flow solver contract (``repro.sim.flows``).
 
-Production re-solves rates per contention component (``partitioned-v2``,
+Production re-solves rates per contention group (``partitioned-v2``,
 the ``SOLVER_VERSION`` stamp). This module keeps the original global
 progressive fill as a from-scratch reference oracle and guards the
 contract: production rates agree with the oracle on every flow to within
@@ -203,44 +203,56 @@ def test_table2_run_reproduces_its_runtime_bit_for_bit():
     assert runtime == 19713.935602787104
 
 
-# -- component structure against the oracle ---------------------------------
+# -- which groups a flush re-solves, against the oracle ----------------------
+
+
+def _record_fills(net):
+    """Wrap ``net``'s group fill so every call records its flows."""
+    net.fills = []
+    fill = net._fill_component
+
+    def recorded(flows, resources):
+        net.fills.append(flows)
+        fill(flows, resources)
+
+    net._fill_component = recorded
+    return net
 
 
 def _net():
     net = FlowNetwork(Environment())
     net.add_resource("a", 10.0)
     net.add_resource("b", 10.0)
-    return net
+    return _record_fills(net)
 
 
-def _partition(net):
-    """components() as a set of frozensets of flow creation indices."""
-    net.components()
+def _resolved(net):
+    """The groups the fills since the last call re-solved, as a set of
+    frozensets of live-flow indices."""
+    net.flush()
     index = {flow: i for i, flow in enumerate(net._flows)}
-    groups = {}
-    for flow in net._flows:
-        if flow._component is not None:
-            groups.setdefault(id(flow._component), set()).add(index[flow])
-    return {frozenset(members) for members in groups.values()}
+    groups = {frozenset(index[flow] for flow in flows) for flows in net.fills}
+    net.fills.clear()
+    return groups
 
 
 def test_components_agree_across_solvers_after_merge_split_flip():
-    """The component bookkeeping decides which flows get re-solved, so
-    a merge, a split and a contention flip must each leave the expected
-    partition and oracle-equal rates."""
+    """The seeds decide which flows get re-solved, so a merge, a split
+    and a contention flip must each re-solve the expected groups and
+    leave oracle-equal rates."""
     net = _net()
     net.start_flow(None, ["a"])
     net.start_flow(None, ["b"])
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({0}), frozenset({1})}
+    assert _resolved(net) == {frozenset({0}), frozenset({1})}
 
     bridge = net.start_flow(None, ["a", "b"])
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({0, 1, 2})}  # merged
+    assert _resolved(net) == {frozenset({0, 1, 2})}  # merged
 
     bridge.cancel()
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({0}), frozenset({1})}  # split
+    assert _resolved(net) == {frozenset({0}), frozenset({1})}  # split
 
 
 def test_contention_flip_agrees_across_solvers():
@@ -249,57 +261,63 @@ def test_contention_flip_agrees_across_solvers():
     net.start_flow(None, ["a", "b"], cap=5.0)
     _assert_matches_oracle(net)
     assert not net.resources["a"]._contended
+    assert _resolved(net) == set()
     net.start_flow(None, ["a"], cap=3.0)  # cap sum crosses capacity
     _assert_matches_oracle(net)
     assert net.resources["a"]._contended
-    assert _partition(net) == {frozenset({0, 1, 2})}
+    assert _resolved(net) == {frozenset({0, 1, 2})}
 
 
 def test_component_less_flow_joins_and_leaves_on_contention_flips():
-    """A flow crossing only uncontended resources holds no component and
-    runs at its cap; a flip to contended pulls it into one, and the flip
-    back releases it."""
+    """A flow crossing only uncontended resources belongs to no group
+    and runs at its cap; a flip to contended pulls it into one, and the
+    flip back releases it to its cap again."""
     net = _net()
     lone = net.start_flow(None, ["a", "b"], cap=4.0)
     _assert_matches_oracle(net)
-    assert _partition(net) == set()
-    assert lone._component is None and lone.rate == 4.0
+    assert _resolved(net) == set()
+    assert lone.rate == 4.0
 
-    pusher = net.start_flow(None, ["a"], cap=8.0)  # 4 + 8 > 10 on "a"
+    # 4 + 8 > 10 on "a"; the weight holds the lone flow below its cap.
+    pusher = net.start_flow(None, ["a"], cap=8.0, weight=4.0)
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({0, 1})}
+    assert _resolved(net) == {frozenset({0, 1})}
+    assert lone.rate == 2.0
 
     pusher.cancel()
     _assert_matches_oracle(net)
-    assert _partition(net) == set()
-    assert lone._component is None and lone.rate == 4.0
+    assert _resolved(net) == set()
+    assert lone.rate == 4.0
 
 
 def test_component_less_flow_cancelled():
+    """Cancelling a group-less flow re-solves nothing: the group on "b"
+    shares no resource with it."""
     net = _net()
     lone = net.start_flow(None, ["a"], cap=3.0)
     net.start_flow(None, ["b"])  # uncapped: "b" is contended
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({1})}
+    assert _resolved(net) == {frozenset({1})}
 
     lone.cancel()
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({0})}
+    assert _resolved(net) == set()
     assert lone.rate == 0.0 and net.resources["a"].usage == 0.0
 
 
 def test_component_less_flow_drains():
     env, net = _make_net(["a", "b"], [10.0, 10.0])
+    _record_fills(net)
     lone = net.start_flow(6.0, ["a"], cap=3.0)
     stays = net.start_flow(None, ["a"], cap=4.0)
     net.start_flow(None, ["b"])
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({2})}
+    assert _resolved(net) == {frozenset({2})}
 
     env.run(until=lone.done)
     assert env.now == 2.0
     _assert_matches_oracle(net)
-    assert _partition(net) == {frozenset({1})}
+    assert _resolved(net) == set()
     assert lone.rate == 0.0 and stays.rate == 4.0
     assert net.resources["a"].usage == 4.0
 
@@ -372,7 +390,7 @@ def test_solvers_agree_after_every_mutation(resource_caps, script):
 @settings(max_examples=60, deadline=None)
 def test_solvers_agree_after_drains(resource_caps, script, step):
     """Time advances: finite flows drain and complete via the external
-    wake slot. Only the components a completion touched are re-solved,
+    wake slot. Only the groups a completion touched are re-solved,
     so the surviving rates must still match a from-scratch fill of the
     live flows — between steps and at quiescence."""
     names = [f"r{i}" for i in range(len(resource_caps))]
@@ -408,10 +426,10 @@ def test_ulp_divergence_is_real_and_bounded():
     little.
 
     The oracle raises ONE global water level whose min-steps interleave
-    freeze events from every component; production raises a level per
-    component. The two accumulate the same mathematical sum through
+    freeze events from every group; production raises a level per
+    group. The two accumulate the same mathematical sum through
     different floating-point operation orders, so rates can differ by a
-    few ULPs when independent components interleave cap-freeze steps on
+    few ULPs when independent groups interleave cap-freeze steps on
     the global ladder. This pinned example (found by random search)
     shows the divergence is (a) real — at least one rate differs
     bitwise — and (b) bounded far inside PARITY_EPSILON. It is why the

@@ -208,6 +208,13 @@ def _rebuild_from_scratch(net, names, resource_caps):
     return ref, ref_flows
 
 
+def _assert_no_drained_flow_is_live(net):
+    """The settle invariant: every live finite flow has work left
+    beyond the solver's drained tolerance (1e-9)."""
+    for flow in net._finite:
+        assert flow.remaining > 1e-9, flow
+
+
 def _assert_states_match(net, names, resource_caps):
     ref, ref_flows = _rebuild_from_scratch(net, names, resource_caps)
     for mine, theirs in zip(net._flows, ref_flows):
@@ -234,9 +241,10 @@ def _assert_states_match(net, names, resource_caps):
 )
 @settings(max_examples=120, deadline=None)
 def test_incremental_solver_matches_from_scratch(resource_caps, script):
-    """Arbitrary add/cancel churn: the solver (per-component fills over
-    incrementally maintained components) must agree with a from-scratch solve of the
-    surviving flows after every single mutation."""
+    """Arbitrary add/cancel churn: the solver (per-group fills of the
+    groups each flush floods from what changed) must agree with a
+    from-scratch solve of the surviving flows after every single
+    mutation."""
     env = Environment()
     net = FlowNetwork(env)
     names = [f"r{i}" for i in range(len(resource_caps))]
@@ -252,6 +260,7 @@ def test_incremental_solver_matches_from_scratch(resource_caps, script):
                 chosen = [names[mask % len(names)]]
             live.append(net.start_flow(size, chosen, cap=cap, weight=weight))
         net.flush()
+        _assert_no_drained_flow_is_live(net)
         _assert_states_match(net, names, resource_caps)
 
 
@@ -284,7 +293,9 @@ def test_incremental_solver_matches_after_completions(
                 if not chosen:
                     chosen = [names[mask % len(names)]]
                 live.append(net.start_flow(size, chosen, cap=cap, weight=weight))
+            _assert_no_drained_flow_is_live(net)
             yield env.timeout(step)
+            _assert_no_drained_flow_is_live(net)
 
     process = env.process(driver(env))
     env.run(until=process)

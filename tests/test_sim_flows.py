@@ -196,23 +196,36 @@ def test_long_horizon_simulation_terminates():
     assert process.value > 200_000.0  # ~100 big flows x 3000 s
 
 
-# -- incremental solver: components, laziness, and the completion heap -----
+# -- incremental solver: re-solved groups, laziness, and the wake slot -----
+
+
+def record_fills(net):
+    """Wrap ``net``'s group fill; returns the list every call appends
+    its flows to, as a frozenset."""
+    fills = []
+    fill = net._fill_component
+
+    def recorded(flows, resources):
+        fills.append(frozenset(flows))
+        fill(flows, resources)
+
+    net._fill_component = recorded
+    return fills
 
 
 def test_components_merge_when_a_flow_bridges_them():
     env, net = make_net(a=10.0, b=10.0)
+    fills = record_fills(net)
     left = net.start_flow(None, ["a"])
     right = net.start_flow(None, ["b"])
-    net.components()
-    assert left._component is not right._component
-    assert len(net.components()) == 2
+    net.flush()
+    assert len(fills) == 2 and set(fills) == {frozenset({left}), frozenset({right})}
+    fills.clear()
     bridge = net.start_flow(None, ["a", "b"])
-    net.components()
-    assert left._component is right._component
-    assert bridge._component is left._component
-    assert len(net.components()) == 1
-    # Fair share across the merged component: the bridge competes on
-    # both resources, so each side splits evenly with it.
+    net.flush()
+    assert fills == [{left, right, bridge}]
+    # Fair share across the merged group: the bridge competes on both
+    # resources, so each side splits evenly with it.
     assert left.rate == pytest.approx(5.0)
     assert right.rate == pytest.approx(5.0)
     assert bridge.rate == pytest.approx(5.0)
@@ -220,50 +233,58 @@ def test_components_merge_when_a_flow_bridges_them():
 
 def test_components_split_when_the_bridge_is_removed():
     env, net = make_net(a=10.0, b=10.0)
+    fills = record_fills(net)
     left = net.start_flow(None, ["a"])
     right = net.start_flow(None, ["b"])
     bridge = net.start_flow(None, ["a", "b"])
-    net.components()
-    merged = left._component
-    assert right._component is merged and bridge._component is merged
+    net.flush()
+    assert fills == [{left, right, bridge}]
+    fills.clear()
     bridge.cancel()
-    net.components()
-    assert left._component is not right._component
+    net.flush()
+    assert len(fills) == 2 and set(fills) == {frozenset({left}), frozenset({right})}
     assert left.rate == pytest.approx(10.0)
     assert right.rate == pytest.approx(10.0)
 
 
 def test_contention_flip_drags_components_together():
     env, net = make_net(a=10.0, b=10.0)
+    fills = record_fills(net)
     # Capped below capacity on "a": it starts out uncontended.
     capped = net.start_flow(None, ["a"], cap=4.0)
     spanning = net.start_flow(None, ["a", "b"], cap=5.0)
-    net.components()
+    net.flush()
     a = net.resources["a"]
     assert not a._contended  # 4 + 5 < 10
+    assert fills == []  # both run at their caps
     # A third flow pushes the cap sum past capacity: "a" flips to
-    # contended and its flows coalesce into one component.
+    # contended and its flows are re-solved as one group.
     extra = net.start_flow(None, ["a"], cap=3.0)
-    net.components()
+    net.flush()
     assert a._contended
-    assert capped._component is spanning._component
-    assert extra._component is capped._component
+    assert fills == [{capped, spanning, extra}]
     assert capped.rate + spanning.rate + extra.rate == pytest.approx(10.0)
 
 
 def test_churn_in_one_component_leaves_others_untouched():
     env, net = make_net(a=10.0, b=10.0)
+    fills = record_fills(net)
     left = net.start_flow(None, ["a"])
     right = net.start_flow(None, ["b"])
-    net.components()
-    right_component = right._component
-    built_before = right_component.built_at
-    net.start_flow(None, ["a"])
-    net.components()
-    # Churn on "a" dirties only the left component: the right one keeps
-    # its identity and is never rebuilt.
-    assert right._component is right_component
-    assert right_component.built_at == built_before
+    net.flush()
+    env.run(until=5.0)
+    fills.clear()
+    joined = net.start_flow(None, ["a"])
+    net.flush()
+    doomed = net.start_flow(100.0, ["a"])
+    env.run(until=10.0)
+    doomed.cancel()
+    net.flush()
+    # Churn on "a" re-solves only the group on "a": the group on "b" is
+    # never filled again, so its permanent flow never banks its work.
+    assert fills == [{left, joined}, {left, joined, doomed}, {left, joined}]
+    assert left._banked_at == 10.0
+    assert right._banked_at == 0.0
     assert left.rate == pytest.approx(5.0)
     assert right.rate == pytest.approx(10.0)
 
