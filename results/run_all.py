@@ -3,8 +3,8 @@
 Every table runs its experiment config's defaults (``Table2Config()``,
 ``Fig9Config()``, ...), so ``python -m repro.experiments <name>``
 regenerates the same committed table. Figure 4 is produced by the
-sibling script run_fig4_standard.py (the paper-scale Fig4Config() takes
-~1 h of single-core wall time).
+sibling script run_fig4_standard.py, and the paper-scale Fig4Config() by
+run_fig4_full.py (about a minute on one core).
 
 Usage::
 

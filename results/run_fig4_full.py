@@ -5,6 +5,7 @@ from repro.experiments.fig4 import Fig4Config, run_fig4
 parser = argparse.ArgumentParser()
 parser.add_argument("--outdir", default=os.path.dirname(os.path.abspath(__file__)))
 args = parser.parse_args()
+os.makedirs(args.outdir, exist_ok=True)
 
 started = time.time()
 table = run_fig4(Fig4Config(runs=1))

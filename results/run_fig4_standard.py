@@ -1,7 +1,7 @@
 """Fig. 4 at 'standard scale': full 24-node topology, half-scale data.
 
 The paper-scale configuration (96 samples x 8 x 1 GB, 576 containers)
-is Fig4Config() and takes ~1 h of single-core wall time; this standard
+is Fig4Config(), run by run_fig4_full.py in about a minute; this standard
 scale halves container counts and data proportionally, preserving the
 compute-to-network balance and therefore the crossover shape.
 """
@@ -11,6 +11,7 @@ from repro.experiments.fig4 import Fig4Config, run_fig4
 parser = argparse.ArgumentParser()
 parser.add_argument("--outdir", default=os.path.dirname(os.path.abspath(__file__)))
 args = parser.parse_args()
+os.makedirs(args.outdir, exist_ok=True)
 
 config = Fig4Config(
     node_count=24,

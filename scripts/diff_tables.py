@@ -6,15 +6,15 @@ reports the maximum relative drift per table. Use it to check that a
 change regenerates the committed ``results/`` tables (0 drift), or to
 measure a declared drift: a one-ULP shift in a task completion time can
 flip a HEFT tie-break, so table-level drift is *measured*, never
-assumed. EXPERIMENTS.md records the drift between the tables in
-``results/v1/`` (the retired global flow solver) and ``results/``.
+assumed. EXPERIMENTS.md records the drift each flow-solver change
+measured this way.
 
 Non-numeric content (headers, notes, rules) is ignored, as are
 ``solver_version:`` stamps and ``(wall time Ns)`` footers — those are
 *expected* to differ between runs.
 
 Usage:
-    python scripts/diff_tables.py results/v1 results
+    python scripts/diff_tables.py results regenerated
     python scripts/diff_tables.py a/table2.txt b/table2.txt --epsilon 0.02
 """
 

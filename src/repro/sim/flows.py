@@ -17,24 +17,24 @@ are handled by the same solver:
 
 Whenever a flow starts or finishes, elapsed progress is settled; rates
 are re-solved once per instant, by the flush that ends it, with the
-*partitioned* solver (version ``partitioned-v2``). Work nobody waits
+*partitioned* solver (version ``partitioned-v3``). Work nobody waits
 for is a *burn*: an instant's equal burns start at its flush as one
 flow of ``count`` times the size, cap and weight, which weighted
 max-min drains exactly like its separate members.
 
-Resources whose flows could collectively exceed capacity are *contended*,
-and a flow links every contended resource it crosses into one contention
-group. Nothing about the groups is stored: a flush re-derives contention
-for the resources whose flow set changed, floods a group across contended
-resources from each of their flows (and each new flow), and re-solves
-just those groups, each by an independent progressive fill over its own
-flows and contended resources. A group no flood reaches kept its members
-and its contention, so it keeps its rates — this is where the
-order-of-magnitude win on churn-heavy clusters comes from. Every mutation
-settles all finite flows before rates change, so each fill starts from
-the global settle clock, which is exact for piecewise-constant rates. A
-flow whose resources are all uncontended can never be bottlenecked: it
-belongs to no group, and a flood that starts from it sets its rate to
+Resources whose flows could collectively exceed capacity are
+*contended*. Each flow keeps the fill level at which it froze in its
+last solve, and a change moves no freeze below its *reach*: the lowest
+level a dropped flow froze at, or the lowest level at which a resource
+that gained a flow can now saturate. A flush floods from each changed
+resource across contended resources to the flows at or above its
+reach, and refills just that region by progressive filling, each
+resource's room net of the rates of the flows below the reach. Every
+other flow keeps its rate — the change cannot reach it. Every
+mutation settles all finite flows before rates change, so each fill
+starts from the global settle clock, which is exact for
+piecewise-constant rates. A flow whose resources are all uncontended
+can never be bottlenecked: it belongs to no region and runs at
 ``min(weight * cap_level, cap)``. A flow that finishes or is cancelled
 reports a rate of zero.
 
@@ -47,11 +47,9 @@ attached recorder (``repro.sim.metrics``). A permanent flow has no
 the solver resets its rate.
 
 Every emitted table and service report carries the ``SOLVER_VERSION``
-stamp. The per-group fills are checked against a
-from-scratch global progressive fill kept in the test suite as a
-reference oracle (see DESIGN.md). Tables recorded under the retired
-global solver stay in ``results/v1/``, next to the commit that
-regenerates them.
+stamp. The region fills are checked against a from-scratch global
+progressive fill kept in the test suite as a reference oracle (see
+DESIGN.md).
 
 The earliest upcoming completion is tracked by the environment's external
 wake slot: re-aimed in place after every rebalance, it consumes a fresh
@@ -65,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -80,7 +79,41 @@ _EPSILON = 1e-9
 
 #: Version stamp of the rate solver, carried by every emitted table
 #: and service report.
-SOLVER_VERSION = "partitioned-v2"
+SOLVER_VERSION = "partitioned-v3"
+
+
+_level_of = operator.attrgetter("_level")
+_reach_of = operator.itemgetter(0)
+_id_of = operator.attrgetter("id")
+
+
+def _saturation_bound(resource: "Resource") -> float:
+    """The lowest level at which ``resource`` can saturate while every
+    solved flow keeps its level and rate and every unsolved flow rises
+    from zero: a sweep over its flows in order of level."""
+    flows = sorted(resource.flows, key=_level_of)
+    weight = 0.0
+    for flow in flows:
+        weight += flow.weight
+    room = resource.capacity
+    for flow in flows:
+        level = room / weight
+        if level <= flow._level:
+            return level
+        room -= flow._rate
+        weight -= flow.weight
+    return math.inf
+
+
+def _run_at_cap(flow: "Flow", now: float) -> None:
+    """Set a flow that crosses no contended resource to its cap."""
+    if flow.remaining is None:
+        flow._banked += flow._rate * (now - flow._banked_at)
+        flow._banked_at = now
+    rate = flow.weight * flow._cap_level
+    cap = flow.cap
+    flow._rate = cap if cap < rate else rate
+    flow._level = flow._cap_level
 
 
 class Resource:
@@ -93,6 +126,7 @@ class Resource:
         "kind",
         "_network",
         "_contended",
+        "_reach",
     )
 
     def __init__(self, name: str, capacity: float, kind: str = "generic"):
@@ -108,6 +142,9 @@ class Resource:
         #: could collectively exceed its capacity (i.e. it can act as a
         #: bottleneck).
         self._contended = False
+        #: The lowest fill level of a flow dropped from this resource since
+        #: the last solve: no freeze below it can change.
+        self._reach = math.inf
 
     @property
     def usage(self) -> float:
@@ -142,6 +179,7 @@ class Flow:
         "cap",
         "weight",
         "_cap_level",
+        "_level",
         "_rate",
         "_banked",
         "_banked_at",
@@ -170,6 +208,9 @@ class Flow:
         self.weight = weight
         #: Fill level at which the cap binds; precomputed for the solver.
         self._cap_level = math.inf if cap is None else cap / weight
+        #: Fill level at which the flow froze in its last solve; infinite
+        #: until its first, so an unsolved flow sits above every reach.
+        self._level = math.inf
         self._rate = 0.0
         #: Work a permanent flow did up to ``_banked_at``.
         self._banked = 0.0
@@ -236,9 +277,10 @@ class FlowNetwork:
         self._last_settle = env.now
         self._recorder: Optional["MetricRecorder"] = None
         self._dirty = False
-        #: Resources whose flow set changed since the last solve; the next
-        #: one re-derives contention for exactly these.
-        self._retag: dict[Resource, None] = {}
+        #: Resources whose flow set changed since the last solve, each
+        #: with whether it gained a flow; the next solve re-derives
+        #: contention for exactly these.
+        self._retag: dict[Resource, bool] = {}
         #: Flows started since the last solve.
         self._new_flows: dict[Flow, None] = {}
         #: Burns of this instant not yet started: count per
@@ -338,18 +380,22 @@ class FlowNetwork:
         retag = self._retag
         for resource in flow.resources:
             resource.flows[flow] = None
-            retag[resource] = None
+            retag[resource] = True
         self._new_flows[flow] = None
 
     def _drop(self, flow: Flow) -> None:
-        """Detach ``flow`` from all bookkeeping (no settle, no event)."""
+        """Detach ``flow`` from all bookkeeping (no settle, no event) and
+        lower its resources' reach to the level it froze at."""
         self._flows.pop(flow, None)
         self._finite.pop(flow, None)
         self._new_flows.pop(flow, None)
         retag = self._retag
+        level = flow._level
         for resource in flow.resources:
             resource.flows.pop(flow, None)
-            retag[resource] = None
+            if level < resource._reach:
+                resource._reach = level
+            retag.setdefault(resource, False)
         if self._recorder is not None:
             self._recorder.observe(flow)
         # A dead flow carries nothing: its rate must not outlive it.
@@ -453,88 +499,116 @@ class FlowNetwork:
         self._rebalance_partitioned()
 
     def _rebalance_partitioned(self) -> None:
-        """Re-solve the contention groups whose constraints changed.
+        """Re-solve the flows a change can reach.
 
         Contention is re-derived for each resource whose flow set
-        changed. The flows on such a resource that is contended now or
-        was before, then the new flows, seed the solve: each seed floods
-        its group across contended resources, and the group is filled
-        with its flows in id order. Every other group kept its flows and
-        the contention of its resources, so its max-min solution is
-        unchanged: a flood from a seed never reaches it, and its rates
-        stand — this is the whole point of partitioning. A seed that
-        crosses no contended resource belongs to no group and runs at
-        its cap (it has one: an uncapped flow contends every resource).
+        changed. Progressive filling freezes flows in order of rising
+        level, so a change to a resource moves no freeze below its
+        *reach*: the lowest level a flow dropped from it froze at, or,
+        if it gained a flow or became contended, the lowest level at
+        which it can now saturate, whichever is lower. Each such
+        resource that is contended now starts a solve at its reach; a
+        resource that lost contention starts one from each of its flows
+        at the lowest level among them.
+
+        Starts are taken in increasing reach. Each floods across
+        contended resources, but only to flows that are unsolved or
+        froze at or above its reach (less ``_EPSILON``), and that region
+        is refilled with each resource's room net of the rates of its
+        flows outside the region, which froze below the reach and stand.
+        Regions are disjoint: a start inside an earlier region was
+        reached from a lower level, and no flow outside that region
+        crosses one of its resources at or above a later start's reach.
+        Every flow outside every region keeps its rate. A flow that
+        crosses no contended resource runs at its cap (it has one: an
+        uncapped flow contends every resource).
         """
         retagged = self._retag
         if retagged:
             self._retag = {}
-            seeds: dict[Flow, None] = {}
-            for resource in retagged:
-                contended = self._classify(resource)
-                if contended or resource._contended:
-                    resource._contended = contended
-                    seeds.update(resource.flows)
-            seeds.update(self._new_flows)
-            self._new_flows = {}
+            starts: list[tuple[float, Resource | Flow]] = []
+            for resource, grew in retagged.items():
+                reach = resource._reach
+                resource._reach = math.inf
+                if self._classify(resource):
+                    if grew or not resource._contended:
+                        resource._contended = True
+                        bound = _saturation_bound(resource)
+                        if bound < reach:
+                            reach = bound
+                    if reach < math.inf:
+                        starts.append((reach, resource))
+                elif resource._contended:
+                    resource._contended = False
+                    if resource.flows:
+                        low = min(flow._level for flow in resource.flows)
+                        starts += [(low, flow) for flow in resource.flows]
+            starts.sort(key=_reach_of)
             now = self.env.now
-            grouped: set[Flow] = set()
-            for seed in seeds:
-                if seed in grouped:
+            solved: set[Resource | Flow] = set()
+            for reach, start in starts:
+                if start in solved:
                     continue
-                for resource in seed.resources:
-                    if resource._contended:
-                        break
+                if type(start) is Flow:
+                    stack = [r for r in start.resources if r._contended]
+                    if not stack:
+                        solved.add(start)
+                        _run_at_cap(start, now)
+                        continue
                 else:
-                    if seed.remaining is None:
-                        seed._banked += seed._rate * (now - seed._banked_at)
-                        seed._banked_at = now
-                    rate = seed.weight * seed._cap_level
-                    cap = seed.cap
-                    seed._rate = cap if cap < rate else rate
-                    continue
-                flows = {seed: None}
-                resources: dict[Resource, None] = {}
-                stack = [seed]
+                    stack = [start]
+                solved.update(stack)
+                floor = reach - _EPSILON
+                flows: dict[Flow, None] = {}
+                rooms: dict[Resource, float] = {}
                 while stack:
-                    for resource in stack.pop().resources:
-                        if resource._contended and resource not in resources:
-                            resources[resource] = None
-                            for other in resource.flows:
-                                if other not in flows:
-                                    flows[other] = None
-                                    stack.append(other)
-                grouped.update(flows)
-                self._fill_component(sorted(flows, key=lambda f: f.id), resources)
+                    resource = stack.pop()
+                    room = resource.capacity
+                    for other in resource.flows:
+                        if other._level < floor:
+                            room -= other._rate
+                        elif other not in flows:
+                            flows[other] = None
+                            for nxt in other.resources:
+                                if nxt._contended and nxt not in solved:
+                                    solved.add(nxt)
+                                    stack.append(nxt)
+                    rooms[resource] = room
+                if flows:
+                    solved.update(flows)
+                    self._fill_component(sorted(flows, key=_id_of), rooms)
+            # A new flow on a contended resource is in that resource's
+            # region: it is unsolved, so above every reach.
+            for flow in self._new_flows:
+                if flow not in solved:
+                    _run_at_cap(flow, now)
+            self._new_flows = {}
         self._aim_wake()
 
     def _fill_component(
-        self, flows: list[Flow], resources: dict[Resource, None]
+        self, flows: list[Flow], room: dict[Resource, float]
     ) -> None:
-        """One progressive fill over a contention group: its ``flows``,
-        in id order, and the contended ``resources`` linking them.
+        """One progressive fill over a region: its ``flows``, in id
+        order, and the contended resources linking them, each with its
+        ``room`` net of the flows outside the region (consumed).
 
-        Raises every unfrozen flow's fill level uniformly until a
-        resource saturates or a flow's cap binds, freezes those flows and
-        repeats; a flow's rate at level ``lam`` is
-        ``min(cap, weight * lam)`` (weighted max-min). The candidate
-        resources are just the group's contended ones (every flow
-        crossing a contended resource is in that resource's group, so
-        the fill is closed) and uncontended resources are skipped
-        outright — ``_classify`` already proved they can never
-        bottleneck. A resource whose unfrozen weight is spent leaves the
-        per-round scan for good: freezing only ever lowers that weight,
-        so the scan would skip it in every later round anyway.
+        Raises every unfrozen flow's fill level uniformly from zero until
+        a resource saturates or a flow's cap binds, freezes those flows
+        (recording the level) and repeats; a flow's rate at level ``lam``
+        is ``min(cap, weight * lam)`` (weighted max-min). Every flow
+        outside the region froze below any level the region's flows can
+        freeze at, so counting it at its full rate from level zero moves
+        no freeze. Uncontended resources are skipped outright —
+        ``_classify`` already proved they can never bottleneck. A
+        resource whose unfrozen weight is spent leaves the per-round
+        scan for good: freezing only ever lowers that weight, so the
+        scan would skip it in every later round anyway.
         """
         epsilon = _EPSILON
         # Per contended resource with unfrozen weight left (the scan, in
         # order): aggregate weight of unfrozen flows and headroom left
         # after already-frozen flows.
-        weight_sum: dict[Resource, float] = {}
-        room: dict[Resource, float] = {}
-        for resource in resources:
-            weight_sum[resource] = 0.0
-            room[resource] = resource.capacity
+        weight_sum: dict[Resource, float] = dict.fromkeys(room, 0.0)
         now = self.env.now
         for flow in flows:
             if flow.remaining is None:
@@ -610,6 +684,7 @@ class FlowNetwork:
                 if cap is not None and cap < rate:
                     rate = cap
                 flow._rate = rate
+                flow._level = level
                 del unfrozen[flow]
                 for resource in flow.resources:
                     if resource in weight_sum:

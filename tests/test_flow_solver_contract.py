@@ -1,11 +1,12 @@
 """The flow solver contract (``repro.sim.flows``).
 
-Production re-solves rates per contention group (``partitioned-v2``,
-the ``SOLVER_VERSION`` stamp). This module keeps the original global
-progressive fill as a from-scratch reference oracle and guards the
-contract: production rates agree with the oracle on every flow to within
-``PARITY_EPSILON``, every emitted artifact carries the solver stamp, and
-the committed ``results/`` tables regenerate byte for byte.
+Production re-solves the rates of the flows a change can reach
+(``partitioned-v3``, the ``SOLVER_VERSION`` stamp). This module keeps
+the original global progressive fill as a from-scratch reference oracle
+and guards the contract: production rates agree with the oracle on
+every flow to within ``PARITY_EPSILON``, every emitted artifact carries
+the solver stamp, and the committed ``results/`` tables regenerate byte
+for byte.
 """
 
 import math
@@ -48,9 +49,10 @@ def global_fill(flows):
     can be checked as its separate members.
 
     This is the solver the simulator shipped before the partitioned
-    solve (``results/v1/`` was recorded under it). Its float-operation
-    order is kept as it was, so the ULP characterization below still
-    describes exactly how the two solves round differently.
+    solve (EXPERIMENTS.md records the table drift between the two).
+    Its float-operation order is kept as it was, so the ULP
+    characterization below still describes exactly how the two solves
+    round differently.
     """
     flows = list(flows)
     weight_sum = {}
@@ -172,11 +174,11 @@ def _assert_matches_oracle(net):
 def test_experiment_tables_carry_solver_stamp():
     from repro.experiments.common import ExperimentTable
 
-    assert SOLVER_VERSION == "partitioned-v2"
+    assert SOLVER_VERSION == "partitioned-v3"
     table = ExperimentTable(experiment_id="t", title="T", columns=["x"])
     table.add_row(1.0)
-    assert "solver_version: partitioned-v2" in table.format()
-    assert "_solver_version: partitioned-v2_" in table.to_markdown()
+    assert "solver_version: partitioned-v3" in table.format()
+    assert "_solver_version: partitioned-v3_" in table.to_markdown()
 
 
 # -- byte identity against the committed tables ------------------------------
@@ -433,9 +435,9 @@ def test_ulp_divergence_is_real_and_bounded():
     the global ladder. This pinned example (found by random search)
     shows the divergence is (a) real — at least one rate differs
     bitwise — and (b) bounded far inside PARITY_EPSILON. It is why the
-    tables in ``results/v1/`` drift from ``results/``, measured with
-    scripts/diff_tables.py: a one-ULP completion-time shift can flip a
-    HEFT tie-break downstream.
+    tables the global solve recorded drift from ``results/``, measured
+    with scripts/diff_tables.py: a one-ULP completion-time shift can
+    flip a HEFT tie-break downstream.
     """
     script = [
         (["c"], None, 0.2353180374196061),
