@@ -23,7 +23,7 @@ experiments:
 	$(PYTHON) -m repro.experiments all --quick
 
 experiments-full:
-	$(PYTHON) -m repro.experiments all
+	$(PYTHON) -m repro.experiments all --outdir results
 
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done

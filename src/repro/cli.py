@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
         help="regenerate the paper's tables/figures (forwards to "
         "python -m repro.experiments; e.g. 'experiments fig4 --quick' "
-        "or 'experiments fig4 --concurrent')",
+        "or 'experiments all --outdir results')",
     )
     experiments.add_argument("experiment_args", nargs=argparse.REMAINDER)
     return parser

@@ -46,25 +46,24 @@ __all__ = [
     "run_openloop",
     "OpenLoopConfig",
     "EXPERIMENTS",
-    "CONCURRENT_EXPERIMENTS",
 ]
 
-#: experiment id -> callable(quick: bool, jobs: int | None) -> ExperimentTable,
-#: called with keyword arguments.
-#: ``jobs`` is the process-pool width (1 = serial, None = all cores);
-#: parallel runs produce byte-identical tables (see repro.perf.grid).
+#: ``results/`` file stem -> callable(quick: bool, jobs: int | None) ->
+#: ExperimentTable, called with keyword arguments. Each entry runs the
+#: config whose table ``results/<stem>.txt`` commits; ``--quick`` runs
+#: its laptop-sized variant. ``jobs`` is the process-pool width (1 =
+#: serial, None = all cores); parallel runs produce byte-identical
+#: tables (see repro.perf.grid).
 EXPERIMENTS = {
     "table1": lambda quick=False, jobs=1: run_table1(jobs=jobs),
-    "fig4": run_fig4,
     "table2": run_table2,
-    "fig5": run_table2,  # same series
+    "fig4": lambda quick=False, jobs=1: run_fig4(
+        Fig4Config.quick() if quick else Fig4Config.standard(), jobs=jobs),
+    "fig4_full": lambda quick=False, jobs=1: run_fig4(
+        Fig4Config.quick() if quick else Fig4Config(runs=1), jobs=jobs),
+    "fig4_concurrent": run_fig4_concurrent,
     "fig6": run_fig6,
     "fig8": run_fig8,
     "fig9": run_fig9,
     "openloop": run_openloop,
 }
-
-#: Experiments with a ``--concurrent`` (multi-workflow, one shared RM)
-#: variant; same call signature as :data:`EXPERIMENTS` plus optional
-#: ``workflow_counts`` / ``policies`` overrides from the CLI.
-CONCURRENT_EXPERIMENTS = {"fig4": run_fig4_concurrent}

@@ -1,21 +1,30 @@
 """Command-line entry point: regenerate any of the paper's results.
 
+Each experiment is named after its ``results/`` file, and its stdout is
+that committed table byte for byte. ``--outdir DIR`` also writes
+``NAME.txt`` and ``NAME.md`` for every experiment run, so one command
+rewrites (or, with ``diff -r``, checks) the whole ``results/`` tree.
+
 Usage::
 
     python -m repro.experiments table1
     python -m repro.experiments fig4 --quick
-    python -m repro.experiments all --quick
-    python -m repro.experiments fig9 --parallel
     python -m repro.experiments table2 --jobs 4
+    python -m repro.experiments fig4_concurrent --quick --concurrent 16 --rm-policy drf
+    python -m repro.experiments all --outdir results --jobs 2
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-from repro.experiments import CONCURRENT_EXPERIMENTS, EXPERIMENTS
+from repro.experiments import EXPERIMENTS
+
+#: The one experiment that takes ``--concurrent`` / ``--rm-policy``.
+_CONCURRENT = "fig4_concurrent"
 
 
 def _positive_int(text: str) -> int:
@@ -39,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all"],
-        help="which table/figure to regenerate",
+        help="which results/ table to regenerate",
     )
     parser.add_argument(
         "--quick",
@@ -54,55 +63,48 @@ def main(argv: list[str] | None = None) -> int:
         help="spread the run grid over N worker processes (default: 1, serial)",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="shorthand for --jobs <all cores>",
+        "--outdir",
+        metavar="DIR",
+        help="also write NAME.txt and NAME.md for each experiment into DIR "
+        "(created if missing)",
     )
     parser.add_argument(
         "--concurrent",
-        nargs="*",
+        nargs="+",
         type=_positive_int,
-        default=None,
         metavar="N",
-        help=(
-            "run the multi-workflow variant (N concurrent AMs sharing one "
-            "RM); optional N values override the workflow counts, e.g. "
-            "'--concurrent 64' for a single 64-tenant point; available "
-            f"for: {', '.join(sorted(CONCURRENT_EXPERIMENTS))}"
-        ),
+        help=f"{_CONCURRENT} only: the concurrent workflow counts to run, "
+        "e.g. '--concurrent 64' for a single 64-tenant point",
     )
     parser.add_argument(
         "--rm-policy",
-        choices=["fifo", "fair", "drf", "all"],
-        default="all",
-        help=(
-            "RM allocation policy for the --concurrent variant "
-            "(default: compare all three)"
-        ),
+        choices=["fifo", "fair", "drf"],
+        help=f"{_CONCURRENT} only: run one RM allocation policy "
+        "(default: compare all three)",
     )
     args = parser.parse_args(argv)
-    jobs = None if args.parallel else args.jobs
-    concurrent = args.concurrent is not None
-    registry = CONCURRENT_EXPERIMENTS if concurrent else EXPERIMENTS
-    names = sorted(registry) if args.experiment == "all" else [args.experiment]
-    missing = [name for name in names if name not in registry]
-    if missing:
-        parser.error(
-            f"no --concurrent variant for: {', '.join(missing)} "
-            f"(have: {', '.join(sorted(CONCURRENT_EXPERIMENTS))})"
-        )
     kwargs = {}
-    if concurrent:
-        if args.concurrent:  # bare --concurrent keeps the config default
-            kwargs["workflow_counts"] = tuple(args.concurrent)
-        if args.rm_policy != "all":
-            kwargs["policies"] = (args.rm_policy,)
+    if args.concurrent:
+        kwargs["workflow_counts"] = tuple(args.concurrent)
+    if args.rm_policy:
+        kwargs["policies"] = (args.rm_policy,)
+    if kwargs and args.experiment != _CONCURRENT:
+        parser.error(f"--concurrent and --rm-policy apply to {_CONCURRENT} only")
+    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.outdir:
+        os.makedirs(args.outdir, exist_ok=True)
     for index, name in enumerate(names):
         if index:
             print()
         started = time.time()
-        table = registry[name](quick=args.quick, jobs=jobs, **kwargs)
-        print(table.format())
+        table = EXPERIMENTS[name](quick=args.quick, jobs=args.jobs, **kwargs)
+        text = table.format() + "\n"
+        sys.stdout.write(text)
+        if args.outdir:
+            for suffix, body in ((".txt", text),
+                                 (".md", table.to_markdown() + "\n")):
+                with open(os.path.join(args.outdir, name + suffix), "w") as fh:
+                    fh.write(body)
         # Timing goes to stderr: stdout is the table alone, byte for byte
         # what results/ commits.
         print(f"({name} regenerated in {time.time() - started:.1f}s)",

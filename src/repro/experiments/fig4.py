@@ -76,6 +76,24 @@ class Fig4Config:
             runs=1,
         )
 
+    @classmethod
+    def standard(cls) -> "Fig4Config":
+        """The scale of the committed ``results/fig4`` table.
+
+        The paper's 24-node topology with a third of its containers and
+        36 samples of 8 x 512 MB, one run per point. The 30 MB/s switch
+        makes it the one committed table where the backbone binds.
+        """
+        return cls(
+            node_count=24,
+            container_counts=(24, 48, 96, 192),
+            samples=36,
+            files_per_sample=8,
+            mb_per_file=512.0,
+            backbone_mb_s=30.0,
+            runs=1,
+        )
+
 
 def _cluster_spec(config: Fig4Config) -> ClusterSpec:
     return ClusterSpec(

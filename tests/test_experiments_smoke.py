@@ -26,12 +26,27 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentTable
 
+RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
+
 
 def test_registry_covers_every_table_and_figure():
-    assert set(EXPERIMENTS) == {
-        "table1", "fig4", "table2", "fig5", "fig6", "fig8", "fig9",
-        "openloop",
-    }
+    """One experiment per committed table, and results/ holds only tables."""
+    files = os.listdir(RESULTS)
+    assert set(EXPERIMENTS) == {os.path.splitext(name)[0] for name in files}
+    assert sorted(files) == sorted(
+        name + suffix for name in EXPERIMENTS for suffix in (".txt", ".md"))
+
+
+def test_fig4_standard_is_the_committed_scale():
+    assert Fig4Config.standard() == Fig4Config(
+        node_count=24,
+        container_counts=(24, 48, 96, 192),
+        samples=36,
+        files_per_sample=8,
+        mb_per_file=512.0,
+        backbone_mb_s=30.0,
+        runs=1,
+    )
 
 
 def test_table1_matches_paper_overview():
@@ -99,10 +114,21 @@ def test_cli_main_runs_table1(capsys):
     captured = capsys.readouterr()
     assert "Overview of conducted experiments" in captured.out
     # stdout is the committed table byte for byte; the timing is on stderr.
-    results = os.path.join(os.path.dirname(__file__), "..", "results")
-    with open(os.path.join(results, "table1.txt")) as fh:
+    with open(os.path.join(RESULTS, "table1.txt")) as fh:
         assert captured.out == fh.read()
     assert "(table1 regenerated in" in captured.err
+
+
+def test_cli_outdir_writes_text_and_markdown(tmp_path, capsys):
+    from repro.experiments.__main__ import main
+
+    assert main(["table1"]) == 0
+    stdout = capsys.readouterr().out
+    outdir = tmp_path / "missing" / "out"
+    assert main(["table1", "--outdir", str(outdir)]) == 0
+    assert sorted(os.listdir(outdir)) == ["table1.md", "table1.txt"]
+    assert (outdir / "table1.txt").read_text() == stdout
+    assert (outdir / "table1.md").read_text() == run_table1().to_markdown() + "\n"
 
 
 def test_statistics_helpers():
@@ -127,17 +153,16 @@ def test_parallel_grid_is_byte_identical_to_serial():
     assert serial.format() == parallel.format()
 
 
-def test_cli_main_accepts_jobs_and_parallel_flags(capsys):
+def test_cli_main_accepts_jobs_flag(capsys):
     from repro.experiments.__main__ import main
 
     assert main(["table1", "--jobs", "2"]) == 0
-    assert main(["table1", "--parallel"]) == 0
     assert "Overview" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
-    ["fig4", "--quick", "--concurrent", "0"],
-    ["fig4", "--quick", "--concurrent", "-2"],
+    ["fig4_concurrent", "--quick", "--concurrent", "0"],
+    ["fig4_concurrent", "--quick", "--concurrent", "-2"],
     ["table1", "--jobs", "0"],
     ["table1", "--jobs", "-3"],
 ], ids=["concurrent-0", "concurrent-neg", "jobs-0", "jobs-neg"])
@@ -149,4 +174,20 @@ def test_cli_rejects_non_positive_counts(argv, capsys):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert "must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--quick", "--concurrent", "16"],
+    ["all", "--quick", "--concurrent", "16"],
+    ["table1", "--rm-policy", "drf"],
+], ids=["fig4", "all", "rm-policy"])
+def test_cli_rejects_concurrent_overrides_off_fig4_concurrent(argv, capsys):
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "apply to fig4_concurrent only" in captured.err
     assert captured.out == ""
