@@ -11,7 +11,8 @@ measured this way.
 
 Non-numeric content (headers, notes, rules) is ignored, as are
 ``solver_version:`` stamps and ``(wall time Ns)`` footers — those are
-*expected* to differ between runs.
+*expected* to differ between runs. A ``.txt`` or ``.md`` table present
+in only one of two trees is printed and fails the comparison.
 
 Usage:
     python scripts/diff_tables.py results regenerated
@@ -75,17 +76,30 @@ def diff_tables(path_a: str, path_b: str) -> float:
     return worst
 
 
-def paired_files(a: str, b: str) -> list[tuple[str, str, str]]:
-    """(label, path_a, path_b) pairs; single files pair directly."""
+def paired_files(a: str, b: str) -> tuple[list[tuple[str, str, str]], list[str]]:
+    """(label, path_a, path_b) pairs, and the paths of the tables only one
+    tree holds; single files pair directly."""
     if os.path.isfile(a):
-        return [(os.path.basename(a), a, b)]
-    names = sorted(
-        name
-        for name in os.listdir(a)
-        if name.endswith((".txt", ".md"))
-        and os.path.isfile(os.path.join(b, name))
+        return [(os.path.basename(a), a, b)], []
+    tables = {
+        tree: {
+            name
+            for name in os.listdir(tree)
+            if name.endswith((".txt", ".md"))
+            and os.path.isfile(os.path.join(tree, name))
+        }
+        for tree in (a, b)
+    }
+    pairs = [
+        (name, os.path.join(a, name), os.path.join(b, name))
+        for name in sorted(tables[a] & tables[b])
+    ]
+    unpaired = sorted(
+        os.path.join(tree, name)
+        for tree, other in ((a, b), (b, a))
+        for name in tables[tree] - tables[other]
     )
-    return [(name, os.path.join(a, name), os.path.join(b, name)) for name in names]
+    return pairs, unpaired
 
 
 def main() -> int:
@@ -100,8 +114,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    pairs = paired_files(args.a, args.b)
-    if not pairs:
+    pairs, unpaired = paired_files(args.a, args.b)
+    if not pairs and not unpaired:
         print(f"no comparable tables between {args.a} and {args.b}", file=sys.stderr)
         return 2
     failed = []
@@ -112,13 +126,14 @@ def main() -> int:
         print(f"{label:<24} {shown:>14}")
         if args.epsilon is not None and not drift <= args.epsilon:
             failed.append(label)
+    for path in unpaired:
+        print(f"unpaired table (only in one tree): {path}", file=sys.stderr)
     if failed:
         print(
             f"drift beyond epsilon={args.epsilon:g} in: {', '.join(failed)}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return 1 if failed or unpaired else 0
 
 
 if __name__ == "__main__":

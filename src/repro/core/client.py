@@ -73,7 +73,7 @@ class HiWay:
             )
         self.rm = rm
         self.tools = tools if tools is not None else default_registry()
-        self.provenance = ProvenanceManager(self.env, provenance_store)
+        self.provenance = ProvenanceManager(provenance_store)
         #: The installation's observability bus (owned by the cluster).
         self.bus = cluster.bus
         #: The installation's metric aggregations (owned by the

@@ -1,14 +1,11 @@
-"""Provenance recording, storage backends, and scheduler statistics."""
+"""Provenance recording, storage backends, and scheduler statistics.
 
-from repro.core.provenance.events import (
-    FILE_EVENT,
-    TASK_EVENT,
-    WORKFLOW_EVENT,
-    FileEvent,
-    TaskEvent,
-    WorkflowEvent,
-    event_from_dict,
-)
+The trace is a fold over the observability bus: the manager's handlers
+build every record from one bus event, so the same handlers rebuild the
+trace from a decoded event journal.
+"""
+
+from repro.core.provenance.events import FILE_EVENT, TASK_EVENT, WORKFLOW_EVENT
 from repro.core.provenance.manager import ProvenanceManager
 from repro.core.provenance.stores import (
     DocumentProvenanceStore,
@@ -23,10 +20,6 @@ __all__ = [
     "TraceFileStore",
     "SqlProvenanceStore",
     "DocumentProvenanceStore",
-    "WorkflowEvent",
-    "TaskEvent",
-    "FileEvent",
-    "event_from_dict",
     "WORKFLOW_EVENT",
     "TASK_EVENT",
     "FILE_EVENT",

@@ -1,125 +1,47 @@
-"""Provenance event records (Sec. 3.5).
+"""The provenance record schema (Sec. 3.5).
 
-The Provenance Manager registers events at three granularities —
-workflow, task, and file — each timestamped and carrying a unique id,
-serialised as JSON objects. The records double as the lingua franca of
-the re-executable trace language (``repro.langs.tracelang``).
-
-``to_dict`` runs once per recorded event, so it copies the fields (in
-declaration order, as ``dataclasses.asdict`` would) and only the mutable
-containers, rather than deep-copying recursively like ``asdict``.
+The Provenance Manager registers records at three granularities —
+workflow, task and file — each a JSON object with a timestamp and an id
+unique within its trace. :data:`FIELDS` names every kind's fields: the
+manager's handlers write exactly these, a trace line loads only if it
+carries exactly its kind's fields, and the re-executable trace language
+(``repro.langs.tracelang``) reads them back.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+import json
+from typing import Iterable
 
-__all__ = [
-    "WORKFLOW_EVENT",
-    "TASK_EVENT",
-    "FILE_EVENT",
-    "WorkflowEvent",
-    "TaskEvent",
-    "FileEvent",
-    "event_from_dict",
-]
+__all__ = ["WORKFLOW_EVENT", "TASK_EVENT", "FILE_EVENT", "FIELDS", "encode",
+           "to_jsonl"]
 
 WORKFLOW_EVENT = "workflow"
 TASK_EVENT = "task"
 FILE_EVENT = "file"
 
-#: Process-global fallback counter, used only when an event is built
-#: without an explicit ``event_id`` (e.g. directly in tests). The
-#: :class:`~repro.core.provenance.manager.ProvenanceManager` passes ids
-#: from its own per-instance counter so that two runs in one process
-#: produce identical, re-executable traces.
-_event_ids = itertools.count(1)
-
-
-def _next_event_id() -> str:
-    return f"event-{next(_event_ids):08d}"
-
-
-@dataclass
-class WorkflowEvent:
-    """Start/end record for one workflow execution."""
-
-    workflow_id: str
-    workflow_name: str
-    timestamp: float
-    phase: str  # "start" or "end"
-    runtime_seconds: Optional[float] = None
-    success: bool = True
-    kind: str = WORKFLOW_EVENT
-    event_id: str = field(default_factory=_next_event_id)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass
-class TaskEvent:
-    """Completion (or failure) record for one task attempt."""
-
-    workflow_id: str
-    task_id: str
-    signature: str
-    tool: str
-    command: str
-    node_id: str
-    timestamp: float
-    makespan_seconds: float
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    output_sizes: dict[str, float] = field(default_factory=dict)
-    success: bool = True
-    attempt: int = 1
-    stdout: str = ""
-    stderr: str = ""
-    kind: str = TASK_EVENT
-    event_id: str = field(default_factory=_next_event_id)
-
-    def to_dict(self) -> dict:
-        record = dict(vars(self))
-        record["inputs"] = list(self.inputs)
-        record["outputs"] = list(self.outputs)
-        record["output_sizes"] = dict(self.output_sizes)
-        return record
-
-
-@dataclass
-class FileEvent:
-    """Stage-in / stage-out record for one file of one task."""
-
-    workflow_id: str
-    task_id: str
-    path: str
-    size_mb: float
-    transfer_seconds: float
-    direction: str  # "in" or "out"
-    node_id: str
-    timestamp: float
-    local_fraction: float = 0.0
-    kind: str = FILE_EVENT
-    event_id: str = field(default_factory=_next_event_id)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-_KIND_TO_CLASS = {
-    WORKFLOW_EVENT: WorkflowEvent,
-    TASK_EVENT: TaskEvent,
-    FILE_EVENT: FileEvent,
+#: The fields of each record kind, in the order the manager writes them.
+FIELDS: dict[str, tuple[str, ...]] = {
+    WORKFLOW_EVENT: (
+        "workflow_id", "workflow_name", "timestamp", "phase",
+        "runtime_seconds", "success", "kind", "event_id",
+    ),
+    TASK_EVENT: (
+        "workflow_id", "task_id", "signature", "tool", "command", "node_id",
+        "timestamp", "makespan_seconds", "inputs", "outputs", "output_sizes",
+        "success", "attempt", "stdout", "stderr", "kind", "event_id",
+    ),
+    FILE_EVENT: (
+        "workflow_id", "task_id", "path", "size_mb", "transfer_seconds",
+        "direction", "node_id", "timestamp", "local_fraction", "kind",
+        "event_id",
+    ),
 }
 
+#: One record as one JSON line, keys sorted: every trace line and SQL payload.
+encode = json.JSONEncoder(sort_keys=True).encode
 
-def event_from_dict(record: dict):
-    """Rehydrate an event object from its JSON dictionary."""
-    kind = record.get("kind")
-    cls = _KIND_TO_CLASS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown provenance event kind {kind!r}")
-    return cls(**record)
+
+def to_jsonl(records: Iterable[dict]) -> str:
+    """Records as JSON-lines text: a trace ready to be re-executed."""
+    return "\n".join(map(encode, records))

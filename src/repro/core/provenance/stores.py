@@ -19,14 +19,9 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.core.provenance.events import (
-    FILE_EVENT,
-    TASK_EVENT,
-    WORKFLOW_EVENT,
-    event_from_dict,
-)
+from repro.core.provenance.events import FIELDS, TASK_EVENT, encode, to_jsonl
 from repro.errors import ProvenanceError
 
 __all__ = [
@@ -43,16 +38,23 @@ _INDEXED_FIELD_TYPES = {"signature": str, "node_id": str,
 
 
 def _parse_record(line: str, line_number: int) -> dict:
-    """One validated event record from one line of a JSON-lines trace."""
+    """One validated record from one line of a JSON-lines trace: it must
+    carry exactly its kind's :data:`FIELDS`."""
     try:
         record = json.loads(line)
         if not isinstance(record, dict):
             raise ValueError(f"expected an event object, got {record!r}")
-        event_from_dict(record)  # checks the kind and the field names
+        kind = record.get("kind")
+        if not isinstance(kind, str) or kind not in FIELDS:
+            raise ValueError(f"unknown provenance event kind {kind!r}")
+        missing, extra = FIELDS[kind] - record.keys(), record.keys() - FIELDS[kind]
+        if missing or extra:
+            raise ValueError(f"{kind} record missing fields {sorted(missing)}, "
+                             f"unexpected {sorted(extra)}")
         for name, types in _INDEXED_FIELD_TYPES.items():
             if name in record and not isinstance(record[name], types):
                 raise ValueError(f"field {name!r} has the wrong type")
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise ProvenanceError(f"trace line {line_number}: {exc}") from exc
     return record
 
@@ -60,7 +62,7 @@ def _parse_record(line: str, line_number: int) -> dict:
 class ProvenanceStore:
     """Interface of every provenance backend."""
 
-    def append(self, event) -> None:  # pragma: no cover - interface
+    def append(self, record: dict) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def records(
@@ -88,7 +90,7 @@ class _IndexedStore(ProvenanceStore):
     def __init__(self):
         self._latest_runtime: dict[tuple[str, str], tuple[float, float]] = {}
 
-    def _add(self, record: dict) -> None:
+    def append(self, record: dict) -> None:
         self._store(record)
         if record["kind"] == TASK_EVENT and record["success"]:
             key = (record["signature"], record["node_id"])
@@ -96,9 +98,6 @@ class _IndexedStore(ProvenanceStore):
             current = self._latest_runtime.get(key)
             if current is None or timestamp >= current[0]:
                 self._latest_runtime[key] = (timestamp, record["makespan_seconds"])
-
-    def append(self, event) -> None:
-        self._add(event.to_dict())
 
     def latest_task_runtime(self, signature, node_id):
         entry = self._latest_runtime.get((signature, node_id))
@@ -134,7 +133,7 @@ class TraceFileStore(_IndexedStore):
 
     def to_jsonl(self) -> str:
         """The trace as JSON-lines text, ready to be re-executed."""
-        return "\n".join(json.dumps(record, sort_keys=True) for record in self._records)
+        return to_jsonl(self._records)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceFileStore":
@@ -144,7 +143,7 @@ class TraceFileStore(_IndexedStore):
         for line_number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line:
-                store._add(_parse_record(line, line_number))
+                store.append(_parse_record(line, line_number))
         return store
 
     def save(self, path: str) -> None:
@@ -191,8 +190,7 @@ class SqlProvenanceStore(ProvenanceStore):
         )
         self._conn.commit()
 
-    def append(self, event) -> None:
-        record = event.to_dict()
+    def append(self, record: dict) -> None:
         self._conn.execute(
             "INSERT INTO events VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
@@ -204,7 +202,7 @@ class SqlProvenanceStore(ProvenanceStore):
                 record.get("timestamp"),
                 record.get("makespan_seconds"),
                 1 if record.get("success", True) else 0,
-                json.dumps(record, sort_keys=True),
+                encode(record),
             ),
         )
         self._conn.commit()
@@ -247,11 +245,7 @@ class DocumentProvenanceStore(_IndexedStore):
 
     def __init__(self):
         super().__init__()
-        self._buckets: dict[str, dict[str, dict]] = {
-            WORKFLOW_EVENT: {},
-            TASK_EVENT: {},
-            FILE_EVENT: {},
-        }
+        self._buckets: dict[str, dict[str, dict]] = {kind: {} for kind in FIELDS}
 
     def _store(self, record: dict) -> None:
         bucket = self._buckets.get(record["kind"])
@@ -260,15 +254,8 @@ class DocumentProvenanceStore(_IndexedStore):
         bucket[record["event_id"]] = record
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
-        if kind is not None:
-            pools: Iterable[dict] = self._buckets[kind].values()
-        else:
-            pools = (
-                record
-                for bucket in self._buckets.values()
-                for record in bucket.values()
-            )
-        result = list(pools)
+        buckets = self._buckets.values() if kind is None else [self._buckets[kind]]
+        result = [record for bucket in buckets for record in bucket.values()]
         if workflow_id is not None:
             result = [r for r in result if r.get("workflow_id") == workflow_id]
         result.sort(key=lambda r: r["event_id"])

@@ -5,7 +5,9 @@ file, YARN, HDFS and failure event. A subscriber is a handler table, a
 mapping from event class to handler, subscribed in one call whose
 :class:`Subscription` cancels the whole table. The stateful observers
 each declare theirs as ``handlers()``: the
-:class:`~repro.core.provenance.manager.ProvenanceManager`, the
+:class:`~repro.core.provenance.manager.ProvenanceManager` (whose
+provenance trace is a fold over the workflow, task and file events, so
+it replays from a journal too), the
 :class:`MetricsRegistry` held by the cluster's
 :class:`~repro.sim.metrics.MetricRecorder` (subscribed by whoever builds
 the installation), an

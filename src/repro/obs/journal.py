@@ -13,9 +13,11 @@ substrate for the offline tooling:
   into the original ``repro.obs.events`` dataclasses (``t``/``seq``
   preserved). Replay needs no bus: a stateful observer
   (:class:`~repro.obs.registry.MetricsRegistry`,
-  :class:`~repro.obs.live.LiveMonitor`) is fed by looking each decoded
-  event's handler up in the table it subscribes live, and the folds
-  over an event list (:func:`~repro.obs.analysis.analyze`,
+  :class:`~repro.obs.live.LiveMonitor`,
+  :class:`~repro.core.provenance.manager.ProvenanceManager`) is fed
+  by looking each decoded event's handler up in the table it subscribes
+  live, and the folds over an event list
+  (:func:`~repro.obs.analysis.analyze`,
   :func:`~repro.obs.tracer.trace_records`,
   :func:`~repro.obs.decisions.explain`,
   :func:`~repro.obs.timeline.render_timeline`) take the decoded list

@@ -4,10 +4,10 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE, StressProfile, apply_stress
 from repro.core import AdaptiveQueueScheduler, HiWay, HiWayConfig
-from repro.core.provenance import ProvenanceManager, TraceFileStore
-from repro.core.provenance.events import TaskEvent
+from repro.core.provenance import ProvenanceManager
 from repro.core.schedulers import SchedulerContext, make_scheduler
 from repro.errors import SchedulingError
+from repro.obs.events import TaskAttemptFinished
 from repro.langs import CuneiformSource
 from repro.sim import Environment
 from repro.workflow import TaskSpec
@@ -16,14 +16,17 @@ from repro.workloads import KMEANS_TOOLS, kmeans_cuneiform, kmeans_inputs
 WORKERS = ["worker-0", "worker-1"]
 
 
-def provenance_with(env, observations):
-    manager = ProvenanceManager(env, TraceFileStore())
+def provenance_with(observations):
+    manager = ProvenanceManager()
+    record = manager.handlers()[TaskAttemptFinished]
     for signature, node, runtime, ts in observations:
-        manager.store.append(TaskEvent(
-            workflow_id="w", task_id=f"{signature}-{node}-{ts}",
-            signature=signature, tool=signature, command="",
-            node_id=node, timestamp=ts, makespan_seconds=runtime,
-        ))
+        event = TaskAttemptFinished(
+            workflow_id="w",
+            task=TaskSpec(tool=signature, task_id=f"{signature}-{node}-{ts}"),
+            node_id=node, makespan_seconds=runtime,
+        )
+        event.t = ts
+        record(event)
     return manager
 
 
@@ -41,8 +44,7 @@ def test_requires_provenance():
 
 
 def test_prefers_comparatively_fast_pairings():
-    env = Environment()
-    provenance = provenance_with(env, [
+    provenance = provenance_with([
         # "fast-here" runs well on worker-0, terribly on worker-1.
         ("fast-here", "worker-0", 10.0, 1.0),
         ("fast-here", "worker-1", 100.0, 1.0),
@@ -64,8 +66,7 @@ def test_prefers_comparatively_fast_pairings():
 
 
 def test_unobserved_pairs_attract_exploration():
-    env = Environment()
-    provenance = provenance_with(env, [
+    provenance = provenance_with([
         ("seen", "worker-0", 10.0, 1.0),
         ("seen", "worker-1", 10.0, 1.0),
     ])

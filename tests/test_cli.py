@@ -1,5 +1,6 @@
 """Tests for the command-line client."""
 
+import json
 
 import pytest
 
@@ -97,7 +98,6 @@ def test_report_subcommand_prints_critical_path(tmp_path, capsys):
     assert "per-task slack" in out
     assert "time breakdown" in out
     assert "hdfs read locality hit rate:" in out
-    import json
 
     document = json.loads(open(metrics_path).read())
     assert document["hiway_task_attempts_total"]["values"]["outcome=success"] == 1
@@ -190,7 +190,6 @@ def test_report_from_journal_without_a_workflow_is_an_error(tmp_path, capsys):
 ])
 def test_report_and_explain_on_every_engine(tmp_path, capsys, engine,
                                             app_prefix, chooser):
-    import json
 
     base = _montage_args(tmp_path)
     metrics_path = str(tmp_path / f"metrics-{engine}.json")
@@ -215,7 +214,6 @@ def test_report_and_explain_on_every_engine(tmp_path, capsys, engine,
 
 
 def test_trace_subcommand_exports_sorted_chrome_trace(tmp_path, capsys):
-    import json
 
     workflow = write(tmp_path, "wf.cf", CUNEIFORM)
     out_path = tmp_path / "trace.json"
@@ -239,10 +237,25 @@ def test_trace_subcommand_exports_sorted_chrome_trace(tmp_path, capsys):
     assert any(r["name"] == "write:/in/whisper" for r in spans)
 
 
+def _task_line_without(name):
+    record = {
+        "workflow_id": "w1", "task_id": "t1", "signature": "sort",
+        "tool": "sort", "command": "sort /in/whisper", "node_id": "worker-0",
+        "timestamp": 1.0, "makespan_seconds": 2.0, "inputs": ["/in/whisper"],
+        "outputs": ["/out/loud"], "output_sizes": {"/out/loud": 1.0},
+        "success": True, "attempt": 1, "stdout": "sort: ok", "stderr": "",
+        "kind": "task", "event_id": "event-00000001",
+    }
+    del record[name]
+    return json.dumps(record)
+
+
 @pytest.mark.parametrize("line", [
     '{"kind": "task", "task_id": "x"}',
     '{"kind": "mystery"}',
-], ids=["missing-fields", "unknown-kind"])
+    _task_line_without("success"),
+    _task_line_without("inputs"),
+], ids=["missing-fields", "unknown-kind", "no-success", "no-inputs"])
 def test_run_malformed_trace_is_a_parse_error(tmp_path, capsys, line):
     trace = write(tmp_path, "x.trace", line + "\n")
     code = main(["run", trace, "--workers", "2"])

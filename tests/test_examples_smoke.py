@@ -32,6 +32,11 @@ def test_quickstart_example(capsys):
     assert "provenance trace:" in out
 
 
+def test_multilingual_reproducibility_example(capsys):
+    out = run_example("multilingual_reproducibility.py", capsys)
+    assert "trace replay:" in out
+
+
 def test_kmeans_example(capsys):
     out = run_example("kmeans_iterative.py", capsys)
     assert "converged after" in out

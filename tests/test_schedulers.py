@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.provenance import ProvenanceManager, TraceFileStore
-from repro.core.provenance.events import TaskEvent
+from repro.core.provenance import ProvenanceManager
 from repro.core.schedulers import (
     DataAwareScheduler,
     FcfsScheduler,
@@ -13,7 +12,7 @@ from repro.core.schedulers import (
     make_scheduler,
 )
 from repro.errors import SchedulingError
-from repro.sim import Environment
+from repro.obs.events import TaskAttemptFinished
 from repro.workflow import TaskSpec
 
 WORKERS = ["worker-0", "worker-1", "worker-2"]
@@ -148,15 +147,18 @@ def test_static_reassigns_on_excluded_node():
     assert scheduler.placement_for(tasks[0]) != "worker-0"
 
 
-def make_provenance(env, observations):
+def make_provenance(observations):
     """observations: list of (signature, node, runtime, ts)."""
-    manager = ProvenanceManager(env, TraceFileStore())
+    manager = ProvenanceManager()
+    record = manager.handlers()[TaskAttemptFinished]
     for signature, node, runtime, ts in observations:
-        manager.store.append(TaskEvent(
-            workflow_id="w", task_id=f"x-{signature}-{node}-{ts}",
-            signature=signature, tool=signature, command="", node_id=node,
-            timestamp=ts, makespan_seconds=runtime,
-        ))
+        event = TaskAttemptFinished(
+            workflow_id="w",
+            task=TaskSpec(tool=signature, task_id=f"x-{signature}-{node}-{ts}"),
+            node_id=node, makespan_seconds=runtime,
+        )
+        event.t = ts
+        record(event)
     return manager
 
 
@@ -199,7 +201,6 @@ def test_heft_no_provenance_error_without_submission_context():
 
 
 def test_heft_prefers_observed_fast_node():
-    env = Environment()
     observations = []
     for stage in ("stage-a", "stage-b", "stage-c", "stage-d"):
         observations += [
@@ -207,7 +208,7 @@ def test_heft_prefers_observed_fast_node():
             (stage, "worker-1", 100.0, 1.0),
             (stage, "worker-2", 100.0, 1.0),
         ]
-    provenance = make_provenance(env, observations)
+    provenance = make_provenance(observations)
     scheduler = bind(HeftScheduler(), provenance=provenance)
     tasks = chain_tasks()
     scheduler.plan(tasks)
@@ -217,13 +218,12 @@ def test_heft_prefers_observed_fast_node():
 
 
 def test_heft_zero_default_explores_unobserved():
-    env = Environment()
     # worker-0 observed (even if fast); worker-1/2 never observed.
     observations = [
         (stage, "worker-0", 10.0, 1.0)
         for stage in ("stage-a", "stage-b", "stage-c", "stage-d")
     ]
-    provenance = make_provenance(env, observations)
+    provenance = make_provenance(observations)
     scheduler = bind(HeftScheduler(), provenance=provenance)
     tasks = chain_tasks()
     scheduler.plan(tasks)
@@ -233,12 +233,11 @@ def test_heft_zero_default_explores_unobserved():
 
 
 def test_heft_mean_policy_exploits_instead():
-    env = Environment()
     observations = [
         (stage, "worker-0", 10.0, 1.0)
         for stage in ("stage-a", "stage-b", "stage-c", "stage-d")
     ]
-    provenance = make_provenance(env, observations)
+    provenance = make_provenance(observations)
     scheduler = bind(HeftScheduler(unobserved="mean"), provenance=provenance)
     tasks = chain_tasks()
     scheduler.plan(tasks)
@@ -249,8 +248,7 @@ def test_heft_mean_policy_exploits_instead():
 
 
 def test_heft_uses_latest_observation():
-    env = Environment()
-    provenance = make_provenance(env, [
+    provenance = make_provenance([
         ("stage-a", "worker-0", 10.0, 1.0),
         ("stage-a", "worker-0", 500.0, 2.0),  # later, slower observation
         ("stage-a", "worker-1", 20.0, 1.0),
@@ -278,8 +276,7 @@ def test_heft_rejects_unknown_policy():
 
 
 def test_heft_seed_shuffles_tie_breaking():
-    env = Environment()
-    provenance = make_provenance(env, [])
+    provenance = make_provenance([])
     placements = set()
     for seed in range(10):
         scheduler = bind(HeftScheduler(seed=seed), provenance=provenance)
