@@ -34,7 +34,7 @@ from repro.core.engine import (
 from repro.core.execution import TaskResult
 from repro.errors import ToolNotInstalled, WorkflowError
 from repro.hdfs.filesystem import FileTransferReport
-from repro.obs.events import FileStaged, SchedulingDecision
+from repro.obs.events import SchedulingDecision
 from repro.tools.profile import ToolRegistry
 from repro.workflow.model import WorkflowGraph
 
@@ -106,21 +106,12 @@ class SlurmQueueBackend(ExecutionBackend):
         job, value = yield done
         node_id = job.node.node_id if job.node is not None else ""
         if isinstance(value, BaseException):
-            self.core.attempt_finished(
-                attempt, node_id, success=False, error=value
-            )
+            self.core.attempt_finished(attempt, node_id, error=value)
         else:
             # Same attempt vocabulary as the other engines: the recorded
-            # makespan and output sizes feed the critical-path analyzer
-            # and the runtime histograms.
-            self.core.attempt_finished(
-                attempt,
-                node_id,
-                success=True,
-                makespan_seconds=value.makespan_seconds,
-                output_sizes=value.output_sizes,
-                value=value,
-            )
+            # makespan, output sizes and EBS transfers feed the
+            # critical-path analyzer, provenance and the histograms.
+            self.core.attempt_finished(attempt, node_id, value)
 
 
 class GalaxyCloudMan:
@@ -175,7 +166,6 @@ class GalaxyCloudMan:
             retry=RetryPolicy(max_retries=0, exclude_failed_nodes=False),
             name=graph.name,
             fail_mode="abort",  # Galaxy aborts the run on the first failure
-            on_success=self._on_attempt_success,
         )
         self._core = core
         core.begin(f"cloudman-{next(self._workflow_ids):04d}")
@@ -301,17 +291,3 @@ class GalaxyCloudMan:
             reason="FIFO head of the Slurm queue lands on the first "
             "node with a free slot in scan order",
         ))
-
-    def _on_attempt_success(self, attempt: TaskAttempt, result) -> None:
-        bus = self.cluster.bus
-        if result is None or not bus.wants(FileStaged):
-            return
-        workflow_id = (
-            self._core.workflow_id if self._core is not None else None
-        )
-        for report in result.input_reports + result.output_reports:
-            bus.emit(FileStaged(
-                workflow_id=workflow_id or "",
-                task=attempt.task,
-                report=report,
-            ))

@@ -35,7 +35,7 @@ from repro.core.engine import (
 )
 from repro.core.execution import run_task_in_container
 from repro.hdfs.filesystem import HdfsClient
-from repro.obs.events import FileStaged, SchedulingDecision
+from repro.obs.events import SchedulingDecision
 from repro.tools.profile import ToolRegistry
 from repro.workflow.model import TaskSpec, WorkflowGraph
 from repro.yarn.records import ContainerResource, ContainerState
@@ -122,19 +122,10 @@ class TezVertexBackend(ExecutionBackend):
             )
             outcome = yield watcher
             if outcome.success:
-                result = outcome.value
-                core.attempt_finished(
-                    attempt,
-                    container.node_id,
-                    success=True,
-                    makespan_seconds=result.makespan_seconds,
-                    output_sizes=result.output_sizes,
-                    value=result,
-                )
+                core.attempt_finished(attempt, container.node_id, outcome.value)
             else:
                 core.attempt_finished(
-                    attempt, container.node_id, success=False,
-                    error=outcome.error,
+                    attempt, container.node_id, error=outcome.error
                 )
             reusable = (
                 am.reuse_containers
@@ -266,11 +257,3 @@ class TezApplicationMaster:
         # task of the upstream vertex completes.
         vertex_name = self._vertex_of[attempt.task.task_id]
         self._remaining_in_vertex[vertex_name] -= 1
-        bus = self.cluster.bus
-        if result is not None and bus.wants(FileStaged):
-            for report in result.input_reports + result.output_reports:
-                bus.emit(FileStaged(
-                    workflow_id=self.core.workflow_id or "",
-                    task=attempt.task,
-                    report=report,
-                ))

@@ -627,9 +627,9 @@ def _execute_workflow(args, event_types=(), provenance_store=None):
               f"[{label}, {args.workers} x {args.node_type}]")
         print(f"  simulated runtime: {result.runtime_seconds:.1f}s "
               f"({result.runtime_seconds / 60:.1f} min)")
+        print(f"  tasks completed:   {result.tasks_completed} "
+              f"(failures: {result.task_failures})")
         if engine == "hiway":
-            print(f"  tasks completed:   {result.tasks_completed} "
-                  f"(failures: {result.task_failures})")
             for path, size_mb in sorted(result.output_files.items()):
                 print(f"  output: {path} ({size_mb:.1f} MB)")
         for diagnostic in result.diagnostics:

@@ -15,7 +15,7 @@ Tez), ``"abort"`` declares the run over immediately (CloudMan).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.engine.backend import ExecutionBackend
 from repro.core.engine.fsm import AttemptState, TaskAttempt
@@ -31,6 +31,9 @@ from repro.obs.events import (
     WorkflowStarted,
 )
 from repro.workflow.model import TaskSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.execution import TaskResult
 
 __all__ = ["ExecutionCore"]
 
@@ -67,7 +70,7 @@ class ExecutionCore:
         self.name = name
         self.fail_mode = fail_mode
         #: Engine hooks, all optional:
-        #: ``on_success(attempt, value)`` runs engine bookkeeping before
+        #: ``on_success(attempt, result)`` runs engine bookkeeping before
         #: newly produced files are marked available; ``on_failure(attempt,
         #: node_id, error)`` runs before the retry decision;
         #: ``discover(attempt, output_sizes)`` returns follow-up tasks of
@@ -150,24 +153,25 @@ class ExecutionCore:
         self,
         attempt: TaskAttempt,
         node_id: str,
-        *,
-        success: bool,
-        makespan_seconds: float = 0.0,
-        output_sizes: Optional[dict[str, float]] = None,
-        value=None,
+        result: Optional["TaskResult"] = None,
         error=None,
     ) -> None:
-        """The backend observed one attempt's outcome; react to it."""
-        sizes = output_sizes or {}
+        """The backend observed one attempt's outcome; react to it.
+
+        A :class:`~repro.core.execution.TaskResult` means the attempt
+        succeeded; ``None`` means it failed with ``error``.
+        """
         if self.workflow_failed:
             # Draining: the run is already lost, record nothing further.
             self._transition(
                 attempt,
-                AttemptState.SUCCEEDED if success else AttemptState.FAILED_FINAL,
+                AttemptState.FAILED_FINAL if result is None
+                else AttemptState.SUCCEEDED,
             )
             self.check_done()
             return
-        if success:
+        if result is not None:
+            sizes = result.output_sizes
             self._transition(attempt, AttemptState.SUCCEEDED)
             self.completed += 1
             if self.bus is not None:
@@ -175,13 +179,14 @@ class ExecutionCore:
                     workflow_id=self.workflow_id,
                     task=attempt.task,
                     node_id=node_id,
-                    makespan_seconds=makespan_seconds,
+                    makespan_seconds=result.makespan_seconds,
                     output_sizes=sizes,
                     success=True,
                     attempt=attempt.attempts,
+                    transfers=(*result.input_reports, *result.output_reports),
                 ))
             if self.on_success is not None:
-                self.on_success(attempt, value)
+                self.on_success(attempt, result)
             self.tracker.add_available(sizes)
             if self.discover is not None:
                 discovered = self.discover(attempt, sizes)

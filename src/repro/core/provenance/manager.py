@@ -45,16 +45,16 @@ class ProvenanceManager:
         """Reserve a fresh workflow id for the AM to stamp on its events."""
         return f"workflow-{next(self._workflow_ids):06d}"
 
-    # -- recording: one record per bus event -----------------------------------------
+    # -- recording: records from bus events ------------------------------------------
 
     def handlers(self) -> dict:
         """The handler table to subscribe live or to feed decoded events:
-        each handler appends the one record its AM event describes."""
+        each handler appends the records its AM event describes, a task
+        attempt's record followed by one file record per transfer."""
         return {
             obs_events.WorkflowStarted: self._on_workflow_started,
             obs_events.WorkflowFinished: self._on_workflow_finished,
             obs_events.TaskAttemptFinished: self._on_task_finished,
-            obs_events.FileStaged: self._on_file_staged,
         }
 
     def _on_workflow_started(self, event: obs_events.WorkflowStarted) -> None:
@@ -102,22 +102,20 @@ class ProvenanceManager:
             "kind": TASK_EVENT,
             "event_id": self._next_event_id(),
         })
-
-    def _on_file_staged(self, event: obs_events.FileStaged) -> None:
-        report = event.report
-        self.store.append({
-            "workflow_id": event.workflow_id,
-            "task_id": event.task.task_id,
-            "path": report.path,
-            "size_mb": report.size_mb,
-            "transfer_seconds": report.seconds,
-            "direction": report.direction,
-            "node_id": report.node_id,
-            "timestamp": event.t,
-            "local_fraction": report.local_fraction,
-            "kind": FILE_EVENT,
-            "event_id": self._next_event_id(),
-        })
+        for report in event.transfers:
+            self.store.append({
+                "workflow_id": event.workflow_id,
+                "task_id": task.task_id,
+                "path": report.path,
+                "size_mb": report.size_mb,
+                "transfer_seconds": report.seconds,
+                "direction": report.direction,
+                "node_id": report.node_id,
+                "timestamp": event.t,
+                "local_fraction": report.local_fraction,
+                "kind": FILE_EVENT,
+                "event_id": self._next_event_id(),
+            })
 
     # -- scheduler queries (Sec. 3.4) --------------------------------------------
 

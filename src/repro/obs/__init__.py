@@ -6,8 +6,9 @@ mapping from event class to handler, subscribed in one call whose
 :class:`Subscription` cancels the whole table. The stateful observers
 each declare theirs as ``handlers()``: the
 :class:`~repro.core.provenance.manager.ProvenanceManager` (whose
-provenance trace is a fold over the workflow, task and file events, so
-it replays from a journal too), the
+provenance trace is a fold over the workflow and task-attempt events,
+whose ``transfers`` carry its file records, so it replays from a
+journal too), the
 :class:`MetricsRegistry` held by the cluster's
 :class:`~repro.sim.metrics.MetricRecorder` (subscribed by whoever builds
 the installation), an
@@ -43,7 +44,6 @@ from repro.obs.events import (
     ContainerReleased,
     ContainerRequested,
     FaultInjected,
-    FileStaged,
     HdfsRead,
     HdfsWrite,
     NodeCrashed,
@@ -130,7 +130,6 @@ __all__ = [
     "TaskDispatched",
     "TaskRetried",
     "TaskAttemptFinished",
-    "FileStaged",
     "ApplicationRegistered",
     "ApplicationUnregistered",
     "ContainerRequested",

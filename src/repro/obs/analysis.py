@@ -129,7 +129,6 @@ ANALYSIS_EVENTS = (
     ev.WorkflowFinished,
     ev.TaskDispatched,
     ev.TaskAttemptFinished,
-    ev.FileStaged,
 )
 
 
@@ -153,8 +152,6 @@ def analyze(events: Iterable[ev.ObsEvent]) -> dict[str, WorkflowAnalysis]:
             dispatch_t[(event.workflow_id, event.task_id)] = event.t
         elif isinstance(event, ev.TaskAttemptFinished):
             _on_attempt(workflows.get(event.workflow_id), dispatch_t, event)
-        elif isinstance(event, ev.FileStaged):
-            _on_file(workflows.get(event.workflow_id), event)
         elif isinstance(event, ev.WorkflowFinished):
             analysis = workflows.get(event.workflow_id)
             if analysis is not None:
@@ -201,6 +198,11 @@ def _on_attempt(
         (event.workflow_id, task.task_id),
         event.t - event.makespan_seconds,
     )
+    # Inputs (and outputs) move in parallel, so a phase's wall clock
+    # is its slowest transfer, not the sum.
+    staged = {"in": 0.0, "out": 0.0}
+    for report in event.transfers:
+        staged[report.direction] = max(staged[report.direction], report.seconds)
     analysis.spans[task.task_id] = TaskSpan(
         task_id=task.task_id,
         tool=task.tool,
@@ -211,25 +213,9 @@ def _on_attempt(
         attempts=attempts,
         inputs=tuple(task.inputs),
         outputs=tuple(task.outputs),
+        stage_in_seconds=staged["in"],
+        stage_out_seconds=staged["out"],
     )
-
-
-def _on_file(analysis: Optional[WorkflowAnalysis], event: ev.FileStaged) -> None:
-    if analysis is None or event.task is None or event.report is None:
-        return
-    span = analysis.spans.get(event.task.task_id)
-    if span is None:
-        return
-    # Inputs (and outputs) move in parallel, so the phase's wall
-    # clock is the slowest transfer, not the sum.
-    if event.report.direction == "in":
-        span.stage_in_seconds = max(
-            span.stage_in_seconds, event.report.seconds
-        )
-    else:
-        span.stage_out_seconds = max(
-            span.stage_out_seconds, event.report.seconds
-        )
 
 
 def _finalise(analysis: WorkflowAnalysis) -> None:

@@ -18,7 +18,7 @@ workflow   :class:`WorkflowSubmitted`, :class:`WorkflowStarted`,
            :class:`ServiceSample`
 task       :class:`TaskDispatched`, :class:`TaskRetried`,
            :class:`TaskAttemptFinished`
-file       :class:`FileStaged`
+file       ``TaskAttemptFinished.transfers`` (one report per staged file)
 scheduler  :class:`SchedulingDecision`
 yarn       admission, application registration, container request/
            allocate/launch/finish/release, :class:`NodeCrashed`
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.hdfs.filesystem import FileTransferReport
     from repro.workflow.model import TaskSpec
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "TaskDispatched",
     "TaskRetried",
     "TaskAttemptFinished",
-    "FileStaged",
     "SchedulingDecision",
     "AdmissionDecision",
     "ApplicationRegistered",
@@ -172,7 +170,11 @@ class TaskAttemptFinished(ObsEvent):
     """One task attempt ended (successfully or not).
 
     Carries the full :class:`~repro.workflow.model.TaskSpec` so
-    provenance subscribers can persist the re-executable record.
+    provenance subscribers can persist the re-executable record. A
+    successful attempt also carries its staged files in ``transfers``
+    (Sec. 3.5 file granularity): one
+    :class:`~repro.hdfs.filesystem.FileTransferReport` per file, stage-in
+    reports first, then stage-out reports. A failed attempt carries none.
     """
 
     workflow_id: str = ""
@@ -183,18 +185,7 @@ class TaskAttemptFinished(ObsEvent):
     success: bool = True
     attempt: int = 1
     stderr: str = ""
-
-
-# -- file events (Sec. 3.5 file granularity) ----------------------------------
-
-
-@dataclass
-class FileStaged(ObsEvent):
-    """One file moved between HDFS and a container (stage-in/out)."""
-
-    workflow_id: str = ""
-    task: Optional["TaskSpec"] = None
-    report: Optional["FileTransferReport"] = None
+    transfers: tuple = ()
 
 
 # -- scheduler events (Sec. 3.4 placement decisions) --------------------------

@@ -29,8 +29,8 @@ substrate for the offline tooling:
   :meth:`~repro.service.slo.ServiceReport.from_events`, so report and
   registry are byte-identical to the live ones.
 
-File format (``hiway-journal/1``): UTF-8 JSONL. The first line is
-``{"schema": "hiway-journal/1", "meta": {...}}``; every further line is
+File format (``hiway-journal/2``): UTF-8 JSONL. The first line is
+``{"schema": "hiway-journal/2", "meta": {...}}``; every further line is
 ``{"e": <event class>, "t": <sim s>, "seq": <n>, ...payload}``.
 Unknown event names are skipped on read (forward compatibility), and a
 ``schema`` mismatch is an error (the version exists to be checked).
@@ -59,7 +59,7 @@ __all__ = [
     "load_service_report",
 ]
 
-SCHEMA = "hiway-journal/1"
+SCHEMA = "hiway-journal/2"
 
 #: Every concrete event class, by name (the ``"e"`` field of a line).
 EVENT_TYPES: dict[str, type] = {
@@ -133,8 +133,8 @@ def event_from_dict(record: dict) -> Optional[ev.ObsEvent]:
             kwargs[field.name] = None
         elif field.name == "task":
             kwargs[field.name] = task_cls(**value)
-        elif field.name == "report":
-            kwargs[field.name] = report_cls(**value)
+        elif field.name == "transfers":
+            kwargs[field.name] = tuple(report_cls(**item) for item in value)
         elif field.name in _PAIR_TUPLE_FIELDS:
             kwargs[field.name] = tuple(
                 tuple(item) if isinstance(item, list) else item

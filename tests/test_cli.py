@@ -193,10 +193,12 @@ def test_report_and_explain_on_every_engine(tmp_path, capsys, engine,
 
     base = _montage_args(tmp_path)
     metrics_path = str(tmp_path / f"metrics-{engine}.json")
-    code = main(["report", *base, "--engine", engine,
+    loud = [arg for arg in base if arg != "--quiet"]
+    code = main(["report", *loud, "--engine", engine,
                  "--metrics-out", metrics_path])
     assert code == 0
     out = capsys.readouterr().out
+    assert "  tasks completed:   17 (failures: 0)\n" in out
     assert f"workflow 'montage-0.1' ({app_prefix}" in out
     assert "succeeded in" in out and "17 task(s)" in out
     assert "critical path: 9 task(s)" in out

@@ -1,7 +1,8 @@
 """Cross-engine event-vocabulary parity.
 
-The Tez and CloudMan baselines must publish the same workflow/task/file
-lifecycle events as the Hi-WAY engine, so that the critical-path
+The Tez and CloudMan baselines must publish the same workflow/task
+lifecycle events as the Hi-WAY engine, with the same per-file transfer
+reports on each successful attempt, so that the critical-path
 fold, the metrics registry and the span builder work unchanged on
 every backend.
 """
@@ -14,6 +15,7 @@ from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import ExecutionResult, HiWay
 from repro.hdfs import HdfsClient
 from repro.obs.analysis import analyze
+from repro.obs.events import TaskAttemptFinished
 from repro.obs.journal import EVENT_TYPES
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import build_submission_spans
@@ -28,7 +30,6 @@ CORE_VOCABULARY = {
     "TaskDispatched",
     "TaskAttemptFinished",
     "WorkflowFinished",
-    "FileStaged",
     "SchedulingDecision",
 }
 
@@ -62,6 +63,22 @@ def _run_hiway():
     hiway.stage_inputs({"/in/a": 48.0})
     result = hiway.run(StaticTaskSource(_diamond()))
     assert result.success, result.diagnostics
+    return (*instruments, result)
+
+
+def _run_hiway_with_retries():
+    """The diamond with ``cat`` on worker-1 only: FCFS binds the join to
+    worker-2, then worker-0, before it succeeds on worker-1."""
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(worker_spec=M3_LARGE, worker_count=3))
+    instruments = _instrument(cluster.bus)
+    hiway = HiWay(cluster)
+    hiway.install_everywhere("sort", "grep")
+    cluster.node("worker-1").install("cat")
+    hiway.stage_inputs({"/in/a": 48.0})
+    result = hiway.run(StaticTaskSource(_diamond()), scheduler="fcfs")
+    assert result.success, result.diagnostics
+    assert result.task_failures == 2
     return (*instruments, result)
 
 
@@ -121,11 +138,31 @@ def test_engine_emits_the_core_vocabulary(engine):
     assert not missing, f"{engine} never emitted {sorted(missing)}"
 
 
+@pytest.mark.parametrize("run", [*ENGINES.values(), _run_hiway_with_retries],
+                         ids=[*ENGINES, "hiway-retries"])
+def test_attempts_carry_their_staged_files_on_every_engine(run):
+    """A successful attempt lists its inputs as stage-in reports, then
+    its outputs as stage-out reports; a failed one stages nothing."""
+    _, seen, result = run()
+    attempts = [e for e in seen if isinstance(e, TaskAttemptFinished)]
+    assert len(attempts) == 3 + result.task_failures
+    for event in attempts:
+        staged = [(report.path, report.direction) for report in event.transfers]
+        if event.success:
+            task = event.task
+            assert staged == [(path, "in") for path in task.inputs] \
+                + [(path, "out") for path in task.outputs]
+        else:
+            assert event.transfers == ()
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_critical_path_is_non_empty_on_every_engine(engine):
     _, seen, _ = ENGINES[engine]()
     (analysis,) = analyze(seen).values()
     assert analysis.critical_path, f"{engine}: empty critical path"
+    # Stage-in reaches the fold on every engine, CloudMan's EBS reads too.
+    assert all(span.stage_in_seconds > 0 for span in analysis.spans.values())
     assert analysis.critical_path_seconds() > 0
     # The diamond's join step is always on the critical path.
     assert any("join" in task or "cat" in task

@@ -37,14 +37,23 @@ def _stamp(event, t, seq):
 
 
 def test_every_event_type_roundtrips_through_the_codec():
+    from repro.hdfs.filesystem import FileTransferReport
+
     task = TaskSpec(tool="sort", inputs=["/in/a"], outputs=["/out/b"],
                     task_id="t1")
+    transfers = tuple(
+        FileTransferReport(path=path, node_id="worker-0", size_mb=8.0,
+                           local_mb=8.0, remote_mb=0.0, seconds=0.5,
+                           direction=direction)
+        for path, direction in (("/in/a", "in"), ("/out/b", "out"))
+    )
     samples = [
         _stamp(WorkflowSubmitted(name="job-0", tenant="genomics",
                                  workload="snv"), 1.5, 0),
         _stamp(TaskAttemptFinished(workflow_id="wf-1", task=task,
                                    node_id="worker-0", attempt=1,
-                                   success=True, makespan_seconds=12.25),
+                                   success=True, makespan_seconds=12.25,
+                                   transfers=transfers),
                20.0, 7),
         _stamp(SchedulingDecision(workflow_id="wf-1", policy="data-aware",
                                   kind="placement", task_id="t1",
@@ -68,6 +77,8 @@ def test_every_event_type_roundtrips_through_the_codec():
         assert event_to_dict(rebuilt) == event_to_dict(event)
     decision = event_from_dict(event_to_dict(samples[2]))
     assert decision.candidates == (("worker-0", 3.0), ("worker-1", 1.0))
+    attempt = event_from_dict(event_to_dict(samples[1]))
+    assert attempt.transfers == transfers
 
 
 def test_unknown_event_names_are_skipped_not_fatal():
@@ -85,8 +96,10 @@ def test_unknown_event_names_are_skipped_not_fatal():
 
 
 def test_schema_mismatch_and_garbage_raise_journal_error():
-    with pytest.raises(JournalError, match="unsupported journal schema"):
-        read_meta(io.StringIO('{"schema": "hiway-journal/99", "meta": {}}\n'))
+    # One format: journals of the per-file event era (/1) do not load.
+    for schema in ("hiway-journal/99", "hiway-journal/1"):
+        with pytest.raises(JournalError, match="unsupported journal schema"):
+            read_meta(io.StringIO(json.dumps({"schema": schema, "meta": {}})))
     with pytest.raises(JournalError, match="not JSON"):
         read_meta(io.StringIO("not json\n"))
     with pytest.raises(JournalError, match="empty"):
@@ -149,7 +162,7 @@ def test_event_type_table_covers_the_whole_vocabulary():
 
 def _one_of_each_event():
     """One stamped instance of every event class, each field off its
-    default: nested task and transfer report, tuple-of-pairs fields, a
+    default: nested task and transfer reports, tuple-of-pairs fields, a
     ``None``, a non-ASCII string and floats that need full ``repr``."""
     from repro.hdfs.filesystem import FileTransferReport
     from repro.obs import events as ev
@@ -157,9 +170,14 @@ def _one_of_each_event():
     task = TaskSpec(tool="bwa", inputs=["/in/r1", "/in/r2"],
                     outputs=["/out/sam"], task_id="t-7", threads=4,
                     output_size_hints={"/out/sam": 12.5})
-    report = FileTransferReport(path="/in/r1", node_id="worker-1",
-                                size_mb=0.1 + 0.2, local_mb=0.25,
-                                remote_mb=0.05, seconds=1 / 3, direction="in")
+    stage_in = FileTransferReport(path="/in/r1", node_id="worker-1",
+                                  size_mb=0.1 + 0.2, local_mb=0.25,
+                                  remote_mb=0.05, seconds=1 / 3,
+                                  direction="in")
+    stage_out = FileTransferReport(path="/out/sam", node_id="worker-1",
+                                   size_mb=12.5, local_mb=12.5,
+                                   remote_mb=25.0, seconds=0.125,
+                                   direction="out")
     samples = [
         ev.WorkflowSubmitted(name="job-0", tenant="génomique", workload="snv"),
         ev.WorkflowStarted(workflow_id="wf-1", name="job-0"),
@@ -177,7 +195,10 @@ def _one_of_each_event():
                                node_id="worker-1", makespan_seconds=12.25,
                                output_sizes={"/out/sam": 12.5}, success=False,
                                attempt=2, stderr="RuntimeError('boom')"),
-        ev.FileStaged(workflow_id="wf-1", task=task, report=report),
+        ev.TaskAttemptFinished(workflow_id="wf-1", task=task,
+                               node_id="worker-1", makespan_seconds=14.5,
+                               output_sizes={"/out/sam": 12.5}, success=True,
+                               attempt=3, transfers=(stage_in, stage_out)),
         ev.SchedulingDecision(workflow_id="wf-1", policy="heft", kind="plan",
                               task_id="t-7", node_id="worker-1",
                               candidate_kind="node",
@@ -292,6 +313,18 @@ def test_service_report_rebuilds_byte_identically_from_journal(config):
     if config.get("max_series_points"):
         sampled = live.backlog[-1][0] / 120.0 + 1  # before decimation
         assert len(rebuilt.backlog) <= 8 < sampled
+
+
+def test_the_journal_writes_one_task_spec_per_attempt():
+    """Only ``TaskAttemptFinished`` lines carry a ``task``, and every
+    successful attempt's staged files ride on that line as its
+    ``transfers``."""
+    _, _, text = _journalled()
+    records = [json.loads(line) for line in text.splitlines()[1:]]
+    attempts = [r for r in records if r["e"] == "TaskAttemptFinished"]
+    assert attempts
+    assert [r for r in records if "task" in r] == attempts
+    assert all(r["transfers"] for r in attempts if r["success"])
 
 
 @pytest.mark.parametrize("max_series_points", [None, 8],

@@ -10,7 +10,6 @@ from repro.obs.journal import EVENT_TYPES
 from repro.obs.tracer import dump_chrome_trace
 from repro.obs.events import (
     ContainerLaunched,
-    FileStaged,
     HdfsRead,
     TaskAttemptFinished,
     TaskDispatched,
@@ -181,9 +180,16 @@ def test_event_stream_deterministic_under_identical_seeds():
 def test_every_layer_publishes_onto_the_bus():
     _hiway, _result, events = _run_diamond()
     kinds = {type(e) for e in events}
-    # Workflow, task, file, YARN and HDFS granularities all publish.
-    assert {WorkflowStarted, TaskAttemptFinished, FileStaged,
+    # Workflow, task, YARN and HDFS granularities all publish; file
+    # granularity rides on the task attempts' transfers.
+    assert {WorkflowStarted, TaskAttemptFinished,
             ContainerLaunched, HdfsRead} <= kinds
+    staged = [
+        report.path
+        for e in events if isinstance(e, TaskAttemptFinished)
+        for report in e.transfers
+    ]
+    assert "/out" in staged
 
 
 def test_metric_recorder_counts_bus_events():

@@ -20,7 +20,6 @@ from repro.hdfs.filesystem import FileTransferReport
 from repro.langs import TraceSource
 from repro.obs import EventBus, EventJournal, iter_events
 from repro.obs.events import (
-    FileStaged,
     TaskAttemptFinished,
     WorkflowFinished,
     WorkflowStarted,
@@ -230,10 +229,18 @@ def test_every_store_agrees_with_the_linear_scan(appends):
     ]
 
 
-# -- records: one per bus event ----------------------------------------------
+# -- records: built from bus events -------------------------------------------
+
+
+def _transfer(path, direction, seconds=0.5):
+    return FileTransferReport(path=path, node_id="worker-0", size_mb=8.0,
+                              local_mb=2.0, remote_mb=6.0, seconds=seconds,
+                              direction=direction)
 
 
 def _one_of_each_event():
+    """An event whose last record is of each kind: a file record follows
+    the task record of the attempt that staged the file."""
     task = TaskSpec(tool="align", inputs=["/in/a"], outputs=["/out/b"],
                     task_id="t1")
     return {
@@ -242,10 +249,10 @@ def _one_of_each_event():
         "task": TaskAttemptFinished(workflow_id="w1", task=task,
                                     node_id="worker-0", makespan_seconds=10.0,
                                     output_sizes={"/out/b": 2.0}),
-        "file": FileStaged(workflow_id="w1", task=task, report=FileTransferReport(
-            path="/in/a", node_id="worker-0", size_mb=8.0, local_mb=2.0,
-            remote_mb=6.0, seconds=0.5, direction="in",
-        )),
+        "file": TaskAttemptFinished(workflow_id="w1", task=task,
+                                    node_id="worker-0", makespan_seconds=10.0,
+                                    output_sizes={"/out/b": 2.0},
+                                    transfers=(_transfer("/in/a", "in"),)),
     }
 
 
@@ -255,11 +262,33 @@ def test_handler_records_follow_the_field_table(kind):
     event.t = 2.5
     manager = ProvenanceManager()
     manager.handlers()[type(event)](event)
-    [record] = manager.store.records()
+    records = manager.store.records()
+    record = records[-1]
     assert list(record) == list(FIELDS[kind])
     assert record["kind"] == kind
     assert record["timestamp"] == 2.5
-    assert record["event_id"] == "event-00000001"
+    assert record["event_id"] == f"event-{len(records):08d}"
+
+
+def test_an_attempt_records_its_task_then_one_file_per_transfer():
+    task = TaskSpec(tool="align", inputs=["/in/a", "/in/b"],
+                    outputs=["/out/c"], task_id="t1")
+    manager = ProvenanceManager()
+    manager.handlers()[TaskAttemptFinished](TaskAttemptFinished(
+        workflow_id="w1", task=task, node_id="worker-0",
+        makespan_seconds=10.0, output_sizes={"/out/c": 2.0},
+        transfers=(_transfer("/in/a", "in", 0.5),
+                   _transfer("/in/b", "in", 0.75),
+                   _transfer("/out/c", "out", 0.25)),
+    ))
+    assert [(r["kind"], r.get("path"), r.get("direction"),
+             r.get("transfer_seconds")) for r in manager.store.records()] == [
+        ("task", None, None, None),
+        ("file", "/in/a", "in", 0.5),
+        ("file", "/in/b", "in", 0.75),
+        ("file", "/out/c", "out", 0.25),
+    ]
+    assert {r["task_id"] for r in manager.store.records()} == {"t1"}
 
 
 @pytest.mark.parametrize("store_cls", ALL_STORES)
@@ -346,11 +375,11 @@ def test_manager_records_and_estimates():
     bus.emit(TaskAttemptFinished(
         workflow_id="w1", task=task, node_id="worker-0", makespan_seconds=42.0,
         output_sizes={"/out/b": 1.0},
+        transfers=(FileTransferReport(
+            path="/in/a", node_id="worker-0", size_mb=8.0, local_mb=8.0,
+            remote_mb=0.0, seconds=0.05, direction="in",
+        ),),
     ))
-    bus.emit(FileStaged(workflow_id="w1", task=task, report=FileTransferReport(
-        path="/in/a", node_id="worker-0", size_mb=8.0, local_mb=8.0,
-        remote_mb=0.0, seconds=0.05, direction="in",
-    )))
     bus.emit(WorkflowFinished(workflow_id="w1", name="demo",
                               runtime_seconds=100.0))
     assert manager.runtime_estimate("sort", "worker-0") == 42.0
