@@ -15,7 +15,8 @@ Run with::
 from repro import Cluster, ClusterSpec, Environment, M3_LARGE
 from repro.cluster import C3_2XLARGE
 from repro.core import HiWay, HiWayConfig
-from repro.langs import DaxSource, GalaxySource, TraceSource, detect_language
+from repro.langs import CuneiformSource, DaxSource, GalaxySource, detect_language
+from repro.langs.tracelang import TraceSource
 from repro.recipes import ClusterDefinition, Karamel, builtin_recipe_book
 from repro.workloads import (
     MONTAGE_TOOLS,
@@ -27,7 +28,6 @@ from repro.workloads import (
     trapline_input_bindings,
     trapline_inputs,
 )
-from repro.langs import CuneiformSource
 
 
 def run_galaxy_workflow() -> None:

@@ -7,13 +7,8 @@ dead nodes would have contributed (the cluster shrinks by 2/8, so a
 slowdown beyond ~2x would indicate recovery is broken, not just slower).
 """
 
-from repro.cluster import (
-    Cluster,
-    ClusterSpec,
-    FailureInjector,
-    FailurePlan,
-    M3_LARGE,
-)
+from repro.cluster import Cluster, ClusterSpec, M3_LARGE
+from repro.cluster.failures import FailureInjector, FailurePlan
 from repro.core import HiWay, HiWayConfig
 from repro.hdfs import HdfsClient
 from repro.langs import CuneiformSource

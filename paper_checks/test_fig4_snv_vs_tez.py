@@ -9,7 +9,7 @@ Shape assertions (the reproduction target):
 * the advantage grows with scale (network saturation).
 """
 
-from repro.experiments import Fig4Config, run_fig4
+from repro.experiments.fig4 import Fig4Config, run_fig4
 
 
 def test_fig4_hiway_vs_tez(quick):

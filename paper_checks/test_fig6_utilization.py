@@ -4,7 +4,7 @@ Shape assertions: master-side load grows with cluster size yet stays far
 below saturation, while workers remain CPU-bound near their core count.
 """
 
-from repro.experiments import Fig6Config, run_fig6
+from repro.experiments.fig6 import Fig6Config, run_fig6
 
 
 def test_fig6_utilization(quick):

@@ -5,7 +5,7 @@ size (paper: by at least 25 %; we accept >= 15 % to leave calibration
 head-room), and both systems speed up with more nodes.
 """
 
-from repro.experiments import Fig8Config, run_fig8
+from repro.experiments.fig8 import Fig8Config, run_fig8
 
 
 def test_fig8_hiway_vs_cloudman(quick):

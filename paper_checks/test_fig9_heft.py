@@ -8,7 +8,8 @@ Shape assertions:
 * runtimes become markedly more stable once estimates are complete.
 """
 
-from repro.experiments import Fig9Config, mean, run_fig9
+from repro.experiments import mean
+from repro.experiments.fig9 import Fig9Config, run_fig9
 
 
 def test_fig9_heft_learning_curve(quick):

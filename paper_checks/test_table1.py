@@ -1,6 +1,6 @@
 """Paper check: regenerate Table 1 (experiment overview)."""
 
-from repro.experiments import run_table1
+from repro.experiments.table1 import run_table1
 
 
 def test_table1_overview():

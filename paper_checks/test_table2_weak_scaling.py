@@ -4,7 +4,7 @@ Shape assertions: runtime stays flat (near-linear scalability) while the
 cost per gigabyte falls monotonically toward ~$0.10.
 """
 
-from repro.experiments import Table2Config, run_table2
+from repro.experiments.table2 import Table2Config, run_table2
 
 
 def test_table2_weak_scaling(quick):

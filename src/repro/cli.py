@@ -35,8 +35,6 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.baselines.cloudman import GalaxyCloudMan
-from repro.baselines.tez import TezApplicationMaster
 from repro.cluster import C3_2XLARGE, Cluster, ClusterSpec, M3_LARGE, XEON_E5_2620
 from repro.core import HiWay, HiWayConfig, SCHEDULER_NAMES
 from repro.core.provenance import TraceFileStore
@@ -597,6 +595,8 @@ def _execute_workflow(args, event_types=(), provenance_store=None):
             hiway.stage_inputs(inputs)
         result = hiway.run(source, scheduler=args.scheduler, tenant=args.tenant)
     elif engine == "tez":
+        from repro.baselines.tez import TezApplicationMaster
+
         hdfs = HdfsClient(cluster, seed=0)
         rm = ResourceManager(
             env, cluster, max_containers_per_node=args.containers_per_node or 3
@@ -614,6 +614,8 @@ def _execute_workflow(args, event_types=(), provenance_store=None):
         env.run(until=process)
         result = process.value
     else:
+        from repro.baselines.cloudman import GalaxyCloudMan
+
         cloudman = GalaxyCloudMan(
             cluster, tools, slots_per_node=args.containers_per_node or 3
         )

@@ -1,7 +1,6 @@
 """Simulated cluster hardware: nodes, switch, external storage endpoints."""
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.failures import FailureInjector, FailurePlan
 from repro.cluster.node import Node
 from repro.cluster.specs import (
     C3_2XLARGE,
@@ -23,8 +22,6 @@ __all__ = [
     "XEON_E5_2620",
     "GIGABIT_MB_S",
     "StressProfile",
-    "FailurePlan",
-    "FailureInjector",
     "apply_stress",
     "paper_fig9_stress",
 ]

@@ -18,7 +18,6 @@ observed runtime per (task signature, node) pair.
 from __future__ import annotations
 
 import json
-import sqlite3
 from typing import Optional
 
 from repro.core.provenance.events import FIELDS, TASK_EVENT, encode, to_jsonl
@@ -168,6 +167,8 @@ class SqlProvenanceStore(ProvenanceStore):
     """
 
     def __init__(self, path: str = ":memory:"):
+        import sqlite3
+
         self._conn = sqlite3.connect(path)
         self._conn.execute(
             """

@@ -1,4 +1,12 @@
-"""Reproductions of every table and figure in the paper's evaluation."""
+"""Reproductions of every table and figure in the paper's evaluation.
+
+Each table or figure has its own module (``repro.experiments.fig4`` and
+so on); the package itself loads only the shared reporting helpers, and
+:func:`runner` imports an experiment's module when it runs.
+"""
+
+import importlib
+from typing import Callable
 
 from repro.experiments.common import (
     ExperimentTable,
@@ -9,18 +17,6 @@ from repro.experiments.common import (
     percentile,
     std,
 )
-from repro.experiments.fig4 import (
-    Fig4ConcurrentConfig,
-    Fig4Config,
-    run_fig4,
-    run_fig4_concurrent,
-)
-from repro.experiments.fig6 import Fig6Config, run_fig6
-from repro.experiments.fig8 import Fig8Config, run_fig8
-from repro.experiments.fig9 import Fig9Config, run_fig9
-from repro.experiments.openloop import OpenLoopConfig, run_openloop
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import Table2Config, run_table2
 
 __all__ = [
     "ExperimentTable",
@@ -30,40 +26,31 @@ __all__ = [
     "percentile",
     "std",
     "minutes",
-    "run_table1",
-    "run_fig4",
-    "Fig4Config",
-    "run_fig4_concurrent",
-    "Fig4ConcurrentConfig",
-    "run_table2",
-    "Table2Config",
-    "run_fig6",
-    "Fig6Config",
-    "run_fig8",
-    "Fig8Config",
-    "run_fig9",
-    "Fig9Config",
-    "run_openloop",
-    "OpenLoopConfig",
     "EXPERIMENTS",
+    "runner",
 ]
 
-#: ``results/`` file stem -> callable(quick: bool, jobs: int | None) ->
-#: ExperimentTable, called with keyword arguments. Each entry runs the
-#: config whose table ``results/<stem>.txt`` commits; ``--quick`` runs
-#: its laptop-sized variant. ``jobs`` is the process-pool width (1 =
-#: serial, None = all cores); parallel runs produce byte-identical
-#: tables (see repro.perf.grid).
+#: ``results/`` file stem -> (module in this package, runner name). The
+#: runner takes keyword arguments ``quick`` and ``jobs`` and returns an
+#: ExperimentTable. Each entry runs the config whose table
+#: ``results/<stem>.txt`` commits; ``--quick`` runs its laptop-sized
+#: variant. ``jobs`` is the process-pool width (1 = serial, None = all
+#: cores); parallel runs produce byte-identical tables (see
+#: repro.perf.grid).
 EXPERIMENTS = {
-    "table1": lambda quick=False, jobs=1: run_table1(jobs=jobs),
-    "table2": run_table2,
-    "fig4": lambda quick=False, jobs=1: run_fig4(
-        Fig4Config.quick() if quick else Fig4Config.standard(), jobs=jobs),
-    "fig4_full": lambda quick=False, jobs=1: run_fig4(
-        Fig4Config.quick() if quick else Fig4Config(runs=1), jobs=jobs),
-    "fig4_concurrent": run_fig4_concurrent,
-    "fig6": run_fig6,
-    "fig8": run_fig8,
-    "fig9": run_fig9,
-    "openloop": run_openloop,
+    "table1": ("table1", "run_table1"),
+    "table2": ("table2", "run_table2"),
+    "fig4": ("fig4", "run_fig4_standard"),
+    "fig4_full": ("fig4", "run_fig4_full"),
+    "fig4_concurrent": ("fig4", "run_fig4_concurrent"),
+    "fig6": ("fig6", "run_fig6"),
+    "fig8": ("fig8", "run_fig8"),
+    "fig9": ("fig9", "run_fig9"),
+    "openloop": ("openloop", "run_openloop"),
 }
+
+
+def runner(name: str) -> Callable[..., ExperimentTable]:
+    """The runner of experiment ``name``, importing its module."""
+    module, function = EXPERIMENTS[name]
+    return getattr(importlib.import_module(f"repro.experiments.{module}"), function)

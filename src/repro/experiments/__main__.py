@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, runner
 
 #: The one experiment that takes ``--concurrent`` / ``--rm-policy``.
 _CONCURRENT = "fig4_concurrent"
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         if index:
             print()
         started = time.time()
-        table = EXPERIMENTS[name](quick=args.quick, jobs=args.jobs, **kwargs)
+        table = runner(name)(quick=args.quick, jobs=args.jobs, **kwargs)
         text = table.format() + "\n"
         sys.stdout.write(text)
         if args.outdir:

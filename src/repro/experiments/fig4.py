@@ -40,6 +40,8 @@ from repro.yarn import ContainerResource, ResourceManager
 __all__ = [
     "Fig4Config",
     "run_fig4",
+    "run_fig4_standard",
+    "run_fig4_full",
     "Fig4ConcurrentConfig",
     "run_fig4_concurrent",
 ]
@@ -209,6 +211,16 @@ def run_fig4(
             mean(tez_runs) / mean(hiway_runs),
         )
     return table
+
+
+def run_fig4_standard(quick: bool = False, jobs: int | None = 1) -> ExperimentTable:
+    """``results/fig4``: Figure 4 at :meth:`Fig4Config.standard` scale."""
+    return run_fig4(Fig4Config.quick() if quick else Fig4Config.standard(), jobs=jobs)
+
+
+def run_fig4_full(quick: bool = False, jobs: int | None = 1) -> ExperimentTable:
+    """``results/fig4_full``: the paper's full setup, one run per point."""
+    return run_fig4(Fig4Config.quick() if quick else Fig4Config(runs=1), jobs=jobs)
 
 
 # -- concurrent multi-workflow variant (workflow-as-a-service, Sec. 3.1) ----------

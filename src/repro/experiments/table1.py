@@ -7,12 +7,13 @@ from repro.experiments.common import ExperimentTable
 __all__ = ["run_table1"]
 
 
-def run_table1(jobs: int | None = 1) -> ExperimentTable:
+def run_table1(quick: bool = False, jobs: int | None = 1) -> ExperimentTable:
     """Regenerate the experiment-overview table.
 
     Static metadata by nature; the rows double as an index into the
-    other experiment modules. ``jobs`` is accepted for harness
-    uniformity and ignored — there is nothing to parallelise.
+    other experiment modules. ``quick`` and ``jobs`` are accepted for
+    harness uniformity and ignored — there is nothing to scale down or
+    parallelise.
     """
     table = ExperimentTable(
         experiment_id="table1",

@@ -1,4 +1,10 @@
-"""Workflow language frontends: Cuneiform, DAX, Galaxy, traces."""
+"""Workflow language frontends: Cuneiform, DAX, Galaxy, CWL, traces.
+
+The package exports the registry and the sources that runs build
+directly; :func:`parse_workflow` imports any other frontend on first
+use. Import the CWL and trace sources from :mod:`repro.langs.cwl` and
+:mod:`repro.langs.tracelang`.
+"""
 
 from repro.langs.base import (
     LANGUAGES,
@@ -7,10 +13,8 @@ from repro.langs.base import (
     register_language,
 )
 from repro.langs.cuneiform import CuneiformSource
-from repro.langs.cwl import CwlSource, parse_cwl
 from repro.langs.dax import DaxSource, parse_dax
 from repro.langs.galaxy import GalaxySource, parse_galaxy
-from repro.langs.tracelang import TraceSource, parse_trace
 
 __all__ = [
     "parse_workflow",
@@ -18,12 +22,8 @@ __all__ = [
     "register_language",
     "LANGUAGES",
     "CuneiformSource",
-    "CwlSource",
-    "parse_cwl",
     "DaxSource",
     "parse_dax",
     "GalaxySource",
     "parse_galaxy",
-    "TraceSource",
-    "parse_trace",
 ]

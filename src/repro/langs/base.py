@@ -4,21 +4,18 @@ Hi-WAY sunders the tight coupling of workflow languages and execution
 engines: the Workflow Driver accepts any language for which a frontend
 exists. This module keeps a registry of frontends and offers best-effort
 format detection, so ``parse_workflow(text)`` does the right thing for
-all four built-in languages. Registering a new non-iterative language
-takes one function that parses text into a task source.
+all five built-in languages. Registering a new non-iterative language
+takes one function that parses text into a task source. A built-in
+frontend's module is imported the first time its language is parsed.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from typing import Callable, Optional
 
 from repro.errors import LanguageError
-from repro.langs.cuneiform.interp import CuneiformSource
-from repro.langs.cwl import CwlSource
-from repro.langs.dax import DaxSource
-from repro.langs.galaxy import GalaxySource
-from repro.langs.tracelang import TraceSource
 from repro.workflow.model import TaskSource
 
 __all__ = ["register_language", "parse_workflow", "detect_language", "LANGUAGES"]
@@ -32,11 +29,21 @@ def register_language(name: str, frontend: Callable[..., TaskSource]) -> None:
     LANGUAGES[name] = frontend
 
 
-register_language("cuneiform", lambda text, **kw: CuneiformSource(text, **kw))
-register_language("dax", lambda text, **kw: DaxSource(text, **kw))
-register_language("cwl", lambda text, **kw: CwlSource(text, **kw))
-register_language("galaxy", lambda text, **kw: GalaxySource(text, **kw))
-register_language("trace", lambda text, **kw: TraceSource(text, **kw))
+def _builtin(module: str, source: str) -> Callable[..., TaskSource]:
+    """A frontend that builds ``repro.langs.<module>.<source>``."""
+
+    def frontend(text: str, **kwargs) -> TaskSource:
+        cls = getattr(importlib.import_module(f"repro.langs.{module}"), source)
+        return cls(text, **kwargs)
+
+    return frontend
+
+
+register_language("cuneiform", _builtin("cuneiform", "CuneiformSource"))
+register_language("dax", _builtin("dax", "DaxSource"))
+register_language("cwl", _builtin("cwl", "CwlSource"))
+register_language("galaxy", _builtin("galaxy", "GalaxySource"))
+register_language("trace", _builtin("tracelang", "TraceSource"))
 
 
 def detect_language(text: str) -> str:

@@ -11,29 +11,26 @@ whose ``transfers`` carry its file records, so it replays from a
 journal too), the
 :class:`MetricsRegistry` held by the cluster's
 :class:`~repro.sim.metrics.MetricRecorder` (subscribed by whoever builds
-the installation), an
-:class:`EventJournal` and a :class:`LiveMonitor`. Replaying a journal
+the installation), a :class:`~repro.obs.journal.EventJournal` and a
+:class:`~repro.obs.live.LiveMonitor`. Replaying a journal
 is a plain loop that looks each decoded event's handler up in the same
 table. Every single-workflow view is a pure fold over a recorded event
-list, identical live or decoded from a journal: :func:`trace_records`
-(Chrome trace), :func:`analyze` (critical path),
+list, identical live or decoded from a journal:
+:func:`repro.obs.tracer.trace_records` (Chrome trace),
+:func:`repro.obs.analysis.analyze` (critical path),
 :func:`repro.obs.decisions.explain` (decision audit) and
-:func:`render_timeline` (text Gantt chart). Each declares the event
-types it reads (``TRACE_EVENTS``, ``ANALYSIS_EVENTS``,
-``DECISION_EVENTS``, ``TIMELINE_EVENTS``); record them with
-``bus.subscribe(dict.fromkeys(TRACE_EVENTS, events.append))``. See the
+:func:`repro.obs.timeline.render_timeline` (text Gantt chart). Each
+module declares the event types its view reads (``TRACE_EVENTS``,
+``ANALYSIS_EVENTS``, ``DECISION_EVENTS``, ``TIMELINE_EVENTS``); record
+them with ``bus.subscribe(dict.fromkeys(TRACE_EVENTS, events.append))``.
+
+This package exports only what every run loads: the bus, the event
+classes and the metrics registry. Import the journal, the live monitor,
+the span trees and the offline views from their own modules. See the
 README "Observability" section for CLI usage.
 """
 
-from repro.obs.analysis import (
-    ANALYSIS_EVENTS,
-    WorkflowAnalysis,
-    analyze,
-    latest_finished,
-    render_report,
-)
 from repro.obs.bus import EventBus, Subscription
-from repro.obs.decisions import DECISION_EVENTS
 from repro.obs.events import (
     ApplicationRegistered,
     ApplicationUnregistered,
@@ -58,68 +55,16 @@ from repro.obs.events import (
     WorkflowStarted,
     WorkflowSubmitted,
 )
-from repro.obs.journal import (
-    EventJournal,
-    JournalError,
-    iter_events,
-    load_registry,
-    load_service_report,
-    read_journal,
-)
-from repro.obs.live import (
-    Alert,
-    BurnRateRule,
-    DEFAULT_RULES,
-    LiveMonitor,
-    StragglerAlert,
-    WindowStats,
-)
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Series
-from repro.obs.spans import (
-    AttemptSpan,
-    SubmissionSpan,
-    build_submission_spans,
-    render_submission,
-    to_chrome_trace,
-)
-from repro.obs.timeline import TIMELINE_EVENTS, render_timeline
-from repro.obs.tracer import TRACE_EVENTS, trace_records
 
 __all__ = [
     "EventBus",
     "Subscription",
-    "TRACE_EVENTS",
-    "trace_records",
-    "TIMELINE_EVENTS",
-    "render_timeline",
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
     "Series",
-    "DECISION_EVENTS",
-    "ANALYSIS_EVENTS",
-    "analyze",
-    "latest_finished",
-    "WorkflowAnalysis",
-    "render_report",
-    "EventJournal",
-    "JournalError",
-    "iter_events",
-    "read_journal",
-    "load_registry",
-    "load_service_report",
-    "LiveMonitor",
-    "BurnRateRule",
-    "DEFAULT_RULES",
-    "WindowStats",
-    "Alert",
-    "StragglerAlert",
-    "AttemptSpan",
-    "SubmissionSpan",
-    "build_submission_spans",
-    "render_submission",
-    "to_chrome_trace",
     "ObsEvent",
     "SchedulingDecision",
     "ServiceSample",

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.obs import events as ev
-from repro.obs.tracer import chrome_trace_records, dump_chrome_trace
 
 __all__ = [
     "AttemptSpan",
@@ -254,6 +253,8 @@ def render_submission(span: SubmissionSpan, max_attempts: int = 30) -> str:
 
 def chrome_trace_events(spans: Iterable[SubmissionSpan]) -> list[dict]:
     """Chrome ``trace_event`` dicts: tenant = process, submission = thread."""
+    from repro.obs.tracer import chrome_trace_records
+
     spans = list(spans)
     tenant_names = sorted({span.tenant or "untenanted" for span in spans})
     pids = {tenant: index + 1 for index, tenant in enumerate(tenant_names)}
@@ -301,4 +302,6 @@ def chrome_trace_events(spans: Iterable[SubmissionSpan]) -> list[dict]:
 
 def to_chrome_trace(spans: Iterable[SubmissionSpan]) -> str:
     """Serialise span trees as Chrome/Perfetto-loadable JSON."""
+    from repro.obs.tracer import dump_chrome_trace
+
     return dump_chrome_trace(chrome_trace_events(spans))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
-from repro.obs import ANALYSIS_EVENTS, analyze, latest_finished, render_report
+from repro.obs.analysis import ANALYSIS_EVENTS, analyze, latest_finished, render_report
 from repro.obs.events import WorkflowFinished
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph

@@ -7,7 +7,8 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import HiWay
 from repro.errors import LanguageError
-from repro.langs import CwlSource, detect_language, parse_cwl, parse_workflow
+from repro.langs import detect_language, parse_workflow
+from repro.langs.cwl import CwlSource, parse_cwl
 from repro.sim import Environment
 
 

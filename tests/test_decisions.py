@@ -7,8 +7,8 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
 from repro.core.schedulers import RoundRobinScheduler, SchedulerContext
-from repro.obs import DECISION_EVENTS, EventBus
-from repro.obs.decisions import decisions_for, explain, task_ids
+from repro.obs import EventBus
+from repro.obs.decisions import DECISION_EVENTS, decisions_for, explain, task_ids
 from repro.obs.events import SchedulingDecision
 from repro.obs.journal import event_to_dict
 from repro.sim import Environment

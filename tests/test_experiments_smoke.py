@@ -6,25 +6,19 @@ smallest configurations that still exercise every code path, so that
 ``pytest tests/`` stays fast while covering the harness.
 """
 
+import inspect
 import os
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    Fig4Config,
-    Fig6Config,
-    Fig8Config,
-    Fig9Config,
-    Table2Config,
-    run_fig4,
-    run_fig6,
-    run_fig8,
-    run_fig9,
-    run_table1,
-    run_table2,
-)
+from repro.experiments import EXPERIMENTS, runner
 from repro.experiments.common import ExperimentTable
+from repro.experiments.fig4 import Fig4Config, run_fig4
+from repro.experiments.fig6 import Fig6Config, run_fig6
+from repro.experiments.fig8 import Fig8Config, run_fig8
+from repro.experiments.fig9 import Fig9Config, run_fig9
+from repro.experiments.table1 import run_table1
+from repro.experiments.table2 import Table2Config, run_table2
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -35,6 +29,28 @@ def test_registry_covers_every_table_and_figure():
     assert set(EXPERIMENTS) == {os.path.splitext(name)[0] for name in files}
     assert sorted(files) == sorted(
         name + suffix for name in EXPERIMENTS for suffix in (".txt", ".md"))
+
+
+def test_every_registry_entry_resolves_to_a_runner():
+    """Each stem names its module and a runner taking quick and jobs."""
+    for name, (module, _) in EXPERIMENTS.items():
+        run = runner(name)
+        assert run.__module__ == f"repro.experiments.{module}"
+        assert {"quick", "jobs"} <= set(inspect.signature(run).parameters)
+
+
+def test_fig4_entries_run_their_committed_configs(monkeypatch):
+    import repro.experiments.fig4 as fig4
+
+    seen = []
+    monkeypatch.setattr(fig4, "run_fig4",
+                        lambda config, jobs: seen.append((config, jobs)))
+    runner("fig4")(quick=False, jobs=3)
+    runner("fig4_full")(quick=False, jobs=1)
+    runner("fig4")(quick=True, jobs=1)
+    runner("fig4_full")(quick=True, jobs=1)
+    assert seen == [(Fig4Config.standard(), 3), (Fig4Config(runs=1), 1),
+                    (Fig4Config.quick(), 1), (Fig4Config.quick(), 1)]
 
 
 def test_fig4_standard_is_the_committed_scale():

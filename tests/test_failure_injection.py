@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.cluster import (
-    Cluster,
-    ClusterSpec,
-    FailureInjector,
-    FailurePlan,
-    M3_LARGE,
-)
+from repro.cluster import Cluster, ClusterSpec, M3_LARGE
+from repro.cluster.failures import FailureInjector, FailurePlan
 from repro.core import HiWay, HiWayConfig
 from repro.hdfs import HdfsClient
 from repro.sim import Environment

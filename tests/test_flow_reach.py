@@ -12,8 +12,7 @@ combine; and the scaling pin counts what a Table 2 run refills.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import Table2Config
-from repro.experiments.table2 import run_weak_scaling_once
+from repro.experiments.table2 import Table2Config, run_weak_scaling_once
 from repro.sim import Environment, FlowNetwork
 
 from .test_flow_solver_contract import (

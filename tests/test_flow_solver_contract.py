@@ -15,8 +15,9 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import Fig8Config, Table2Config, run_fig8, run_table1
-from repro.experiments.table2 import run_weak_scaling_once
+from repro.experiments.fig8 import Fig8Config, run_fig8
+from repro.experiments.table1 import run_table1
+from repro.experiments.table2 import Table2Config, run_weak_scaling_once
 from repro.sim import SOLVER_VERSION, Environment, FlowNetwork
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")

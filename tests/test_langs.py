@@ -6,16 +6,13 @@ import pytest
 
 from repro.errors import LanguageError
 from repro.langs import (
-    DaxSource,
-    GalaxySource,
-    TraceSource,
     detect_language,
     parse_dax,
     parse_galaxy,
-    parse_trace,
     parse_workflow,
     register_language,
 )
+from repro.langs.tracelang import TraceSource, parse_trace
 
 DAX = """
 <adag name="mini-montage">
@@ -172,6 +169,7 @@ def test_parse_workflow_dispatches():
         "mini-trapline"
     )
     assert parse_workflow("x = 'a'; x;").name == "cuneiform"
+    assert isinstance(parse_workflow(make_trace()), TraceSource)
     with pytest.raises(LanguageError, match="unknown workflow language"):
         parse_workflow("x;", language="nextflow")
 

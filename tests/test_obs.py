@@ -5,9 +5,9 @@ import time
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
-from repro.obs import EventBus, trace_records
+from repro.obs import EventBus
 from repro.obs.journal import EVENT_TYPES
-from repro.obs.tracer import dump_chrome_trace
+from repro.obs.tracer import dump_chrome_trace, trace_records
 from repro.obs.events import (
     ContainerLaunched,
     HdfsRead,

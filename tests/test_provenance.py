@@ -17,8 +17,9 @@ from repro.core.provenance import (
 from repro.core.provenance.events import FIELDS
 from repro.errors import ProvenanceError
 from repro.hdfs.filesystem import FileTransferReport
-from repro.langs import TraceSource
-from repro.obs import EventBus, EventJournal, iter_events
+from repro.langs.tracelang import TraceSource
+from repro.obs import EventBus
+from repro.obs.journal import EventJournal, iter_events
 from repro.obs.events import (
     TaskAttemptFinished,
     WorkflowFinished,

@@ -13,8 +13,8 @@ from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay, HiWayConfig
 from repro.core.schedulers import make_scheduler
 from repro.errors import WorkflowError
-from repro.obs import ANALYSIS_EVENTS, DECISION_EVENTS, analyze
-from repro.obs.decisions import explain, task_ids
+from repro.obs.analysis import ANALYSIS_EVENTS, analyze
+from repro.obs.decisions import DECISION_EVENTS, explain, task_ids
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 

@@ -2,7 +2,7 @@
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay
-from repro.obs import TIMELINE_EVENTS, render_timeline
+from repro.obs.timeline import TIMELINE_EVENTS, render_timeline
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 

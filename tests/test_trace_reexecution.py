@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.core import HiWay, HiWayConfig
-from repro.langs import DaxSource, TraceSource, detect_language
+from repro.langs import DaxSource, detect_language
+from repro.langs.tracelang import TraceSource
 from repro.sim import Environment
 from repro.workloads import MONTAGE_TOOLS, montage_dax, montage_inputs
 
