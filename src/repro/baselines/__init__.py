@@ -1,10 +1,6 @@
-"""Baseline systems the paper compares against: Tez and Galaxy CloudMan."""
+"""Baseline systems the paper compares against: Tez and Galaxy CloudMan.
 
-from repro.baselines.cloudman import GalaxyCloudMan
-from repro.baselines.tez import TezApplicationMaster, from_workflow_graph
-
-__all__ = [
-    "TezApplicationMaster",
-    "from_workflow_graph",
-    "GalaxyCloudMan",
-]
+Import each engine from its own package, ``repro.baselines.tez`` or
+``repro.baselines.cloudman``; this package imports neither, so a run
+loads only the engine it uses.
+"""

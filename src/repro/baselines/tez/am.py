@@ -113,11 +113,12 @@ class TezVertexBackend(ExecutionBackend):
                 ))
             attempt = self.queue.pop(0)  # strict FIFO, no locality
             core.attempt_running(attempt, container.node_id)
+            transfers = []
             watcher = am.rm.node_managers[container.node_id].launch(
                 container,
                 run_task_in_container(
                     am.env, am.cluster, am.hdfs, am.tools,
-                    attempt.task, container,
+                    attempt.task, container, transfers,
                 ),
             )
             outcome = yield watcher
@@ -125,7 +126,8 @@ class TezVertexBackend(ExecutionBackend):
                 core.attempt_finished(attempt, container.node_id, outcome.value)
             else:
                 core.attempt_finished(
-                    attempt, container.node_id, error=outcome.error
+                    attempt, container.node_id, error=outcome.error,
+                    transfers=transfers,
                 )
             reusable = (
                 am.reuse_containers

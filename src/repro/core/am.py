@@ -142,10 +142,12 @@ class YarnExecutionBackend(ExecutionBackend):
             return
         attempt = core.attempt_for(task.task_id)
         core.attempt_running(attempt, container.node_id)
+        transfers = []
         watcher = am.rm.node_managers[container.node_id].launch(
             container,
             run_task_in_container(
-                am.env, am.cluster, am.hdfs, am.tools, task, container
+                am.env, am.cluster, am.hdfs, am.tools, task, container,
+                transfers,
             ),
         )
         outcome = yield watcher
@@ -154,7 +156,8 @@ class YarnExecutionBackend(ExecutionBackend):
             core.attempt_finished(attempt, container.node_id, outcome.value)
         else:
             core.attempt_finished(
-                attempt, container.node_id, error=outcome.error
+                attempt, container.node_id, error=outcome.error,
+                transfers=transfers,
             )
 
 

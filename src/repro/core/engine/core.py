@@ -148,6 +148,7 @@ class ExecutionCore:
         self._transition(attempt, AttemptState.RUNNING)
         attempt.attempts += 1
         attempt.last_node = node_id
+        attempt.started_at = self.env.now
 
     def attempt_finished(
         self,
@@ -155,11 +156,13 @@ class ExecutionCore:
         node_id: str,
         result: Optional["TaskResult"] = None,
         error=None,
+        transfers: tuple = (),
     ) -> None:
         """The backend observed one attempt's outcome; react to it.
 
         A :class:`~repro.core.execution.TaskResult` means the attempt
-        succeeded; ``None`` means it failed with ``error``.
+        succeeded; ``None`` means it failed with ``error``, after
+        finishing the file ``transfers``.
         """
         if self.workflow_failed:
             # Draining: the run is already lost, record nothing further.
@@ -200,11 +203,12 @@ class ExecutionCore:
                     workflow_id=self.workflow_id,
                     task=attempt.task,
                     node_id=node_id,
-                    makespan_seconds=0.0,
+                    makespan_seconds=self.env.now - attempt.started_at,
                     output_sizes={},
                     success=False,
                     attempt=attempt.attempts,
                     stderr=repr(error),
+                    transfers=tuple(transfers),
                 ))
             if self.on_failure is not None:
                 self.on_failure(attempt, node_id, error)

@@ -71,6 +71,8 @@ class TaskAttempt:
     excluded_nodes: set[str] = field(default_factory=set)
     #: Node of the most recent (possibly still running) attempt.
     last_node: str = ""
+    #: Simulated time the most recent attempt started running.
+    started_at: float = 0.0
 
     @property
     def succeeded(self) -> bool:

@@ -51,11 +51,15 @@ def run_task_in_container(
     tools: ToolRegistry,
     task: TaskSpec,
     container: Container,
+    transfers: list[FileTransferReport],
 ):
     """Generator executing ``task`` inside ``container``.
 
     Returns a :class:`TaskResult`; raises :class:`ToolNotInstalled` or
-    :class:`OutOfMemory` for the corresponding failure modes.
+    :class:`OutOfMemory` for the corresponding failure modes. However
+    the body ends, the transfers that finished are appended to
+    ``transfers``, so an attempt that fails (a node crash, a lost
+    replica) still accounts for the files it moved.
     """
     node = cluster.node(container.node_id)
     profile = tools.get(task.tool)
@@ -82,39 +86,46 @@ def run_task_in_container(
 
     # (i) stage-in: all inputs in parallel.
     stage_in = [env.process(hdfs.read(path, node.node_id)) for path in task.inputs]
-    if stage_in:
-        yield env.all_of(stage_in)
-    input_reports = [process.value for process in stage_in]
-    input_mb = sum(report.size_mb for report in input_reports)
+    stage_out = []
+    try:
+        if stage_in:
+            yield env.all_of(stage_in)
+        input_reports = [process.value for process in stage_in]
+        input_mb = sum(report.size_mb for report in input_reports)
 
-    # (ii) invoke: compute, then the tool's intermediate-file traffic.
-    # Scratch I/O is sequential with compute: tools like TopHat2 write
-    # and re-read temporary files *between* their processing stages, so
-    # slow scratch storage directly lengthens the task.
-    threads = min(
-        profile.max_threads if task.threads is None else task.threads,
-        container.resource.vcores,
-    )
-    yield node.compute(
-        profile.work_for(input_mb), threads=threads, label=f"run:{task.task_id}"
-    )
-    scratch = profile.scratch_mb(input_mb)
-    if scratch > 0:
-        yield node.disk_io(scratch, label=f"scratch:{task.task_id}")
+        # (ii) invoke: compute, then the tool's intermediate-file traffic.
+        # Scratch I/O is sequential with compute: tools like TopHat2 write
+        # and re-read temporary files *between* their processing stages, so
+        # slow scratch storage directly lengthens the task.
+        threads = min(
+            profile.max_threads if task.threads is None else task.threads,
+            container.resource.vcores,
+        )
+        yield node.compute(
+            profile.work_for(input_mb), threads=threads, label=f"run:{task.task_id}"
+        )
+        scratch = profile.scratch_mb(input_mb)
+        if scratch > 0:
+            yield node.disk_io(scratch, label=f"scratch:{task.task_id}")
 
-    # (iii) stage-out: compute output sizes, then write all in parallel.
-    default_sizes = profile.output_sizes(input_mb, len(task.outputs))
-    output_sizes: dict[str, float] = {}
-    for index, path in enumerate(task.outputs):
-        hinted = task.hinted_size(path)
-        output_sizes[path] = default_sizes[index] if hinted is None else hinted
-    stage_out = [
-        env.process(hdfs.write(path, size, node.node_id))
-        for path, size in output_sizes.items()
-    ]
-    if stage_out:
-        yield env.all_of(stage_out)
-    output_reports = [process.value for process in stage_out]
+        # (iii) stage-out: compute output sizes, then write all in parallel.
+        default_sizes = profile.output_sizes(input_mb, len(task.outputs))
+        output_sizes: dict[str, float] = {}
+        for index, path in enumerate(task.outputs):
+            hinted = task.hinted_size(path)
+            output_sizes[path] = default_sizes[index] if hinted is None else hinted
+        stage_out = [
+            env.process(hdfs.write(path, size, node.node_id))
+            for path, size in output_sizes.items()
+        ]
+        if stage_out:
+            yield env.all_of(stage_out)
+        output_reports = [process.value for process in stage_out]
+    finally:
+        transfers.extend(
+            process.value for process in (*stage_in, *stage_out)
+            if process.triggered and process.ok
+        )
 
     return TaskResult(
         task_id=task.task_id,

@@ -20,7 +20,7 @@ from repro.cluster.cluster import Cluster
 from repro.errors import FileNotFoundInHdfs, HdfsError
 from repro.hdfs.blocks import BlockPlacementPolicy, DEFAULT_BLOCK_SIZE_MB
 from repro.hdfs.namenode import NameNode
-from repro.obs.events import HdfsRead, HdfsWrite
+from repro.obs.events import InputsStaged
 
 __all__ = ["FileTransferReport", "HdfsClient", "S3_PREFIX"]
 
@@ -43,6 +43,11 @@ class FileTransferReport:
     def local_fraction(self) -> float:
         """Share of bytes that never left the node."""
         return self.local_mb / self.size_mb if self.size_mb > 0 else 1.0
+
+    @property
+    def external(self) -> bool:
+        """Whether the file lives on the external (S3) endpoint."""
+        return self.path.startswith(S3_PREFIX)
 
 
 class HdfsClient:
@@ -77,21 +82,6 @@ class HdfsClient:
         )
         self._rng = random.Random(seed)
         self._external: dict[str, float] = {}
-
-    def _report(self, report: FileTransferReport) -> FileTransferReport:
-        """Publish a transfer onto the bus (locality hit/miss spans)."""
-        event_type = HdfsRead if report.direction == "in" else HdfsWrite
-        if self.bus.wants(event_type):
-            self.bus.emit(event_type(
-                path=report.path,
-                node_id=report.node_id,
-                size_mb=report.size_mb,
-                local_mb=report.local_mb,
-                remote_mb=report.remote_mb,
-                seconds=report.seconds,
-                external=self.is_external(report.path),
-            ))
-        return report
 
     # -- external (S3) files ---------------------------------------------------
 
@@ -174,9 +164,9 @@ class HdfsClient:
         if self.is_external(path):
             size = self.size_of(path)
             yield self.cluster.s3_download(node_id, size, label=f"s3-get:{path}")
-            return self._report(FileTransferReport(
+            return FileTransferReport(
                 path, node_id, size, 0.0, size, env.now - started, "in"
-            ))
+            )
         hdfs_file = self.namenode.lookup(path)
         local_mb = 0.0
         by_source: dict[str, float] = {}
@@ -200,10 +190,10 @@ class HdfsClient:
         if pending:
             yield env.all_of(pending)
         remote_mb = hdfs_file.size_mb - local_mb
-        return self._report(FileTransferReport(
+        return FileTransferReport(
             path, node_id, hdfs_file.size_mb, local_mb, remote_mb,
             env.now - started, "in",
-        ))
+        )
 
     def write(self, path: str, size_mb: float, node_id: str):
         """Generator process writing ``size_mb`` MB from ``node_id``.
@@ -236,9 +226,9 @@ class HdfsClient:
         if pending:
             yield env.all_of(pending)
         remote_mb = sum(by_target.values())
-        return self._report(FileTransferReport(
+        return FileTransferReport(
             path, node_id, size_mb, local_mb, remote_mb, env.now - started, "out"
-        ))
+        )
 
     def stage_many(self, files: dict[str, float], seed: int = 0) -> None:
         """Synchronously materialise input files (setup machinery).
@@ -247,7 +237,8 @@ class HdfsClient:
         input data is produced by earlier jobs or ingest pipelines whose
         write pattern is uncorrelated with the later run's container
         allocation order, and a correlated pattern would hand
-        locality-blind schedulers artificial data locality.
+        locality-blind schedulers artificial data locality. The writes
+        are published as one :class:`~repro.obs.events.InputsStaged`.
         """
         env = self.cluster.env
         workers = self.cluster.worker_ids
@@ -262,6 +253,10 @@ class HdfsClient:
             )
         if processes:
             env.run(until=env.all_of(processes))
+            if self.bus.wants(InputsStaged):
+                self.bus.emit(InputsStaged(
+                    transfers=tuple(process.value for process in processes)
+                ))
 
     def delete(self, path: str) -> None:
         """Remove a file from the namespace (frees no simulated time)."""

@@ -41,8 +41,7 @@ from repro.obs.events import (
     ContainerReleased,
     ContainerRequested,
     FaultInjected,
-    HdfsRead,
-    HdfsWrite,
+    InputsStaged,
     NodeCrashed,
     ObsEvent,
     SchedulingDecision,
@@ -84,7 +83,6 @@ __all__ = [
     "ContainerReleased",
     "NodeCrashed",
     "BlocksPlaced",
-    "HdfsRead",
-    "HdfsWrite",
+    "InputsStaged",
     "FaultInjected",
 ]

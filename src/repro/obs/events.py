@@ -18,11 +18,12 @@ workflow   :class:`WorkflowSubmitted`, :class:`WorkflowStarted`,
            :class:`ServiceSample`
 task       :class:`TaskDispatched`, :class:`TaskRetried`,
            :class:`TaskAttemptFinished`
-file       ``TaskAttemptFinished.transfers`` (one report per staged file)
+file       ``TaskAttemptFinished.transfers`` (one report per file an
+           attempt moved) and ``InputsStaged.transfers`` (set-up writes)
 scheduler  :class:`SchedulingDecision`
 yarn       admission, application registration, container request/
            allocate/launch/finish/release, :class:`NodeCrashed`
-hdfs       :class:`BlocksPlaced`, :class:`HdfsRead`, :class:`HdfsWrite`
+hdfs       :class:`BlocksPlaced`, :class:`InputsStaged`
 cluster    :class:`FaultInjected`
 =========  =============================================================
 """
@@ -56,8 +57,7 @@ __all__ = [
     "ContainerReleased",
     "NodeCrashed",
     "BlocksPlaced",
-    "HdfsRead",
-    "HdfsWrite",
+    "InputsStaged",
     "FaultInjected",
 ]
 
@@ -170,11 +170,13 @@ class TaskAttemptFinished(ObsEvent):
     """One task attempt ended (successfully or not).
 
     Carries the full :class:`~repro.workflow.model.TaskSpec` so
-    provenance subscribers can persist the re-executable record. A
-    successful attempt also carries its staged files in ``transfers``
-    (Sec. 3.5 file granularity): one
-    :class:`~repro.hdfs.filesystem.FileTransferReport` per file, stage-in
-    reports first, then stage-out reports. A failed attempt carries none.
+    provenance subscribers can persist the re-executable record, and in
+    ``transfers`` the files the attempt moved (Sec. 3.5 file
+    granularity): one :class:`~repro.hdfs.filesystem.FileTransferReport`
+    per file, stage-in reports first, then stage-out reports. A failed
+    attempt carries those it finished before failing, and its
+    ``makespan_seconds`` is the time it ran. All stage-ins start at the
+    attempt's start, all stage-outs together later.
     """
 
     workflow_id: str = ""
@@ -323,31 +325,12 @@ class BlocksPlaced(ObsEvent):
 
 
 @dataclass
-class HdfsRead(ObsEvent):
-    """One file staged onto a node; quantifies the locality hit/miss."""
+class InputsStaged(ObsEvent):
+    """Set-up staging (:meth:`~repro.hdfs.filesystem.HdfsClient.stage_many`)
+    wrote ``transfers``, one report per file, all started at ``t`` minus
+    the longest."""
 
-    path: str = ""
-    node_id: str = ""
-    size_mb: float = 0.0
-    local_mb: float = 0.0
-    remote_mb: float = 0.0
-    seconds: float = 0.0
-    #: True for S3-style external endpoints (no HDFS replicas involved).
-    external: bool = False
-
-
-@dataclass
-class HdfsWrite(ObsEvent):
-    """One file written from a node (pipeline to remote replicas)."""
-
-    path: str = ""
-    node_id: str = ""
-    size_mb: float = 0.0
-    local_mb: float = 0.0
-    remote_mb: float = 0.0
-    seconds: float = 0.0
-    #: True for S3-style external endpoints (no HDFS replicas involved).
-    external: bool = False
+    transfers: tuple = ()
 
 
 # -- cluster events -----------------------------------------------------------

@@ -29,9 +29,12 @@ substrate for the offline tooling:
   :meth:`~repro.service.slo.ServiceReport.from_events`, so report and
   registry are byte-identical to the live ones.
 
-File format (``hiway-journal/2``): UTF-8 JSONL. The first line is
-``{"schema": "hiway-journal/2", "meta": {...}}``; every further line is
-``{"e": <event class>, "t": <sim s>, "seq": <n>, ...payload}``.
+File format (``hiway-journal/3``): UTF-8 JSONL. The first line is
+``{"schema": "hiway-journal/3", "meta": {...}}``; every further line is
+``{"e": <event class>, "t": <sim s>, "seq": <n>, ...payload}``, keys
+sorted. Each file moved is written once, as a transfer report in the
+``transfers`` of its attempt's ``TaskAttemptFinished`` or of the set-up
+``InputsStaged`` (provenance's file level).
 Unknown event names are skipped on read (forward compatibility), and a
 ``schema`` mismatch is an error (the version exists to be checked).
 """
@@ -41,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from repro.obs import events as ev
@@ -59,7 +63,7 @@ __all__ = [
     "load_service_report",
 ]
 
-SCHEMA = "hiway-journal/2"
+SCHEMA = "hiway-journal/3"
 
 #: Every concrete event class, by name (the ``"e"`` field of a line).
 EVENT_TYPES: dict[str, type] = {
@@ -91,22 +95,22 @@ def _nested_types() -> tuple[type, type]:
     return TaskSpec, FileTransferReport
 
 
-def _field_dict(value) -> dict:
-    """Encoder hook: a task or transfer report is written as its fields."""
-    if isinstance(value, _nested_types()):
-        return vars(value)
-    raise TypeError(f"{type(value).__name__} cannot be journalled")
-
-
-#: Writes a line's keys sorted; tuples come out as JSON lists.
-_ENCODER = json.JSONEncoder(sort_keys=True, default=_field_dict)
+#: The C encoder ``JSONEncoder(sort_keys=True).encode`` rebuilds per
+#: call, built once; :func:`_encode` flattens tasks and reports itself.
+_ENCODE_LINE = c_make_encoder(None, json.JSONEncoder().default,
+                              encode_basestring_ascii, None, ": ", ", ",
+                              True, False, True)
 
 
 def _encode(event: ev.ObsEvent) -> str:
     """The journal line of one event, without its newline."""
-    return _ENCODER.encode(
-        {"e": type(event).__name__, "t": event.t, "seq": event.seq, **vars(event)}
-    )
+    fields = vars(event)
+    record = {"e": type(event).__name__, "t": event.t, "seq": event.seq, **fields}
+    if "transfers" in fields:
+        record["transfers"] = [vars(report) for report in fields["transfers"]]
+    if fields.get("task") is not None:
+        record["task"] = vars(fields["task"])
+    return "".join(_ENCODE_LINE(record, 0))
 
 
 def event_to_dict(event: ev.ObsEvent) -> dict:
@@ -188,8 +192,7 @@ class EventJournal:
         """Append one event."""
         if not self._header_written:
             self.write_header()
-        self._handle.write(_encode(event))
-        self._handle.write("\n")
+        self._handle.write(_encode(event) + "\n")
         self.events_written += 1
 
     def close(self) -> None:

@@ -382,7 +382,18 @@ class MetricsRegistry:
         def on_dispatched(event: ev.TaskDispatched) -> None:
             self._dispatch_t[(event.workflow_id, event.task_id)] = event.t
 
+        def on_transfers(event) -> None:
+            for report in event.transfers:
+                mb = read_mb if report.direction == "in" else write_mb
+                if report.local_mb:
+                    mb.labels(locality="local").inc(report.local_mb)
+                if report.remote_mb:
+                    locality = "external" if report.external else "remote"
+                    mb.labels(locality=locality).inc(report.remote_mb)
+                stage_seconds.labels(direction=report.direction).observe(report.seconds)
+
         def on_task(event: ev.TaskAttemptFinished) -> None:
+            on_transfers(event)
             outcome = "success" if event.success else "failure"
             tasks.labels(outcome=outcome).inc()
             wf_tasks.labels(
@@ -429,16 +440,6 @@ class MetricsRegistry:
                 outcome="success" if event.success else "failure"
             ).inc()
 
-        def on_hdfs(event) -> None:
-            mb = read_mb if isinstance(event, ev.HdfsRead) else write_mb
-            direction = "in" if isinstance(event, ev.HdfsRead) else "out"
-            if event.local_mb:
-                mb.labels(locality="local").inc(event.local_mb)
-            if event.remote_mb:
-                locality = "external" if event.external else "remote"
-                mb.labels(locality=locality).inc(event.remote_mb)
-            stage_seconds.labels(direction=direction).observe(event.seconds)
-
         def on_crash(event: ev.NodeCrashed) -> None:
             crashes.inc()
             lost.inc(event.containers_lost)
@@ -469,8 +470,7 @@ class MetricsRegistry:
             ev.ContainerReleased: on_released,
             ev.ContainerLaunched: on_launched,
             ev.ContainerFinished: on_finished,
-            ev.HdfsRead: on_hdfs,
-            ev.HdfsWrite: on_hdfs,
+            ev.InputsStaged: on_transfers,
             ev.NodeCrashed: on_crash,
             ev.FaultInjected: on_fault,
             ev.WorkflowFinished: on_workflow,

@@ -7,7 +7,8 @@ duration and a home thread:
 * RM allocate latency (container request → allocation),
 * container lifecycle (allocation → release) per node,
 * task attempts per node (from the recorded makespan),
-* HDFS stage-in/stage-out per node,
+* HDFS stage-in/stage-out per node, from the attempts' transfers and
+  the set-up staging,
 * whole workflows.
 
 Point-in-time occurrences (task dispatch/retry, fault injections, node
@@ -50,8 +51,7 @@ TRACE_EVENTS = (
     ev.WorkflowStarted,
     ev.WorkflowFinished,
     ev.FaultInjected,
-    ev.HdfsRead,
-    ev.HdfsWrite,
+    ev.InputsStaged,
 )
 
 
@@ -142,6 +142,22 @@ def trace_records(
     def instant(ts, name, cat, process, thread_name, args) -> None:
         instants.append((ts, name, cat, *thread(process, thread_name), args))
 
+    def transfer_spans(started: float, ended: float, transfers) -> None:
+        # A container starts all of an attempt's stage-ins at its start
+        # and all of its stage-outs together, so that the longest ends at
+        # its end; a failed attempt's at the failure, the latest it can.
+        outs_start = ended - max((report.seconds for report in transfers
+                                  if report.direction == "out"), default=0.0)
+        for report in transfers:
+            if report.direction == "in":
+                span(started, report.seconds, f"read:{report.path}", "hdfs",
+                     "hdfs", report.node_id,
+                     {"mb": report.size_mb, "local_mb": report.local_mb})
+            else:
+                span(outs_start, report.seconds, f"write:{report.path}",
+                     "hdfs", "hdfs", report.node_id,
+                     {"mb": report.size_mb, "remote_mb": report.remote_mb})
+
     for event in events:
         kind = type(event)
         if kind is ev.ContainerRequested:
@@ -181,6 +197,9 @@ def trace_records(
                     {"attempt": event.attempt,
                      "excluded_node": event.excluded_node})
         elif kind is ev.TaskAttemptFinished:
+            if include_hdfs:
+                transfer_spans(event.t - event.makespan_seconds, event.t,
+                               event.transfers)
             task = event.task
             name = f"{task.tool}:{task.task_id}" if task is not None else "task"
             span(event.t - event.makespan_seconds, event.makespan_seconds,
@@ -192,14 +211,8 @@ def trace_records(
             instant(event.t, f"fault:{event.node_id}", "cluster",
                     "cluster", event.node_id,
                     {"planned_at": event.planned_at})
-        elif kind is ev.HdfsRead and include_hdfs:
-            span(event.t - event.seconds, event.seconds,
-                 f"read:{event.path}", "hdfs", "hdfs", event.node_id,
-                 {"mb": event.size_mb, "local_mb": event.local_mb})
-        elif kind is ev.HdfsWrite and include_hdfs:
-            span(event.t - event.seconds, event.seconds,
-                 f"write:{event.path}", "hdfs", "hdfs", event.node_id,
-                 {"mb": event.size_mb, "remote_mb": event.remote_mb})
+        elif kind is ev.InputsStaged and include_hdfs:
+            transfer_spans(event.t, event.t, event.transfers)
 
     for container_id in sorted(container_open):
         start, node_id, app_id = container_open[container_id]

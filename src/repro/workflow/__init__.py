@@ -5,7 +5,6 @@ from repro.workflow.model import (
     TaskSource,
     TaskSpec,
     WorkflowGraph,
-    linear_chain,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "WorkflowGraph",
     "TaskSource",
     "StaticTaskSource",
-    "linear_chain",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import WorkflowError
 
@@ -187,18 +187,3 @@ class StaticTaskSource(TaskSource):
     def target_files(self) -> list[str]:
         return self.graph.output_files()
 
-
-def linear_chain(
-    name: str, tools: Iterable[str], first_input: str = "/in/data"
-) -> WorkflowGraph:
-    """Convenience builder: a chain of tasks, each feeding the next.
-
-    Useful in tests and docs; not part of the paper's surface.
-    """
-    graph = WorkflowGraph(name)
-    current = first_input
-    for index, tool in enumerate(tools):
-        output = f"/{name}/stage-{index}.out"
-        graph.add_task(TaskSpec(tool=tool, inputs=[current], outputs=[output]))
-        current = output
-    return graph

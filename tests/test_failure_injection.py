@@ -1,11 +1,16 @@
 """Fault-tolerance tests driven by the failure injector (Sec. 3.1)."""
 
+import io
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, M3_LARGE
 from repro.cluster.failures import FailureInjector, FailurePlan
 from repro.core import HiWay, HiWayConfig
 from repro.hdfs import HdfsClient
+from repro.obs.events import TaskAttemptFinished
+from repro.obs.journal import EventJournal, load_registry
+from repro.obs.tracer import TRACE_EVENTS, trace_records
 from repro.sim import Environment
 from repro.workflow import StaticTaskSource, TaskSpec, WorkflowGraph
 from repro.yarn import ResourceManager
@@ -82,3 +87,60 @@ def test_crash_now_is_idempotent():
     injector.crash_now("worker-1")
     assert injector.crashed == ["worker-1"]
     assert hiway.rm.total_capacity_vcores == 4  # two survivors x 2 cores
+
+
+def _staging_run(crash_at=None):
+    """One task reading a small and a large input, journalled; with
+    ``crash_at = (seconds after the attempt starts, node)`` that node
+    crashes while the attempt stages in. Returns (hiway, attempts,
+    recorded trace events, journal text)."""
+    hiway, injector = build(workers=4)
+    buffer = io.StringIO()
+    journal = EventJournal(buffer)
+    recorded = []
+    hiway.bus.subscribe(journal.handlers())
+    hiway.bus.subscribe(dict.fromkeys(TRACE_EVENTS, recorded.append))
+    hiway.stage_inputs({"/in/small": 8.0, "/in/large": 2048.0})
+    graph = WorkflowGraph("staging")
+    graph.add_task(TaskSpec(tool="sort", inputs=["/in/small", "/in/large"],
+                            outputs=["/out/sorted"], task_id="stage"))
+    if crash_at is not None:
+        delay, node_id = crash_at
+        injector.arm(FailurePlan(crashes=((hiway.env.now + delay, node_id),)))
+    result = hiway.run(StaticTaskSource(graph), scheduler="fcfs")
+    assert result.success, result.diagnostics
+    journal.close()
+    attempts = [e for e in recorded if isinstance(e, TaskAttemptFinished)]
+    return hiway, attempts, recorded, buffer.getvalue()
+
+
+def test_attempt_failed_during_stage_in_reports_its_finished_reads():
+    # A dry run finds the node and the instants the two reads end at.
+    _hiway, (dry,), _recorded, _text = _staging_run()
+    reads = {r.path: r.seconds for r in dry.transfers if r.direction == "in"}
+    assert reads["/in/small"] < reads["/in/large"]
+    delay = (reads["/in/small"] + reads["/in/large"]) / 2
+    started = dry.t - dry.makespan_seconds
+
+    hiway, attempts, recorded, text = _staging_run((delay, dry.node_id))
+    failed, retried = attempts
+    assert not failed.success and retried.success
+    assert [(r.path, r.direction) for r in failed.transfers] == [
+        ("/in/small", "in")]
+    assert failed.makespan_seconds == pytest.approx(delay)
+
+    # Every staged-in byte is counted once, from the attempts' transfers.
+    registry = hiway.registry
+    stage_in = [r for e in attempts for r in e.transfers if r.direction == "in"]
+    assert sum(
+        registry.value("hiway_hdfs_read_mb_total", locality=locality)
+        for locality in ("local", "remote", "external")
+    ) == sum(r.local_mb + r.remote_mb for r in stage_in) == 2 * 8.0 + 2048.0
+    assert registry.get("hiway_hdfs_stage_seconds").labels(
+        direction="in").count == len(stage_in) == 3
+    assert load_registry(io.StringIO(text)).to_json() == registry.to_json()
+
+    # The trace draws the finished read from the failed attempt's start.
+    spans = [r for r in trace_records(recorded, hiway.env.now)
+             if r["ph"] == "X" and r["name"] == "read:/in/small"]
+    assert sorted(r["ts"] for r in spans)[0] == round(started * 1e6, 3)

@@ -12,6 +12,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Modules no simulation run needs: the experiment runners other than
@@ -75,6 +77,17 @@ def test_cli_import_loads_no_baseline_engine():
     modules = loaded_after("import repro.cli")
     assert "repro.cli" in modules
     assert [name for name in modules if name.startswith("repro.baselines")] == []
+
+
+@pytest.mark.parametrize("engine, other", [
+    ("repro.baselines.tez", "repro.baselines.cloudman"),
+    ("repro.baselines.cloudman", "repro.baselines.tez"),
+])
+def test_each_baseline_engine_loads_without_the_other(engine, other):
+    modules = loaded_after(f"import {engine}")
+    assert engine in modules
+    assert [name for name in modules
+            if name == other or name.startswith(other + ".")] == []
 
 
 def test_every_exported_name_resolves():

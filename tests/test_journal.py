@@ -224,11 +224,7 @@ def _one_of_each_event():
         ev.NodeCrashed(node_id="worker-2", containers_lost=3),
         ev.BlocksPlaced(path="/in/r1", size_mb=300.0,
                         placements=(("worker-0", "worker-1"), ("worker-2",))),
-        ev.HdfsRead(path="/in/r1", node_id="worker-1", size_mb=300.0,
-                    local_mb=128.0, remote_mb=172.0, seconds=2.5,
-                    external=True),
-        ev.HdfsWrite(path="/out/sam", node_id="worker-1", size_mb=12.5,
-                     local_mb=12.5, remote_mb=25.0, seconds=0.125),
+        ev.InputsStaged(transfers=(stage_out,)),
         ev.FaultInjected(node_id="worker-2", planned_at=90.0),
     ]
     return [_stamp(event, 10.0 + 0.1 * seq, seq)

@@ -10,7 +10,7 @@ from repro.obs.journal import EVENT_TYPES
 from repro.obs.tracer import dump_chrome_trace, trace_records
 from repro.obs.events import (
     ContainerLaunched,
-    HdfsRead,
+    InputsStaged,
     TaskAttemptFinished,
     TaskDispatched,
     WorkflowFinished,
@@ -183,7 +183,7 @@ def test_every_layer_publishes_onto_the_bus():
     # Workflow, task, YARN and HDFS granularities all publish; file
     # granularity rides on the task attempts' transfers.
     assert {WorkflowStarted, TaskAttemptFinished,
-            ContainerLaunched, HdfsRead} <= kinds
+            ContainerLaunched, InputsStaged} <= kinds
     staged = [
         report.path
         for e in events if isinstance(e, TaskAttemptFinished)

@@ -7,7 +7,6 @@ from repro.workflow import (
     StaticTaskSource,
     TaskSpec,
     WorkflowGraph,
-    linear_chain,
 )
 
 
@@ -39,7 +38,11 @@ def test_graph_duplicate_task_id_rejected():
 
 
 def test_graph_inputs_and_outputs():
-    graph = linear_chain("c", ["sort", "grep"], first_input="/in/raw")
+    graph = WorkflowGraph("c")
+    graph.add_task(TaskSpec(tool="sort", inputs=["/in/raw"],
+                            outputs=["/c/stage-0.out"]))
+    graph.add_task(TaskSpec(tool="grep", inputs=["/c/stage-0.out"],
+                            outputs=["/c/stage-1.out"]))
     assert graph.input_files() == ["/in/raw"]
     assert graph.output_files() == ["/c/stage-1.out"]
     assert len(graph) == 2
@@ -66,7 +69,9 @@ def test_topological_order_respects_dependencies():
 
 
 def test_static_source_protocol():
-    graph = linear_chain("c", ["sort"])
+    graph = WorkflowGraph("c")
+    graph.add_task(TaskSpec(tool="sort", inputs=["/in/data"],
+                            outputs=["/c/stage-0.out"]))
     source = StaticTaskSource(graph)
     tasks = source.initial_tasks()
     assert len(tasks) == 1
