@@ -12,6 +12,12 @@ of records, each built from one bus event and stamped with the event's
 time. Feeding the events of a decoded journal through a fresh manager's
 handlers therefore rebuilds the live trace record for record.
 
+A handler builds each record as a row — one tuple of its values in
+:data:`~repro.core.provenance.events.FIELDS` order — and makes no dict:
+the store builds record dicts only when they are read. A row's event id
+is its counter value, and every successful attempt of one tool shares
+one ``stdout`` text, so neither costs a string per record.
+
 Workflow and event ids are allocated from per-manager counters, so two
 runs in one process produce identical, re-executable traces.
 """
@@ -37,9 +43,8 @@ class ProvenanceManager:
         self.store = store if store is not None else TraceFileStore()
         self._event_ids = itertools.count(1)
         self._workflow_ids = itertools.count(1)
-
-    def _next_event_id(self) -> str:
-        return f"event-{next(self._event_ids):08d}"
+        #: tool -> the ``stdout`` text of its successful attempts.
+        self._ok_texts: dict[str, str] = {}
 
     def allocate_workflow_id(self) -> str:
         """Reserve a fresh workflow id for the AM to stamp on its events."""
@@ -58,64 +63,39 @@ class ProvenanceManager:
         }
 
     def _on_workflow_started(self, event: obs_events.WorkflowStarted) -> None:
-        self.store.append({
-            "workflow_id": event.workflow_id,
-            "workflow_name": event.name,
-            "timestamp": event.t,
-            "phase": "start",
-            "runtime_seconds": None,
-            "success": True,
-            "kind": WORKFLOW_EVENT,
-            "event_id": self._next_event_id(),
-        })
+        self.store.append((
+            event.workflow_id, event.name, event.t, "start", None, True,
+            WORKFLOW_EVENT, next(self._event_ids),
+        ))
 
     def _on_workflow_finished(self, event: obs_events.WorkflowFinished) -> None:
-        self.store.append({
-            "workflow_id": event.workflow_id,
-            "workflow_name": event.name,
-            "timestamp": event.t,
-            "phase": "end",
-            "runtime_seconds": event.runtime_seconds,
-            "success": event.success,
-            "kind": WORKFLOW_EVENT,
-            "event_id": self._next_event_id(),
-        })
+        self.store.append((
+            event.workflow_id, event.name, event.t, "end",
+            event.runtime_seconds, event.success, WORKFLOW_EVENT,
+            next(self._event_ids),
+        ))
 
     def _on_task_finished(self, event: obs_events.TaskAttemptFinished) -> None:
         task = event.task
-        self.store.append({
-            "workflow_id": event.workflow_id,
-            "task_id": task.task_id,
-            "signature": task.signature,
-            "tool": task.tool,
-            "command": task.command,
-            "node_id": event.node_id,
-            "timestamp": event.t,
-            "makespan_seconds": event.makespan_seconds,
-            "inputs": list(task.inputs),
-            "outputs": list(task.outputs),
-            "output_sizes": dict(event.output_sizes),
-            "success": event.success,
-            "attempt": event.attempt,
-            "stdout": f"{task.tool}: ok" if event.success else "",
-            "stderr": event.stderr,
-            "kind": TASK_EVENT,
-            "event_id": self._next_event_id(),
-        })
+        if event.success:
+            stdout = self._ok_texts.get(task.tool)
+            if stdout is None:
+                stdout = self._ok_texts[task.tool] = f"{task.tool}: ok"
+        else:
+            stdout = ""
+        self.store.append((
+            event.workflow_id, task.task_id, task.signature, task.tool,
+            task.command, event.node_id, event.t, event.makespan_seconds,
+            tuple(task.inputs), tuple(task.outputs),
+            tuple(event.output_sizes.items()), event.success, event.attempt,
+            stdout, event.stderr, TASK_EVENT, next(self._event_ids),
+        ))
         for report in event.transfers:
-            self.store.append({
-                "workflow_id": event.workflow_id,
-                "task_id": task.task_id,
-                "path": report.path,
-                "size_mb": report.size_mb,
-                "transfer_seconds": report.seconds,
-                "direction": report.direction,
-                "node_id": report.node_id,
-                "timestamp": event.t,
-                "local_fraction": report.local_fraction,
-                "kind": FILE_EVENT,
-                "event_id": self._next_event_id(),
-            })
+            self.store.append((
+                event.workflow_id, task.task_id, report.path, report.size_mb,
+                report.seconds, report.direction, report.node_id, event.t,
+                report.local_fraction, FILE_EVENT, next(self._event_ids),
+            ))
 
     # -- scheduler queries (Sec. 3.4) --------------------------------------------
 

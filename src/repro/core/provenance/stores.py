@@ -11,6 +11,13 @@ backends here mirror that line-up with offline equivalents:
 * :class:`DocumentProvenanceStore` — an in-memory document store
   standing in for Couchbase.
 
+Every backend takes records as rows (:mod:`repro.core.provenance.events`:
+one tuple of values in ``FIELDS`` order) and hands them out as fresh
+dicts, built on every :meth:`~ProvenanceStore.records` call, so no
+caller can change what a store holds. The two in-memory backends keep
+the rows themselves; the SQL backend keeps each row's JSON payload. The
+trace loader turns each validated line into a row.
+
 All three serve the query the adaptive scheduler needs: the *latest*
 observed runtime per (task signature, node) pair.
 """
@@ -20,7 +27,10 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.core.provenance.events import FIELDS, TASK_EVENT, encode, to_jsonl
+from repro.core.provenance.events import (
+    EVENT_ID, FIELDS, KIND, TASK_EVENT, WORKFLOW_ID, encode, event_id_text,
+    record, row, to_jsonl,
+)
 from repro.errors import ProvenanceError
 
 __all__ = [
@@ -31,37 +41,68 @@ __all__ = [
 ]
 
 
-#: The JSON types a loaded trace must give the fields the runtime index reads.
-_INDEXED_FIELD_TYPES = {"signature": str, "node_id": str,
-                        "timestamp": (int, float), "makespan_seconds": (int, float)}
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_record(line: str, line_number: int) -> dict:
-    """One validated record from one line of a JSON-lines trace: it must
-    carry exactly its kind's :data:`FIELDS`."""
+def _paths(value) -> bool:
+    return isinstance(value, list) and all(isinstance(p, str) for p in value)
+
+
+def _sizes(value) -> bool:
+    return isinstance(value, dict) and all(map(_number, value.values()))
+
+
+#: What a loaded trace must give the fields the runtime index and the row
+#: layout read: a JSON string, boolean, number (not a boolean), list of
+#: paths, or object of sizes.
+_FIELD_CHECKS = {
+    "signature": lambda value: isinstance(value, str),
+    "node_id": lambda value: isinstance(value, str),
+    "event_id": lambda value: isinstance(value, str),
+    "success": lambda value: isinstance(value, bool),
+    "timestamp": _number,
+    "makespan_seconds": _number,
+    "inputs": _paths,
+    "outputs": _paths,
+    "output_sizes": _sizes,
+}
+
+
+def _parse_row(line: str, line_number: int) -> tuple:
+    """The row of one line of a JSON-lines trace: the line must be a
+    record carrying exactly its kind's :data:`FIELDS`, with the types
+    :data:`_FIELD_CHECKS` asks for."""
     try:
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError(f"expected an event object, got {record!r}")
-        kind = record.get("kind")
+        fields = json.loads(line)
+        if not isinstance(fields, dict):
+            raise ValueError(f"expected an event object, got {fields!r}")
+        kind = fields.get("kind")
         if not isinstance(kind, str) or kind not in FIELDS:
             raise ValueError(f"unknown provenance event kind {kind!r}")
-        missing, extra = FIELDS[kind] - record.keys(), record.keys() - FIELDS[kind]
+        missing, extra = FIELDS[kind] - fields.keys(), fields.keys() - FIELDS[kind]
         if missing or extra:
             raise ValueError(f"{kind} record missing fields {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
-        for name, types in _INDEXED_FIELD_TYPES.items():
-            if name in record and not isinstance(record[name], types):
+        for name, check in _FIELD_CHECKS.items():
+            if name in fields and not check(fields[name]):
                 raise ValueError(f"field {name!r} has the wrong type")
     except ValueError as exc:  # JSONDecodeError is a ValueError
         raise ProvenanceError(f"trace line {line_number}: {exc}") from exc
-    return record
+    return row(fields)
+
+
+def _select(rows, kind: Optional[str], workflow_id: Optional[str]) -> list[dict]:
+    """Fresh record dicts of the ``rows`` of ``kind`` in ``workflow_id``."""
+    return [record(r) for r in rows
+            if (kind is None or r[KIND] == kind)
+            and (workflow_id is None or r[WORKFLOW_ID] == workflow_id)]
 
 
 class ProvenanceStore:
     """Interface of every provenance backend."""
 
-    def append(self, record: dict) -> None:  # pragma: no cover - interface
+    def append(self, row: tuple) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def records(
@@ -78,25 +119,30 @@ class ProvenanceStore:
         raise NotImplementedError
 
 
+_SIGNATURE, _NODE_ID, _TIMESTAMP, _MAKESPAN, _SUCCESS = (
+    FIELDS[TASK_EVENT].index(name) for name in
+    ("signature", "node_id", "timestamp", "makespan_seconds", "success"))
+
+
 class _IndexedStore(ProvenanceStore):
-    """An in-memory store (records kept by the subclass's ``_store``)
-    that answers :meth:`latest_task_runtime` from a ``(signature, node)
-    -> (timestamp, makespan)`` index updated on every add. A successful
-    task record wins unless its timestamp is older, so on equal
-    timestamps the last one added wins; failures never enter the index.
+    """An in-memory store (rows kept by the subclass's ``_store``) that
+    answers :meth:`latest_task_runtime` from a ``(signature, node) ->
+    (timestamp, makespan)`` index updated on every append. A successful
+    task row wins unless its timestamp is older, so on equal timestamps
+    the last one appended wins; failures never enter the index.
     """
 
     def __init__(self):
         self._latest_runtime: dict[tuple[str, str], tuple[float, float]] = {}
 
-    def append(self, record: dict) -> None:
-        self._store(record)
-        if record["kind"] == TASK_EVENT and record["success"]:
-            key = (record["signature"], record["node_id"])
-            timestamp = record["timestamp"]
+    def append(self, row: tuple) -> None:
+        self._store(row)
+        if row[KIND] == TASK_EVENT and row[_SUCCESS]:
+            key = (row[_SIGNATURE], row[_NODE_ID])
+            timestamp = row[_TIMESTAMP]
             current = self._latest_runtime.get(key)
             if current is None or timestamp >= current[0]:
-                self._latest_runtime[key] = (timestamp, record["makespan_seconds"])
+                self._latest_runtime[key] = (timestamp, row[_MAKESPAN])
 
     def latest_task_runtime(self, signature, node_id):
         entry = self._latest_runtime.get((signature, node_id))
@@ -107,32 +153,27 @@ class _IndexedStore(ProvenanceStore):
 
 
 class TraceFileStore(_IndexedStore):
-    """JSON-lines trace, Hi-WAY's default backend."""
+    """JSON-lines trace, Hi-WAY's default backend: its rows in append order."""
 
     def __init__(self):
         super().__init__()
-        self._records: list[dict] = []
+        self._rows: list[tuple] = []
 
-    def _store(self, record: dict) -> None:
-        self._records.append(record)
+    def _store(self, row: tuple) -> None:
+        self._rows.append(row)
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
-        result = self._records
-        if kind is not None:
-            result = [r for r in result if r["kind"] == kind]
-        if workflow_id is not None:
-            result = [r for r in result if r.get("workflow_id") == workflow_id]
-        return list(result)
+        return _select(self._rows, kind, workflow_id)
 
     def clear(self) -> None:
         super().clear()
-        self._records.clear()
+        self._rows.clear()
 
     # -- (de)serialisation -----------------------------------------------------
 
     def to_jsonl(self) -> str:
         """The trace as JSON-lines text, ready to be re-executed."""
-        return to_jsonl(self._records)
+        return to_jsonl(map(record, self._rows))
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceFileStore":
@@ -142,7 +183,7 @@ class TraceFileStore(_IndexedStore):
         for line_number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line:
-                store.append(_parse_record(line, line_number))
+                store.append(_parse_row(line, line_number))
         return store
 
     def save(self, path: str) -> None:
@@ -191,19 +232,20 @@ class SqlProvenanceStore(ProvenanceStore):
         )
         self._conn.commit()
 
-    def append(self, record: dict) -> None:
+    def append(self, row: tuple) -> None:
+        fields = record(row)
         self._conn.execute(
             "INSERT INTO events VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                record["event_id"],
-                record["kind"],
-                record.get("workflow_id"),
-                record.get("signature"),
-                record.get("node_id"),
-                record.get("timestamp"),
-                record.get("makespan_seconds"),
-                1 if record.get("success", True) else 0,
-                encode(record),
+                fields["event_id"],
+                fields["kind"],
+                fields["workflow_id"],
+                fields.get("signature"),
+                fields.get("node_id"),
+                fields["timestamp"],
+                fields.get("makespan_seconds"),
+                1 if fields.get("success", True) else 0,
+                encode(fields),
             ),
         )
         self._conn.commit()
@@ -239,28 +281,26 @@ class SqlProvenanceStore(ProvenanceStore):
 class DocumentProvenanceStore(_IndexedStore):
     """Document-oriented backend (in-memory Couchbase stand-in).
 
-    Documents are keyed by event id and grouped into per-kind buckets;
+    Rows are keyed by event id and grouped into per-kind buckets;
     a simple map-style index keeps the latest runtime per
     (signature, node) pair current on write.
     """
 
     def __init__(self):
         super().__init__()
-        self._buckets: dict[str, dict[str, dict]] = {kind: {} for kind in FIELDS}
+        self._buckets: dict[str, dict[str, tuple]] = {kind: {} for kind in FIELDS}
 
-    def _store(self, record: dict) -> None:
-        bucket = self._buckets.get(record["kind"])
+    def _store(self, row: tuple) -> None:
+        bucket = self._buckets.get(row[KIND])
         if bucket is None:
-            raise ProvenanceError(f"unknown event kind {record['kind']!r}")
-        bucket[record["event_id"]] = record
+            raise ProvenanceError(f"unknown event kind {row[KIND]!r}")
+        bucket[event_id_text(row[EVENT_ID])] = row
 
     def records(self, kind=None, workflow_id=None) -> list[dict]:
         buckets = self._buckets.values() if kind is None else [self._buckets[kind]]
-        result = [record for bucket in buckets for record in bucket.values()]
-        if workflow_id is not None:
-            result = [r for r in result if r.get("workflow_id") == workflow_id]
-        result.sort(key=lambda r: r["event_id"])
-        return result
+        keyed = sorted((item for bucket in buckets for item in bucket.items()),
+                       key=lambda item: item[0])
+        return _select((row for _, row in keyed), None, workflow_id)
 
     def clear(self) -> None:
         super().clear()

@@ -4,6 +4,7 @@ import copy
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from repro.core.provenance import (
     SqlProvenanceStore,
     TraceFileStore,
 )
-from repro.core.provenance.events import FIELDS
+from repro.core.provenance.events import FIELDS, row, to_jsonl
 from repro.errors import ProvenanceError
 from repro.hdfs.filesystem import FileTransferReport
 from repro.langs.tracelang import TraceSource
@@ -72,10 +73,10 @@ def file_record(size_mb=8.0, node="worker-0", timestamp=2.0):
 @pytest.mark.parametrize("store_cls", ALL_STORES)
 def test_store_roundtrip_and_queries(store_cls):
     store = store_cls()
-    store.append(workflow_record())
-    store.append(sample_task_record(runtime=10.0, timestamp=1.0))
-    store.append(sample_task_record(runtime=30.0, timestamp=5.0))
-    store.append(sample_task_record(node="worker-1", runtime=99.0, timestamp=2.0))
+    store.append(row(workflow_record()))
+    store.append(row(sample_task_record(runtime=10.0, timestamp=1.0)))
+    store.append(row(sample_task_record(runtime=30.0, timestamp=5.0)))
+    store.append(row(sample_task_record(node="worker-1", runtime=99.0, timestamp=2.0)))
     assert len(store.records()) == 4
     assert len(store.records(kind="task")) == 3
     assert len(store.records(kind="workflow", workflow_id="w1")) == 1
@@ -94,41 +95,41 @@ def test_store_roundtrip_and_queries(store_cls):
 @pytest.mark.parametrize("store_cls", ALL_STORES)
 def test_failed_attempts_do_not_feed_estimates(store_cls):
     store = store_cls()
-    store.append(sample_task_record(runtime=10.0, timestamp=1.0))
-    store.append(sample_task_record(runtime=0.0, timestamp=9.0, success=False))
+    store.append(row(sample_task_record(runtime=10.0, timestamp=1.0)))
+    store.append(row(sample_task_record(runtime=0.0, timestamp=9.0, success=False)))
     assert store.latest_task_runtime("align", "worker-0") == 10.0
-    store.append(sample_task_record(runtime=0.0, timestamp=1.0, success=False))
+    store.append(row(sample_task_record(runtime=0.0, timestamp=1.0, success=False)))
     assert store.latest_task_runtime("align", "worker-0") == 10.0
-    store.append(sample_task_record(node="worker-5", success=False))
+    store.append(row(sample_task_record(node="worker-5", success=False)))
     assert store.latest_task_runtime("align", "worker-5") is None
 
 
 @pytest.mark.parametrize("store_cls", ALL_STORES)
 def test_equal_timestamps_last_appended_wins(store_cls):
     store = store_cls()
-    store.append(sample_task_record(runtime=10.0, timestamp=4.0))
-    store.append(sample_task_record(runtime=20.0, timestamp=4.0))
+    store.append(row(sample_task_record(runtime=10.0, timestamp=4.0)))
+    store.append(row(sample_task_record(runtime=20.0, timestamp=4.0)))
     assert store.latest_task_runtime("align", "worker-0") == 20.0
-    store.append(sample_task_record(runtime=15.0, timestamp=4.0))
+    store.append(row(sample_task_record(runtime=15.0, timestamp=4.0)))
     assert store.latest_task_runtime("align", "worker-0") == 15.0
 
 
 @pytest.mark.parametrize("store_cls", ALL_STORES)
 def test_older_timestamp_appended_later_does_not_win(store_cls):
     store = store_cls()
-    store.append(sample_task_record(runtime=10.0, timestamp=5.0))
-    store.append(sample_task_record(runtime=99.0, timestamp=2.0))
+    store.append(row(sample_task_record(runtime=10.0, timestamp=5.0)))
+    store.append(row(sample_task_record(runtime=99.0, timestamp=2.0)))
     assert store.latest_task_runtime("align", "worker-0") == 10.0
 
 
 @pytest.mark.parametrize("store_cls", ALL_STORES)
 def test_clear_empties_the_runtime_index(store_cls):
     store = store_cls()
-    store.append(sample_task_record(runtime=10.0, timestamp=5.0))
+    store.append(row(sample_task_record(runtime=10.0, timestamp=5.0)))
     store.clear()
     assert store.latest_task_runtime("align", "worker-0") is None
     # A stale entry would keep the newer timestamp and reject this one.
-    store.append(sample_task_record(runtime=3.0, timestamp=1.0))
+    store.append(row(sample_task_record(runtime=3.0, timestamp=1.0)))
     assert store.latest_task_runtime("align", "worker-0") == 3.0
 
 
@@ -147,7 +148,7 @@ def _contract_records():
 def test_rebuilt_trace_store_answers_like_the_original(rebuild, tmp_path):
     store = TraceFileStore()
     for record in _contract_records():
-        store.append(record)
+        store.append(row(record))
     if rebuild == "from_jsonl":
         restored = TraceFileStore.from_jsonl(store.to_jsonl())
     else:
@@ -220,7 +221,7 @@ def test_every_store_agrees_with_the_linear_scan(appends):
         record = _random_record(*spec)
         records.append(record)
         for store in stores:
-            store.append(record)
+            store.append(row(record))
         expected = [scan_latest_task_runtime(records, *pair) for pair in pairs]
         for store in stores:
             assert [store.latest_task_runtime(*pair) for pair in pairs] == expected
@@ -269,6 +270,21 @@ def test_handler_records_follow_the_field_table(kind):
     assert record["kind"] == kind
     assert record["timestamp"] == 2.5
     assert record["event_id"] == f"event-{len(records):08d}"
+    # Every value sits under its own field name.
+    expected = {
+        "workflow": {"workflow_id": "w1", "workflow_name": "demo",
+                     "phase": "end", "runtime_seconds": 3.0, "success": False},
+        "task": {"workflow_id": "w1", "task_id": "t1", "signature": "align",
+                 "tool": "align", "command": "align /in/a",
+                 "node_id": "worker-0", "makespan_seconds": 10.0,
+                 "inputs": ["/in/a"], "outputs": ["/out/b"],
+                 "output_sizes": {"/out/b": 2.0}, "success": True,
+                 "attempt": 1, "stdout": "align: ok", "stderr": ""},
+        "file": {"workflow_id": "w1", "task_id": "t1", "path": "/in/a",
+                 "size_mb": 8.0, "transfer_seconds": 0.5, "direction": "in",
+                 "node_id": "worker-0", "local_fraction": 0.25},
+    }[kind]
+    assert {name: record[name] for name in expected} == expected
 
 
 def test_an_attempt_records_its_task_then_one_file_per_transfer():
@@ -308,8 +324,8 @@ def test_task_record_shares_no_containers_with_event_or_store(store_cls):
 
 def test_trace_store_jsonl_roundtrip():
     store = TraceFileStore()
-    store.append(workflow_record())
-    store.append(sample_task_record())
+    store.append(row(workflow_record()))
+    store.append(row(sample_task_record()))
     text = store.to_jsonl()
     restored = TraceFileStore.from_jsonl(text)
     assert restored.records() == store.records()
@@ -317,7 +333,7 @@ def test_trace_store_jsonl_roundtrip():
 
 def test_trace_store_save_load(tmp_path):
     store = TraceFileStore()
-    store.append(sample_task_record())
+    store.append(row(sample_task_record()))
     path = tmp_path / "trace.jsonl"
     store.save(str(path))
     restored = TraceFileStore.load(str(path))
@@ -347,19 +363,89 @@ def _task_line(drop=(), **overrides):
     _task_line(signature=["align"]),
     _task_line(drop=["success"]),
     _task_line(drop=["inputs"]),
+    _task_line(success="false"),
+    _task_line(timestamp=True),
+    _task_line(makespan_seconds=False),
+    json.dumps(workflow_record(success=1)),
+    _task_line(inputs="/in/a"),
+    _task_line(outputs=[["/out/b"]]),
+    _task_line(output_sizes=[["/out/b", 2.0]]),
+    _task_line(output_sizes={"/out/b": True}),
+    _task_line(event_id=7),
 ], ids=["missing-fields", "unknown-kind", "unhashable-kind", "array",
         "extra-field", "timestamp-string", "signature-list", "no-success",
-        "no-inputs"])
+        "no-inputs", "success-string", "timestamp-bool", "makespan-bool",
+        "workflow-success-number", "inputs-string", "outputs-nested",
+        "output-sizes-list", "output-size-bool", "event-id-number"])
 def test_trace_store_rejects_wrong_shape_with_line_number(bad_line):
     good_line = _task_line()
     with pytest.raises(ProvenanceError, match=r"^trace line 3: "):
         TraceFileStore.from_jsonl(f"{good_line}\n\n{bad_line}\n{good_line}")
 
 
+@pytest.mark.parametrize("store_cls", ALL_STORES)
+def test_changing_a_returned_record_leaves_the_store_unchanged(store_cls):
+    store = store_cls()
+    store.append(row(workflow_record()))
+    store.append(row(sample_task_record()))
+    store.append(row(file_record()))
+    before = store.records()
+    before_text = to_jsonl(before)
+    for record in store.records():
+        record["node_id"] = "worker-9"
+        record["event_id"] = "event-x"
+        if record["kind"] == "task":
+            record["inputs"].append("/in/late")
+            record["outputs"].clear()
+            record["output_sizes"]["/out/late"] = 1.0
+    assert store.records() == before
+    assert to_jsonl(store.records()) == before_text
+    if hasattr(store, "to_jsonl"):
+        assert store.to_jsonl() == before_text
+
+
+def _attempt_events(count):
+    """``count`` task attempts, each staging two inputs and one output."""
+    events = []
+    for index in range(count):
+        task = TaskSpec(tool="align", inputs=[f"/in/a{index}", f"/in/b{index}"],
+                        outputs=[f"/out/c{index}"], task_id=f"t{index}")
+        event = TaskAttemptFinished(
+            workflow_id="w1", task=task, node_id="worker-0",
+            makespan_seconds=10.0 + index,
+            output_sizes={f"/out/c{index}": 2.0 + index},
+            transfers=(_transfer(task.inputs[0], "in", 0.5 + index),
+                       _transfer(task.inputs[1], "in", 0.75 + index),
+                       _transfer(task.outputs[0], "out", 0.25 + index)))
+        event.t = 100.0 + index
+        events.append(event)
+    return events
+
+
+def test_a_stored_row_keeps_at_most_half_the_bytes_of_its_record_dict():
+    # Both sides share the values the events already hold, so the bytes
+    # counted are the containers, ids and texts each layout adds.
+    events = _attempt_events(250)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        manager = ProvenanceManager()
+        handlers = manager.handlers()
+        for event in events:
+            handlers[TaskAttemptFinished](event)
+        kept = tracemalloc.get_traced_memory()[0] - start
+        records = manager.store.records()
+        built = tracemalloc.get_traced_memory()[0] - start - kept
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4 * len(events)
+    assert kept <= 0.5 * built, (kept / len(records), built / len(records))
+
+
 def test_document_store_rejects_unknown_kind():
     store = DocumentProvenanceStore()
     with pytest.raises(ProvenanceError):
-        store.append({"kind": "bogus", "event_id": "x"})
+        store.append(("w1", "bogus", "x"))
 
 
 def _bus_with(manager):
@@ -422,6 +508,16 @@ def test_provenance_rebuilt_from_the_journal_matches_the_live_trace():
             handler(event)
     assert rebuilt.store.records(kind="task")
     assert rebuilt.trace_jsonl() == live
+    assert TraceFileStore.from_jsonl(live).to_jsonl() == live
+    # One task record per attempt the registry counts and the journal
+    # holds, one file record per transfer those attempts carry.
+    attempts = [event for event in iter_events(io.StringIO(buffer.getvalue()))
+                if type(event) is TaskAttemptFinished]
+    counted = runner.hiway.registry.get("hiway_task_attempts_total")
+    assert len(rebuilt.store.records(kind="task")) == len(attempts) == sum(
+        series.value for _, series in counted.series())
+    assert len(rebuilt.store.records(kind="file")) == sum(
+        len(event.transfers) for event in attempts) > 0
     # The rebuilt trace re-executes: every recorded task once more.
     replay = runner.hiway.run(TraceSource(rebuilt.trace_jsonl()))
     assert replay.success, replay.diagnostics
